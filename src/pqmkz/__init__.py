@@ -16,7 +16,6 @@ from .engine import (
     node,
     normalization_defect,
     weight,
-    weight_stream,
 )
 from .pqcore import (
     PQPair,
@@ -44,7 +43,6 @@ __all__ = [
     "pascal_residuals",
     "node",
     "weight",
-    "weight_stream",
     "evaluate",
     "evaluate_many",
     "evaluate_grid",

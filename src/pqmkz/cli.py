@@ -210,17 +210,17 @@ def _cmd_bounds(args) -> int:
     grid = (
         _parse_grid(args.grid) if args.grid is not None else _parse_grid("101:0:0.99")
     )
+    if args.format == "csv":
+        rows, _ = _eval_rows(params, f, grid, policy)
+        _write_csv(args.out, EVAL_COLUMNS, rows)
+        return 0
     lip = None
     if args.lip_M is not None:
         lip = (args.lip_M, args.alpha)
     report = bounds_mod.bound_report(
         params, f, grid, policy, resolution=args.resolution, lipschitz=lip
     )
-    if args.format == "json":
-        _write_json(args.out, report.to_json_dict())
-    else:
-        rows, _ = _eval_rows(params, f, grid, policy)
-        _write_csv(args.out, EVAL_COLUMNS, rows)
+    _write_json(args.out, report.to_json_dict())
     return 0
 
 
@@ -264,30 +264,23 @@ def _figure2(args, outdir: Path) -> int:
     n = args.n if args.n is not None else 10
     f = resolve_function(args.fn)
     policy = TruncationPolicy(tail_tol=args.tol, k_max=args.kmax)
-    grid = np.linspace(0.0, 0.99, 201)
+    grid = [float(v) for v in np.linspace(0.0, 0.99, 201)]
+    columns = ["x", "value", "f_x", "abs_error", "tail_mass", "converged"]
+    keep = [EVAL_COLUMNS.index(c) for c in columns]
+    gap = EVAL_COLUMNS.index("abs_error")
     summary = []
     status = 0
     for p, q in FIGURE2_PAIRS:
         params = PQParams(n, PQPair(p, q))
-        rows = []
-        sup_gap = 0.0
-        for x in grid:
-            out = evaluate(params, f, float(x), policy)
-            fx = f(float(x))
-            gap = abs(out.value - fx)
-            sup_gap = max(sup_gap, gap)
-            if not out.converged:
-                status = 1
-            rows.append(
-                [x, out.value, fx, gap, out.tail_mass, out.converged]
-            )
-        name = f"figure2_p{p}_q{q}.csv"
+        rows, ok = _eval_rows(params, f, grid, policy)
+        if not ok:
+            status = 1
         _write_csv(
-            outdir / name,
-            ["x", "value", "f_x", "abs_error", "tail_mass", "converged"],
-            rows,
+            outdir / f"figure2_p{p}_q{q}.csv",
+            columns,
+            [[row[i] for i in keep] for row in rows],
         )
-        summary.append([p, q, sup_gap])
+        summary.append([p, q, max(row[gap] for row in rows)])
     _write_csv(outdir / "figure2_supgap.csv", ["p", "q", "sup_gap"], summary)
     return status
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .pqcore import PQPair, one_minus_tau_pow
+from .pqcore import PQPair
 
 __all__ = [
     "PQParams",
@@ -24,7 +24,6 @@ __all__ = [
     "Function",
     "node",
     "weight",
-    "weight_stream",
     "evaluate",
     "evaluate_many",
     "evaluate_grid",
@@ -117,35 +116,49 @@ def _effective_sup_bound(f: Function) -> tuple[float, bool]:
     return _SUP_CACHE[f], True
 
 
+def _log_w0(params: PQParams, x: float) -> float:
+    """log w_0(x) = sum_{s=0..n} log(1 - tau^s x); refuses underflow."""
+    n, pq = params.n, params.pq
+    if pq.classical_mode:
+        log_w0 = (n + 1) * math.log1p(-x) if x > 0.0 else 0.0
+    else:
+        s = np.arange(n + 1)
+        log_w0 = float(np.sum(np.log1p(-np.exp(s * pq.log_tau) * x)))
+    if log_w0 < _LOG_W0_FLOOR:
+        raise ValueError(
+            "leading weight underflows double precision for these parameters; "
+            "reduce n or move x away from 1"
+        )
+    return log_w0
+
+
+def _ratios(params: PQParams, x: float, ks: np.ndarray) -> np.ndarray:
+    """w_k / w_{k-1} = x (1 - tau^(n+k)) / (1 - tau^k) for k in ks (all >= 1)."""
+    n, pq = params.n, params.pq
+    if pq.classical_mode:
+        return x * (n + ks) / ks
+    lt = pq.log_tau
+    return x * np.expm1((n + ks) * lt) / np.expm1(ks * lt)
+
+
+def _nodes(params: PQParams, count: int) -> np.ndarray:
+    """Abscissae p^n [k] / [n+k] = (1 - tau^k) / (1 - tau^(n+k)), k < count."""
+    n, pq = params.n, params.pq
+    ks = np.arange(count)
+    if pq.classical_mode:
+        return ks / (n + ks)
+    lt = pq.log_tau
+    with np.errstate(invalid="ignore"):
+        nodes = np.expm1(ks * lt) / np.expm1((n + ks) * lt)
+    nodes[0] = 0.0
+    return nodes
+
+
 def node(params: PQParams, k: int) -> float:
     """Evaluation abscissa p^n [k] / [n+k], always in [0, 1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 0.0
-    if params.pq.classical_mode:
-        return k / (params.n + k)
-    return one_minus_tau_pow(k, params.pq) / one_minus_tau_pow(params.n + k, params.pq)
-
-
-def _leading_weight(params: PQParams, x: float) -> float:
-    n, pq = params.n, params.pq
-    if pq.classical_mode:
-        return (1.0 - x) ** (n + 1)
-    out = 1.0
-    tau_s = 1.0
-    for _ in range(n + 1):
-        out *= 1.0 - tau_s * x
-        tau_s *= pq.tau
-    return out
-
-
-def _ratio(params: PQParams, k: int, x: float) -> float:
-    """w_{k+1} / w_k = x (1 - tau^(n+k+1)) / (1 - tau^(k+1))."""
-    n, pq = params.n, params.pq
-    if pq.classical_mode:
-        return x * (n + k + 1) / (k + 1)
-    return x * one_minus_tau_pow(n + k + 1, pq) / one_minus_tau_pow(k + 1, pq)
+    return float(_nodes(params, k + 1)[k])
 
 
 def weight(params: PQParams, k: int, x: float) -> float:
@@ -154,22 +167,10 @@ def weight(params: PQParams, k: int, x: float) -> float:
         raise ValueError("x must lie in [0, 1)")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    w = _leading_weight(params, x)
-    for j in range(k):
-        w *= _ratio(params, j, x)
-    return w
-
-
-def weight_stream(params: PQParams, x: float) -> Iterator[float]:
-    """Yields w_0(x), w_1(x), ... via the weight ratio recurrence."""
-    if not (0.0 <= x < 1.0):
-        raise ValueError("x must lie in [0, 1)")
-    w = _leading_weight(params, x)
-    k = 0
-    while True:
-        yield w
-        w *= _ratio(params, k, x)
-        k += 1
+    w0 = math.exp(_log_w0(params, x))
+    if k == 0:
+        return w0
+    return float(w0 * np.cumprod(_ratios(params, x, np.arange(1, k + 1)))[-1])
 
 
 def _weights_nodes(
@@ -179,19 +180,7 @@ def _weights_nodes(
 
     tail_tol may be 0 here (internal use: fixed-length partial sums).
     """
-    n, pq = params.n, params.pq
-    lt = pq.log_tau
-    if pq.classical_mode:
-        log_w0 = (n + 1) * math.log1p(-x) if x > 0.0 else 0.0
-    else:
-        s = np.arange(n + 1)
-        log_w0 = float(np.sum(np.log1p(-np.exp(s * lt) * x)))
-    if log_w0 < _LOG_W0_FLOOR:
-        raise ValueError(
-            "leading weight underflows double precision for these parameters; "
-            "reduce n or move x away from 1"
-        )
-    w0 = math.exp(log_w0)
+    w0 = math.exp(_log_w0(params, x))
 
     target = 1.0 - tail_tol
     chunks = [np.array([w0])]
@@ -201,12 +190,9 @@ def _weights_nodes(
     done = total >= target
     while not done and produced < max_terms:
         m = min(_BLOCK, max_terms - produced)
-        ks = np.arange(produced, produced + m)
-        if pq.classical_mode:
-            r = x * (n + ks) / ks
-        else:
-            r = x * np.expm1((n + ks) * lt) / np.expm1(ks * lt)
-        wb = w_last * np.cumprod(r)
+        wb = w_last * np.cumprod(
+            _ratios(params, x, np.arange(produced, produced + m))
+        )
         cums = total + np.cumsum(wb)
         hit = int(np.searchsorted(cums, target))
         if hit < m:
@@ -220,13 +206,7 @@ def _weights_nodes(
         produced += len(wb)
 
     w = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    ks = np.arange(len(w))
-    if pq.classical_mode:
-        nodes = ks / (n + ks)
-    else:
-        with np.errstate(invalid="ignore"):
-            nodes = np.expm1(ks * lt) / np.expm1((n + ks) * lt)
-        nodes[0] = 0.0
+    nodes = _nodes(params, len(w))
     tail = max(0.0, 1.0 - total)
     return w, nodes, tail, tail <= tail_tol
 

@@ -27,16 +27,9 @@ __all__ = [
     "EvalError",
     "Expression",
     "parse_function",
-    "PRESET_SOURCES",
 ]
 
 FUNCS = ("sin", "cos", "exp", "abs", "sqrt")
-
-PRESET_SOURCES = {
-    "paper_cubic": "(x-1/3)*(x-1/2)*(x-3/4)",
-    "identity": "x",
-    "one": "1",
-}
 
 
 class ParseError(ValueError):
@@ -272,10 +265,7 @@ class Expression:
 
 
 def parse_function(text: str, var: str = "x") -> Expression:
-    """Parse an expression or resolve a preset name to one."""
+    """Parse an expression over the variable var."""
     if not text or not text.strip():
         raise ParseError("empty expression", 1)
-    source = PRESET_SOURCES.get(text.strip(), text)
-    if var != "x" and text.strip() in PRESET_SOURCES:
-        raise ParseError(f"preset {text.strip()!r} is defined over x only", 1)
-    return Expression(_Parser(source, var).parse(), var)
+    return Expression(_Parser(text, var).parse(), var)

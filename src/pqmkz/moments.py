@@ -15,6 +15,7 @@ import numpy as np
 
 from .engine import EvalOutcome, Function, PQParams, TruncationPolicy, evaluate_many
 from .pqcore import one_minus_tau_pow
+from .presets import IDENTITY, ONE, SQUARE
 
 __all__ = [
     "MomentReport",
@@ -28,11 +29,7 @@ __all__ = [
     "default_moment_grid",
 ]
 
-_MONOMIALS = [
-    Function(lambda t: 1.0, "1", 1.0, lambda ts: np.ones_like(ts)),
-    Function(lambda t: t, "t", 1.0, lambda ts: ts),
-    Function(lambda t: t * t, "t^2", 1.0, lambda ts: ts * ts),
-]
+_MONOMIALS = [ONE, IDENTITY, SQUARE]
 
 MOMENT_CSV_COLUMNS = [
     "x",

@@ -28,8 +28,6 @@ ABS_HALF = Function(
 _BY_NAME = {
     f.label: f for f in (ONE, IDENTITY, SQUARE, PAPER_CUBIC, ABS_HALF)
 }
-_BY_NAME["one"] = ONE
-_BY_NAME["paper_cubic"] = PAPER_CUBIC
 
 
 def builtin(name: str) -> Function | None:

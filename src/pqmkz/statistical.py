@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bounds import modulus
 from .engine import Function, PQParams, TruncationPolicy, evaluate_many
 from .moments import delta_n_sq
 from .pqcore import PQPair, pq_int
@@ -24,38 +25,41 @@ __all__ = [
     "scheme_paper",
     "scheme_constant",
     "density",
-    "omega_tilde",
     "st_korovkin_check",
     "stat_rate_bound",
     "default_stat_grid",
     "inverse_pq_int",
 ]
 
-_VALIDATION_N = 10_000
-
 
 @dataclass(frozen=True)
 class SequenceScheme:
-    """A rule n -> (p_n, q_n) with 0 < q_n < p_n <= 1, defined for n >= n_min."""
+    """A rule n -> (p_n, q_n) with 0 < q_n < p_n <= 1, defined for n >= n_min.
+
+    The rule is checked at n_min on construction and at every n that params
+    asks for.
+    """
 
     name: str
     rule: Callable[[int], tuple[float, float]]
     n_min: int = 1
 
     def __post_init__(self) -> None:
-        for n in range(self.n_min, _VALIDATION_N + 1):
-            p_n, q_n = self.rule(n)
-            if not (0.0 < q_n < p_n <= 1.0):
-                raise ValueError(
-                    f"scheme {self.name!r} violates 0 < q < p <= 1 at n={n}: "
-                    f"(p, q) = ({p_n}, {q_n})"
-                )
+        self._pair(self.n_min)
 
     def params(self, n: int) -> PQParams:
         if n < self.n_min:
             raise ValueError(f"scheme {self.name!r} starts at n={self.n_min}")
+        return PQParams(n, PQPair(*self._pair(n)))
+
+    def _pair(self, n: int) -> tuple[float, float]:
         p_n, q_n = self.rule(n)
-        return PQParams(n, PQPair(p_n, q_n))
+        if not (0.0 < q_n < p_n <= 1.0):
+            raise ValueError(
+                f"scheme {self.name!r} violates 0 < q < p <= 1 at n={n}: "
+                f"(p, q) = ({p_n}, {q_n})"
+            )
+        return p_n, q_n
 
 
 @dataclass(frozen=True)
@@ -100,31 +104,6 @@ def density(indicator: Callable[[int], bool], N: int) -> float:
     if N < 1:
         raise ValueError("N must be >= 1")
     return sum(1 for k in range(1, N + 1) if indicator(k)) / N
-
-
-def omega_tilde(f: Function, delta: float, resolution: int) -> float:
-    """Grid sup of |f(t) - f(x)| over lattice pairs with |t - x| <= delta.
-
-    Independent twin of the first-order modulus; the lattice step set is the
-    spacing multiples up to delta together with delta itself.
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    xs = np.linspace(0.0, 1.0, resolution)
-    fv = f.values(xs)
-    spacing = 1.0 / (resolution - 1)
-    best = 0.0
-    d = 1
-    while d * spacing <= delta + 1e-9 and d < resolution:
-        best = max(best, float(np.max(np.abs(fv[d:] - fv[:-d]))))
-        d += 1
-    keep = xs + delta <= 1.0 + 1e-12
-    if np.any(keep):
-        ts = np.minimum(xs[keep] + delta, 1.0)
-        best = max(best, float(np.max(np.abs(f.values(ts) - fv[keep]))))
-    return best
 
 
 def default_stat_grid() -> np.ndarray:
@@ -201,7 +180,7 @@ def stat_rate_bound(
     resolution: int = 1025,
     grid: Sequence[float] | None = None,
 ) -> float:
-    """Grid sup of 2 * omega_tilde(f, sqrt(delta_n(x))) along the scheme.
+    """Grid sup of 2 * omega(f, sqrt(delta_n(x))) along the scheme.
 
     Points where the pointwise width delta_n(x) goes negative are excluded;
     an all-negative profile is an error.
@@ -217,7 +196,7 @@ def stat_rate_bound(
         if d == 0.0:
             best = max(best or 0.0, 0.0)
             continue
-        w = 2.0 * omega_tilde(f, math.sqrt(d), resolution)
+        w = 2.0 * modulus(f, math.sqrt(d), resolution).value
         best = w if best is None else max(best, w)
     if best is None:
         raise ValueError("pointwise width is negative over the whole grid")

@@ -34,6 +34,40 @@ def brute_force_modulus(f, delta, resolution):
     return best
 
 
+def all_pairs_modulus(f, delta, resolution):
+    """max |f(t) - f(x)| over every lattice pair with 0 < t - x <= delta and
+    over the off-lattice pairs (x, x + delta); O(resolution^2) memory."""
+    xs = np.linspace(0.0, 1.0, resolution)
+    fv = np.array([f(float(x)) for x in xs])
+    i, j = np.triu_indices(resolution, k=1)
+    near = j - i <= delta * (resolution - 1) * (1.0 + 1e-12)
+    best = float(np.max(np.abs(fv[j[near]] - fv[i[near]]), initial=0.0))
+    for x, fx in zip(xs, fv):
+        if x + delta <= 1.0 + 1e-12:
+            best = max(best, abs(f(min(x + delta, 1.0)) - fx))
+    return best
+
+
+class TestModulusAllPairs:
+    def test_agrees_with_all_pairs(self):
+        for f in (IDENTITY, PAPER_CUBIC, SQUARE, ABS_HALF):
+            for delta in (1 / 16, 1 / 8, 1 / 4, 0.3):
+                assert modulus(f, delta, 513).value == all_pairs_modulus(
+                    f, delta, 513
+                )
+
+    def test_identity_gives_delta(self):
+        got = modulus(IDENTITY, 0.15, 1025).value
+        assert got == all_pairs_modulus(IDENTITY, 0.15, 1025)
+        assert got == pytest.approx(0.15, abs=1e-14)
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            modulus(IDENTITY, 0.0, 257)
+        with pytest.raises(ValueError):
+            modulus(IDENTITY, 0.1, 1)
+
+
 class TestModulus:
     def test_constant_is_zero(self):
         assert modulus(ONE, 0.3, 257).value == 0.0

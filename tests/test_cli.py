@@ -119,6 +119,17 @@ class TestMomentsIdentityBounds:
         assert payload["schema_version"] == 1
         assert payload["empirical_sup_error"] <= payload["thm33_bound"]
 
+    def test_bounds_csv_matches_eval_csv(self, capsys):
+        common = [
+            "--n", "3", "--p", "0.95", "--q", "0.9", "--fn", "paper_cubic",
+            "--grid", "9:0:0.9", "--format", "csv",
+        ]
+        code_b, out_b, _ = run(capsys, "bounds", *common)
+        code_e, out_e, _ = run(capsys, "eval", *common)
+        assert code_b == code_e == 0
+        assert out_b == out_e
+        assert len(out_b.splitlines()) == 10
+
 
 class TestFigures:
     def test_figure1_outputs(self, capsys, tmp_path):

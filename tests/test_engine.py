@@ -1,13 +1,14 @@
-import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pqmkz.engine import (
     Function,
     PQParams,
     TruncationPolicy,
+    _weights_nodes,
     evaluate,
     evaluate_grid,
     evaluate_many,
@@ -15,7 +16,6 @@ from pqmkz.engine import (
     normalization_defect,
     normalization_partial_sum,
     weight,
-    weight_stream,
 )
 from pqmkz.oracle import exact_polynomial_bracket
 from pqmkz.pqcore import PQPair
@@ -66,6 +66,11 @@ class TestNode:
                 prev = t
             assert node(params, 2000) == pytest.approx(1.0, abs=1e-6)
 
+    def test_matches_kernel_nodes(self):
+        _, nodes, _, _ = _weights_nodes(PARAMS, 0.5, 0.0, 300)
+        for k in range(300):
+            assert nodes[k] == node(PARAMS, k)
+
 
 class TestWeight:
     def test_k0_at_x0(self):
@@ -93,30 +98,35 @@ class TestWeight:
 
 
 class TestWeightStream:
+    """The weight array of the evaluation kernel against the scalar view."""
+
+    @staticmethod
+    def kernel(x, count):
+        w, _, _, _ = _weights_nodes(PARAMS, x, 0.0, count)
+        assert len(w) == count
+        return w
+
     def test_first_element(self):
-        s = weight_stream(PARAMS, 0.4)
-        first = next(s)
-        assert first == pytest.approx(weight(PARAMS, 0, 0.4), rel=1e-15)
+        w = self.kernel(0.4, 1)
+        assert w[0] == pytest.approx(weight(PARAMS, 0, 0.4), rel=1e-15)
 
     def test_agrees_with_direct_weight(self):
-        stream = weight_stream(PARAMS, 0.5)
-        for k, w in zip(range(201), stream):
+        w = self.kernel(0.5, 201)
+        for k in range(201):
             direct = weight(PARAMS, k, 0.5)
-            assert w == pytest.approx(direct, rel=1e-12, abs=1e-300)
+            assert w[k] == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
     def test_ratio_limit_is_x(self):
         x = 0.6
-        ws = list(itertools.islice(weight_stream(PARAMS, x), 400))
-        assert ws[399] / ws[398] == pytest.approx(x, rel=1e-10)
+        w = self.kernel(x, 400)
+        assert w[399] / w[398] == pytest.approx(x, rel=1e-10)
 
     def test_prefix_sums_monotone_to_one(self):
-        ws = itertools.islice(weight_stream(PARAMS, 0.5), 300)
-        total = 0.0
-        for w in ws:
-            assert w >= 0.0
-            total += w
-            assert total <= 1.0 + 1e-12
-        assert total == pytest.approx(1.0, abs=1e-12)
+        w = self.kernel(0.5, 300)
+        assert np.all(w >= 0.0)
+        totals = np.cumsum(w)
+        assert np.all(totals <= 1.0 + 1e-12)
+        assert totals[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEvaluate:

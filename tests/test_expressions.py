@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqmkz.expressions import (
-    PRESET_SOURCES,
     BinOp,
     Call,
     EvalError,
@@ -16,6 +15,7 @@ from pqmkz.expressions import (
     Var,
     parse_function,
 )
+from pqmkz.presets import builtin
 
 
 class TestParsing:
@@ -94,16 +94,20 @@ class TestEvaluation:
 
 
 class TestPresets:
+    NAMES = {"one", "identity", "square", "paper_cubic", "abs_half"}
+
     def test_names(self):
-        assert set(PRESET_SOURCES) == {"paper_cubic", "identity", "one"}
+        for name in self.NAMES:
+            assert builtin(name).label == name
+        assert builtin("cubic") is None
 
     def test_cubic_at_zero(self):
-        assert parse_function("paper_cubic")(0.0) == pytest.approx(-0.125)
+        assert builtin("paper_cubic")(0.0) == pytest.approx(-0.125)
 
     def test_cubic_roots(self):
-        expr = parse_function("paper_cubic")
+        f = builtin("paper_cubic")
         for root in (1 / 3, 1 / 2, 3 / 4):
-            assert expr(root) == pytest.approx(0.0, abs=1e-15)
+            assert f(root) == pytest.approx(0.0, abs=1e-15)
 
     def test_preset_requires_default_variable(self):
         with pytest.raises(ParseError):

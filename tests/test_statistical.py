@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from pqmkz.bounds import modulus
 from pqmkz.presets import IDENTITY, ONE, PAPER_CUBIC
 from pqmkz.statistical import (
     DensityReport,
@@ -10,7 +9,6 @@ from pqmkz.statistical import (
     default_stat_grid,
     density,
     inverse_pq_int,
-    omega_tilde,
     scheme_constant,
     scheme_paper,
     st_korovkin_check,
@@ -47,6 +45,14 @@ class TestSchemes:
         with pytest.raises(ValueError):
             scheme_constant(0.8, 0.9)
 
+    def test_rule_checked_at_each_requested_n(self):
+        scheme = SequenceScheme(
+            "late", lambda n: (0.5, 0.9) if n == 5000 else (0.95, 0.9)
+        )
+        assert scheme.params(4999).pq.q == 0.9
+        with pytest.raises(ValueError, match=r"'late'.*n=5000"):
+            scheme.params(5000)
+
     def test_inverse_int_shrinks_along_paper_scheme(self):
         scheme = scheme_paper()
         for n in (200, 500, 1000, 5000):
@@ -71,25 +77,6 @@ class TestDensity:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             density(lambda k: True, 0)
-
-
-class TestOmegaTilde:
-    def test_agrees_with_modulus_twin(self):
-        # two independent implementations of the same lattice quantity
-        for f in (IDENTITY, PAPER_CUBIC):
-            for delta in (1 / 16, 1 / 8, 1 / 4, 0.3):
-                assert omega_tilde(f, delta, 513) == pytest.approx(
-                    modulus(f, delta, 513).value, abs=1e-13
-                )
-
-    def test_identity_gives_delta(self):
-        assert omega_tilde(IDENTITY, 0.15, 1025) == pytest.approx(0.15, abs=1e-14)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            omega_tilde(IDENTITY, 0.0, 257)
-        with pytest.raises(ValueError):
-            omega_tilde(IDENTITY, 0.1, 1)
 
 
 class TestStatRateBound:
