@@ -58,6 +58,8 @@ class BoundReport:
     empirical_within_thm33: bool
     grid_size: int
     resolution: int
+    # every grid point reached the tail target; not part of the JSON schema
+    converged: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,15 +128,16 @@ def sup_error(
     f: Function,
     grid: Sequence[float],
     policy: TruncationPolicy = TruncationPolicy(),
-) -> tuple[float, float]:
-    """(max |M f - f| over the grid, max truncation error bound)."""
+) -> tuple[float, float, bool]:
+    """(max |M f - f| over the grid, max truncation error bound, all converged)."""
+    outs = [evaluate(params, f, float(x), policy) for x in grid]
+    fxs = f.values(np.array(grid, dtype=float)).tolist()
     worst = 0.0
     worst_bound = 0.0
-    for x in grid:
-        out = evaluate(params, f, float(x), policy)
-        worst = max(worst, abs(out.value - f(float(x))))
+    for out, fx in zip(outs, fxs):
+        worst = max(worst, abs(out.value - fx))
         worst_bound = max(worst_bound, out.error_bound)
-    return worst, worst_bound
+    return worst, worst_bound, all(out.converged for out in outs)
 
 
 def decay_width(params: PQParams) -> float:
@@ -181,7 +184,7 @@ def bound_report(
     in the class is not detected.  The Lipschitz entry is the grid maximum of
     the pointwise bound, or None when the width goes negative anywhere.
     """
-    empirical, trunc = sup_error(params, f, grid, policy)
+    empirical, trunc, converged = sup_error(params, f, grid, policy)
     t33 = thm33_bound(params, f, resolution)
 
     widths = [delta_n_sq(params, float(x)) for x in grid]
@@ -213,4 +216,5 @@ def bound_report(
         empirical_within_thm33=empirical <= t33 + trunc,
         grid_size=len(grid),
         resolution=resolution,
+        converged=converged,
     )

@@ -73,13 +73,7 @@ def resolve_function(spec: str) -> Function:
     preset = builtin(spec)
     if preset is not None:
         return preset
-    expr = parse_function(spec)
-    return Function(
-        eval=expr.evaluate,
-        label=spec,
-        sup_hint=None,
-        eval_array=expr.evaluate_array,
-    )
+    return Function(parse_function(spec).evaluate_array, spec)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -141,17 +135,14 @@ EVAL_COLUMNS = [
 
 
 def _eval_rows(params, f, grid, policy):
-    rows = []
-    all_converged = True
-    for x in grid:
-        out = evaluate(params, f, x, policy)
-        fx = f(x)
-        rows.append(
-            [x, out.value, fx, abs(out.value - fx), out.tail_mass,
-             out.terms_used, out.error_bound, out.converged]
-        )
-        all_converged = all_converged and out.converged
-    return rows, all_converged
+    outs = [evaluate(params, f, x, policy) for x in grid]
+    fxs = f.values(np.array(grid, dtype=float)).tolist()
+    rows = [
+        [x, out.value, fx, abs(out.value - fx), out.tail_mass,
+         out.terms_used, out.error_bound, out.converged]
+        for x, out, fx in zip(grid, outs, fxs)
+    ]
+    return rows, all(out.converged for out in outs)
 
 
 def _cmd_eval(args) -> int:
@@ -211,9 +202,9 @@ def _cmd_bounds(args) -> int:
         _parse_grid(args.grid) if args.grid is not None else _parse_grid("101:0:0.99")
     )
     if args.format == "csv":
-        rows, _ = _eval_rows(params, f, grid, policy)
+        rows, ok = _eval_rows(params, f, grid, policy)
         _write_csv(args.out, EVAL_COLUMNS, rows)
-        return 0
+        return 0 if ok else 1
     lip = None
     if args.lip_M is not None:
         lip = (args.lip_M, args.alpha)
@@ -221,7 +212,7 @@ def _cmd_bounds(args) -> int:
         params, f, grid, policy, resolution=args.resolution, lipschitz=lip
     )
     _write_json(args.out, report.to_json_dict())
-    return 0
+    return 0 if report.converged else 1
 
 
 def _cmd_identity(args) -> int:
@@ -309,7 +300,7 @@ def _resolve_scheme(spec: str) -> stat_mod.SequenceScheme:
         p_expr = parse_function(p_text, var="n")
         q_expr = parse_function(q_text, var="n")
         return stat_mod.SequenceScheme(
-            spec, lambda n: (p_expr.evaluate(n), q_expr.evaluate(n))
+            spec, lambda n: (p_expr(n), q_expr(n))
         )
     raise ValueError(f"unknown scheme {spec!r}")
 

@@ -64,10 +64,15 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if self.tail_tol <= 0.0:
             raise ValueError("tail_tol must be positive")
+        if not math.isfinite(self.tail_tol):
+            raise ValueError("tail_tol must be finite")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.f_sup_bound is not None and self.f_sup_bound < 0.0:
-            raise ValueError("f_sup_bound must be nonnegative")
+        if self.f_sup_bound is not None:
+            if self.f_sup_bound < 0.0:
+                raise ValueError("f_sup_bound must be nonnegative")
+            if not math.isfinite(self.f_sup_bound):
+                raise ValueError("f_sup_bound must be finite")
 
 
 @dataclass(frozen=True)
@@ -84,24 +89,22 @@ class EvalOutcome:
 class Function:
     """An evaluable real function on [0,1].
 
-    eval is the scalar evaluator; eval_array, when present, is a vectorized
-    twin used on node arrays.  sup_hint, when present, must be a valid upper
-    bound for sup |f| on [0,1]; without it a heuristic grid bound is used and
-    outcomes are flagged accordingly.
+    values is the one evaluator: it maps a float array of points to a float
+    array of the same shape, and calling the Function at a point t is a
+    one-element view of it, so f(t) == f.values(ts)[i] bit for bit whenever
+    ts[i] == t.  sup_hint, when present, must be a valid upper bound for
+    sup |f| on [0,1]; without it a heuristic grid bound is used and outcomes
+    are flagged accordingly.
     """
 
-    eval: Callable[[float], float]
+    values: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     sup_hint: float | None = None
-    eval_array: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t: float) -> float:
-        return self.eval(t)
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        if self.eval_array is not None:
-            return np.asarray(self.eval_array(ts), dtype=float)
-        return np.array([self.eval(float(t)) for t in ts], dtype=float)
+        # a one-element array, not a 0-d one: numpy's 0-d power can round
+        # differently from the array loop
+        return float(self.values(np.array([t], dtype=float))[0])
 
 
 _SUP_CACHE: dict[Function, float] = {}

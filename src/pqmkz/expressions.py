@@ -9,8 +9,11 @@ Grammar:
     FUNC   := sin | cos | exp | abs | sqrt
 
 Printing fully parenthesizes, so print-then-parse reproduces the tree.
-Evaluation is total on [0,1] for well-formed inputs; division by zero and
-sqrt of a negative argument surface as per-point EvalError.
+Evaluation is vectorized over a float array of points, and a single point is
+a one-element view of the same code.  Division by zero, invalid values (sqrt
+of a negative, a fractional power of a negative, 0/0) and overflow raise
+EvalError, which the CLI reports as a usage error (exit 2).  Numeric
+literals must be finite.
 """
 
 from __future__ import annotations
@@ -146,7 +149,10 @@ class _Parser:
         tok = self._next()
         kind, text, pos = tok
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is out of range", pos)
+            return Num(value)
         if kind == "name":
             nxt = self._peek()
             if nxt and nxt[0] == "op" and nxt[1] == "(":
@@ -166,13 +172,6 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}", pos)
 
 
-_SCALAR_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "abs": abs,
-}
-
 _ARRAY_FUNCS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -180,36 +179,6 @@ _ARRAY_FUNCS = {
     "abs": np.abs,
     "sqrt": np.sqrt,
 }
-
-
-def _eval_scalar(node: Node, var: str, x: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Call):
-        v = _eval_scalar(node.arg, var, x)
-        if node.func == "sqrt":
-            if v < 0.0:
-                raise EvalError(f"sqrt of negative value {v}")
-            return math.sqrt(v)
-        return _SCALAR_FUNCS[node.func](v)
-    a = _eval_scalar(node.left, var, x)
-    b = _eval_scalar(node.right, var, x)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        if b == 0.0:
-            raise EvalError("division by zero")
-        return a / b
-    try:
-        return float(a ** b)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise EvalError(f"cannot raise {a} to power {b}") from exc
 
 
 def _eval_array(node: Node, var: str, xs: np.ndarray) -> np.ndarray:
@@ -247,18 +216,17 @@ class Expression:
     root: Node
     var: str = "x"
 
-    def evaluate(self, x: float) -> float:
-        return _eval_scalar(self.root, self.var, x)
-
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="raise", invalid="raise"):
+        """The one evaluator: values at every point of xs, same shape."""
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
             try:
                 return _eval_array(self.root, self.var, np.asarray(xs, dtype=float))
             except FloatingPointError as exc:
                 raise EvalError(str(exc)) from exc
 
     def __call__(self, x: float) -> float:
-        return self.evaluate(x)
+        # one-element view of evaluate_array, so both agree bit for bit
+        return float(self.evaluate_array(np.array([x], dtype=float))[0])
 
     def to_text(self) -> str:
         return _to_text(self.root)

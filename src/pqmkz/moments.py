@@ -100,7 +100,7 @@ def raw_moment(
     if j < len(_MONOMIALS):
         f = _MONOMIALS[j]
     else:
-        f = Function(lambda t: t ** j, f"t^{j}", 1.0, lambda ts: ts ** j)
+        f = Function(lambda ts: ts ** j, f"t^{j}", 1.0)
     return evaluate_many(params, [f], x, _with_unit_bound(policy))[0]
 
 

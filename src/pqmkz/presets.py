@@ -13,17 +13,15 @@ from .engine import Function
 __all__ = ["ONE", "IDENTITY", "SQUARE", "PAPER_CUBIC", "ABS_HALF", "builtin"]
 
 
-def _cubic(t):
-    return (t - 1.0 / 3.0) * (t - 0.5) * (t - 0.75)
+def _cubic(ts):
+    return (ts - 1.0 / 3.0) * (ts - 0.5) * (ts - 0.75)
 
 
-ONE = Function(lambda t: 1.0, "one", 1.0, lambda ts: np.ones_like(ts))
-IDENTITY = Function(lambda t: t, "identity", 1.0, lambda ts: ts)
-SQUARE = Function(lambda t: t * t, "square", 1.0, lambda ts: ts * ts)
-PAPER_CUBIC = Function(_cubic, "paper_cubic", 0.125, _cubic)
-ABS_HALF = Function(
-    lambda t: abs(t - 0.5), "abs_half", 0.5, lambda ts: np.abs(ts - 0.5)
-)
+ONE = Function(np.ones_like, "one", 1.0)
+IDENTITY = Function(lambda ts: ts, "identity", 1.0)
+SQUARE = Function(lambda ts: ts * ts, "square", 1.0)
+PAPER_CUBIC = Function(_cubic, "paper_cubic", 0.125)
+ABS_HALF = Function(lambda ts: np.abs(ts - 0.5), "abs_half", 0.5)
 
 _BY_NAME = {
     f.label: f for f in (ONE, IDENTITY, SQUARE, PAPER_CUBIC, ABS_HALF)

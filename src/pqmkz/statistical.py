@@ -127,6 +127,8 @@ def st_korovkin_check(
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
     Ns = [int(N) for N in Ns]
     if Ns != sorted(Ns) or len(set(Ns)) != len(Ns) or Ns[0] < 1:
         raise ValueError("Ns must be strictly increasing positive integers")
@@ -137,6 +139,9 @@ def st_korovkin_check(
 
     gs = [ONE, IDENTITY, SQUARE, f]
     labels = ["1", "t", "t^2", f.label or "f"]
+    # the grid is the same for every n, so each g is evaluated on it once
+    xs = [float(x) for x in grid]
+    g_at = [g.values(np.array(xs)).tolist() for g in gs]
     errors: dict[str, dict[int, float]] = {lab: {} for lab in labels}
     excluded: set[int] = set(range(1, scheme.n_min))
 
@@ -144,14 +149,13 @@ def st_korovkin_check(
         params = scheme.params(n)
         worst = [0.0] * len(gs)
         ok = True
-        for x in grid:
-            x = float(x)
+        for j, x in enumerate(xs):
             outs = evaluate_many(params, gs, x, policy)
             if not all(o.converged for o in outs):
                 ok = False
                 break
-            for i, (g, o) in enumerate(zip(gs, outs)):
-                worst[i] = max(worst[i], abs(o.value - g(x)))
+            for i, o in enumerate(outs):
+                worst[i] = max(worst[i], abs(o.value - g_at[i][j]))
         if not ok:
             excluded.add(n)
             continue

@@ -152,7 +152,7 @@ def test_acceptance_07_sup_error_within_modulus_bound():
             for q in (0.9, 0.99):
                 for n in (5, 10, 20):
                     params = PQParams(n, PQPair(1.0, q))
-                    emp, max_eb = sup_error(params, f, grid)
+                    emp, max_eb, _ = sup_error(params, f, grid)
                     bound = thm33_bound(params, f, resolution)
                     slack = 8.0 / (resolution - 1) + 2.0 * max_eb
                     assert emp <= bound + slack

@@ -117,7 +117,7 @@ class TestModulus:
 
 class TestSecondModulus:
     def test_affine_vanishes(self):
-        affine = Function(lambda t: 3 * t - 1, "affine", 2.0, lambda ts: 3 * ts - 1)
+        affine = Function(lambda ts: 3 * ts - 1, "affine", 2.0)
         assert second_modulus(affine, 0.2, 513).value <= 1e-14
 
     def test_constant_vanishes(self):
@@ -139,12 +139,18 @@ class TestSecondModulus:
 
 class TestSupError:
     def test_constant_error_is_tail_only(self):
-        err, bound = sup_error(Q_CASE, ONE, [0.0, 0.3, 0.7], TruncationPolicy(1e-12))
+        err, bound, converged = sup_error(
+            Q_CASE, ONE, [0.0, 0.3, 0.7], TruncationPolicy(1e-12)
+        )
+        assert converged
         assert err <= 1e-12
         assert bound <= 1e-12
 
     def test_identity_at_p_one(self):
-        err, bound = sup_error(Q_CASE, IDENTITY, [i / 10 for i in range(10)])
+        err, bound, converged = sup_error(
+            Q_CASE, IDENTITY, [i / 10 for i in range(10)]
+        )
+        assert converged
         assert err <= bound + 1e-10
 
     def test_cubic_improves_as_parameters_approach_one(self):
@@ -152,6 +158,12 @@ class TestSupError:
         far = sup_error(PQParams(6, PQPair(0.98, 0.95)), PAPER_CUBIC, grid)[0]
         near = sup_error(PQParams(6, PQPair(0.999, 0.998)), PAPER_CUBIC, grid)[0]
         assert near < far
+
+    def test_reports_nonconvergence(self):
+        policy = TruncationPolicy(1e-12, 5)
+        params = PQParams(3, PQPair(0.95, 0.9))
+        _, _, converged = sup_error(params, ONE, [0.0, 0.45, 0.9], policy)
+        assert not converged
 
 
 class TestThm33Bound:

@@ -1,9 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from pqmkz.cli import main
+from pqmkz.cli import main, resolve_function
 
 
 def run(capsys, *argv):
@@ -78,6 +79,58 @@ class TestEval:
         assert code == 1
         assert target.exists()
 
+    @pytest.mark.parametrize("fn", ["x^2", "sin(40*x)*exp(0-x)", "paper_cubic"])
+    def test_f_x_column_is_the_array_evaluator(self, capsys, fn):
+        code, out, _ = run(
+            capsys, "eval", "--n", "5", "--p", "0.95", "--q", "0.9",
+            "--fn", fn, "--grid", "381:0:0.9",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        xs = np.array([float(row["x"]) for row in rows])
+        f_x = np.array([float(row["f_x"]) for row in rows])
+        want = resolve_function(fn).values(xs)
+        assert f_x.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestRejections:
+    """Inputs the program cannot handle exit 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--fn", "(x-2)^0.5", "--x", "1"],
+            ["eval", "--fn", "exp(1000*x)", "--x", "1"],
+            ["eval", "--fn", "exp(1000*x)", "--x", "0.5"],
+            ["eval", "--fn", "x+1e999", "--x", "0.5"],
+            ["eval", "--fn", "one", "--x", "0.5", "--tol", "nan"],
+            ["eval", "--fn", "one", "--x", "0.5", "--tol", "inf"],
+            ["eval", "--fn", "one", "--x", "0.5", "--sup-bound", "nan"],
+        ],
+    )
+    def test_eval_exit_2(self, capsys, argv):
+        argv = argv[:1] + ["--n", "3", "--p", "0.95", "--q", "0.9"] + argv[1:]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scheme", "expr:1-(n-3)^0.5/100;0.5"],
+            ["--scheme", "expr:exp(1000*n);0.5"],
+            ["--eps", "nan"],
+        ],
+    )
+    def test_stat_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "stat", *argv, "--Ns", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestMomentsIdentityBounds:
     def test_moments_json(self, capsys, tmp_path):
@@ -118,6 +171,19 @@ class TestMomentsIdentityBounds:
         payload = json.loads(target.read_text())
         assert payload["schema_version"] == 1
         assert payload["empirical_sup_error"] <= payload["thm33_bound"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bounds_nonconvergence_exit_1(self, capsys, fmt):
+        code, out, _ = run(
+            capsys, "bounds", "--n", "3", "--p", "0.95", "--q", "0.9",
+            "--grid", "3:0:0.9", "--kmax", "5", "--format", fmt,
+        )
+        assert code == 1
+        if fmt == "csv":
+            rows = list(csv.DictReader(out.splitlines()))
+            assert [row["converged"] for row in rows] == ["true", "false", "false"]
+        else:
+            assert json.loads(out)["grid_size"] == 3
 
     def test_bounds_csv_matches_eval_csv(self, capsys):
         common = [

@@ -41,6 +41,13 @@ class TestPolicy:
         with pytest.raises(ValueError):
             TruncationPolicy(f_sup_bound=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="tail_tol must be"):
+            TruncationPolicy(tail_tol=bad)
+        with pytest.raises(ValueError, match="f_sup_bound must be"):
+            TruncationPolicy(f_sup_bound=bad)
+
 
 class TestNode:
     def test_zero(self):
@@ -172,7 +179,9 @@ class TestEvaluate:
     def test_linearity(self):
         alpha, beta = -3.0, 7.5
         combo = Function(
-            lambda t: alpha * SQUARE(t) + beta * PAPER_CUBIC(t), "combo", 10.0
+            lambda ts: alpha * SQUARE.values(ts) + beta * PAPER_CUBIC.values(ts),
+            "combo",
+            10.0,
         )
         for x in (0.1, 0.4, 0.8):
             oc = evaluate(PARAMS, combo, x)
@@ -185,7 +194,7 @@ class TestEvaluate:
             assert lhs <= budget + 1e-13
 
     def test_heuristic_bound_flagged(self):
-        unhinted = Function(lambda t: math.sin(3 * t), "sin3")
+        unhinted = Function(lambda ts: np.sin(3 * ts), "sin3")
         out = evaluate(PARAMS, unhinted, 0.5)
         assert out.heuristic_bound
         hinted = evaluate(PARAMS, ONE, 0.5)

@@ -127,6 +127,11 @@ class TestKorovkinCheck:
         with pytest.raises(ValueError):
             st_korovkin_check(scheme_paper(), ONE, 0.1, [20, 10])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, bad):
+        with pytest.raises(ValueError, match="epsilon must be"):
+            st_korovkin_check(scheme_paper(), ONE, bad, [10])
+
     def test_csv_rows_shape(self):
         reports = st_korovkin_check(scheme_paper(), ONE, 0.5, [5, 10])
         rows = reports["1"].csv_rows()
