@@ -8,19 +8,17 @@ plus delta itself; the extra step makes omega(t -> t, delta) = delta exact.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import Function, PQParams, TruncationPolicy, evaluate
 from .moments import delta_n_sq, moment_scale
 
 __all__ = [
-    "ModulusKind",
-    "ModulusEstimate",
     "BoundReport",
     "modulus",
     "second_modulus",
@@ -29,19 +27,6 @@ __all__ = [
     "lipschitz_bound",
     "bound_report",
 ]
-
-
-class ModulusKind(enum.Enum):
-    FIRST_ORDER = "first_order"
-    SECOND_ORDER = "second_order"
-
-
-@dataclass(frozen=True)
-class ModulusEstimate:
-    delta: float
-    value: float
-    resolution: int
-    kind: ModulusKind
 
 
 @dataclass(frozen=True)
@@ -76,27 +61,34 @@ class BoundReport:
         }
 
 
-def modulus(f: Function, delta: float, resolution: int) -> ModulusEstimate:
-    """First-order modulus: grid sup of |f(x+h) - f(x)|, 0 < h <= delta."""
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
+def _lattice(f: Function, width: float, resolution: int):
+    """Lattice points, f on them, and the largest d with d steps <= width."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     xs = np.linspace(0.0, 1.0, resolution)
-    fv = f.values(xs)
     step = 1.0 / (resolution - 1)
-    dmax = int(math.floor(delta / step + 1e-9))
-    best = 0.0
-    for d in range(1, dmax + 1):
-        best = max(best, float(np.max(np.abs(fv[d:] - fv[:-d]))))
+    return xs, f.values(xs), int(math.floor(width / step + 1e-9))
+
+
+def modulus(f: Function, delta: float, resolution: int) -> float:
+    """First-order modulus: grid sup of |f(x+h) - f(x)|, 0 < h <= delta.
+
+    Over lattice steps 1..d the sup is the largest max - min over windows of
+    d + 1 consecutive lattice values.
+    """
+    if not (0.0 < delta <= 1.0):
+        raise ValueError("delta must lie in (0, 1]")
+    xs, fv, dmax = _lattice(f, delta, resolution)
+    w = sliding_window_view(fv, dmax + 1)
+    best = float(np.max(w.max(axis=1) - w.min(axis=1)))
     mask = xs + delta <= 1.0 + 1e-12
     if np.any(mask):
         shifted = np.minimum(xs[mask] + delta, 1.0)
         best = max(best, float(np.max(np.abs(f.values(shifted) - fv[mask]))))
-    return ModulusEstimate(delta, best, resolution, ModulusKind.FIRST_ORDER)
+    return best
 
 
-def second_modulus(f: Function, step_bound: float, resolution: int) -> ModulusEstimate:
+def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
     """Second-order modulus: grid sup of |f(x+2h) - 2f(x+h) + f(x)|.
 
     step_bound is the already-rooted bound on h (the convention that pairs
@@ -104,12 +96,7 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> ModulusEs
     """
     if not (0.0 < step_bound <= 0.5):
         raise ValueError("step bound must lie in (0, 1/2]")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    xs = np.linspace(0.0, 1.0, resolution)
-    fv = f.values(xs)
-    step = 1.0 / (resolution - 1)
-    dmax = int(math.floor(step_bound / step + 1e-9))
+    xs, fv, dmax = _lattice(f, step_bound, resolution)
     best = 0.0
     for d in range(1, dmax + 1):
         diff = fv[2 * d:] - 2.0 * fv[d:-d] + fv[: -2 * d]
@@ -120,7 +107,7 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> ModulusEs
         f1 = f.values(np.minimum(x0 + step_bound, 1.0))
         f2 = f.values(np.minimum(x0 + 2.0 * step_bound, 1.0))
         best = max(best, float(np.max(np.abs(f2 - 2.0 * f1 + fv[mask]))))
-    return ModulusEstimate(step_bound, best, resolution, ModulusKind.SECOND_ORDER)
+    return best
 
 
 def sup_error(
@@ -147,7 +134,14 @@ def decay_width(params: PQParams) -> float:
 
 def thm33_bound(params: PQParams, f: Function, resolution: int) -> float:
     """2 * omega(f, sqrt(p^n / [n+1])): uniform modulus error bound."""
-    return 2.0 * modulus(f, decay_width(params), resolution).value
+    return 2.0 * modulus(f, decay_width(params), resolution)
+
+
+def _check_lipschitz_class(M: float, alpha: float) -> None:
+    if not (0.0 < M < math.inf):
+        raise ValueError("M must be positive and finite")
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError("alpha must lie in (0, 1]")
 
 
 def lipschitz_bound(
@@ -158,10 +152,7 @@ def lipschitz_bound(
     Raises when the pointwise width squared is negative (possible for p < 1),
     in which case no bound is available.
     """
-    if M <= 0.0:
-        raise ValueError("M must be positive")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_lipschitz_class(M, alpha)
     d2 = delta_n_sq(params, x)
     if d2 < 0.0:
         raise ValueError(
@@ -181,9 +172,12 @@ def bound_report(
     """Empirical sup-error next to every theoretical bound at once.
 
     lipschitz, when given, is the user-asserted (M, alpha) pair; membership
-    in the class is not detected.  The Lipschitz entry is the grid maximum of
-    the pointwise bound, or None when the width goes negative anywhere.
+    in the class is not detected, but M must be positive and finite and
+    alpha in (0, 1].  The Lipschitz entry is the grid maximum of the
+    pointwise bound, or None when the width goes negative anywhere.
     """
+    if lipschitz is not None:
+        _check_lipschitz_class(*lipschitz)
     empirical, trunc, converged = sup_error(params, f, grid, policy)
     t33 = thm33_bound(params, f, resolution)
 
@@ -191,20 +185,15 @@ def bound_report(
     positive = [w for w in widths if w > 0.0]
     if positive:
         w_max = min(math.sqrt(max(positive)), 0.5)
-        omega2 = second_modulus(f, w_max, resolution).value
+        omega2 = second_modulus(f, w_max, resolution)
     else:
         omega2 = 0.0
     ratio = empirical / omega2 if omega2 > 0.0 else 0.0
 
     lip = None
-    if lipschitz is not None:
+    if lipschitz is not None and min(widths) >= 0.0:
         M, alpha = lipschitz
-        try:
-            lip = max(
-                lipschitz_bound(params, M, alpha, float(x)) for x in grid
-            )
-        except ValueError:
-            lip = None
+        lip = max(lipschitz_bound(params, M, alpha, float(x)) for x in grid)
 
     return BoundReport(
         empirical_sup_error=empirical,

@@ -69,6 +69,18 @@ def _write_json(path, payload) -> None:
         Path(path).write_text(text)
 
 
+def _write_rows(args, columns: Sequence[str], rows) -> None:
+    """CSV, or JSON with one object per row under "rows"."""
+    if args.format == "csv":
+        _write_csv(args.out, columns, rows)
+    else:
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "rows": [dict(zip(columns, row)) for row in rows],
+        }
+        _write_json(args.out, payload)
+
+
 def resolve_function(spec: str) -> Function:
     preset = builtin(spec)
     if preset is not None:
@@ -180,16 +192,7 @@ def _cmd_moments(args) -> int:
     )
     reports = moments_mod.lemma_bounds_report(params, grid, policy)
     rows = [r.csv_row() for r in reports]
-    if args.format == "csv":
-        _write_csv(args.out, moments_mod.MOMENT_CSV_COLUMNS, rows)
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "rows": [
-                dict(zip(moments_mod.MOMENT_CSV_COLUMNS, row)) for row in rows
-            ],
-        }
-        _write_json(args.out, payload)
+    _write_rows(args, moments_mod.MOMENT_CSV_COLUMNS, rows)
     ok = all(r.m0.converged and r.m1.converged and r.m2.converged for r in reports)
     return 0 if ok else 1
 
@@ -228,7 +231,7 @@ def _cmd_identity(args) -> int:
         converged = defect <= policy.tail_tol
         ok = ok and converged
         rows.append([x, defect, converged])
-    _write_csv(args.out, ["x", "defect", "converged"], rows)
+    _write_rows(args, ["x", "defect", "converged"], rows)
     return 0 if ok else 1
 
 

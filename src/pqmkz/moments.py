@@ -101,13 +101,7 @@ def raw_moment(
         f = _MONOMIALS[j]
     else:
         f = Function(lambda ts: ts ** j, f"t^{j}", 1.0)
-    return evaluate_many(params, [f], x, _with_unit_bound(policy))[0]
-
-
-def _with_unit_bound(policy: TruncationPolicy) -> TruncationPolicy:
-    if policy.f_sup_bound is not None:
-        return policy
-    return TruncationPolicy(policy.tail_tol, policy.k_max, 1.0)
+    return evaluate_many(params, [f], x, policy)[0]
 
 
 def moment_triple(
@@ -116,7 +110,7 @@ def moment_triple(
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> tuple[EvalOutcome, EvalOutcome, EvalOutcome]:
     """m0, m1, m2 from a single shared weight pass."""
-    m0, m1, m2 = evaluate_many(params, _MONOMIALS, x, _with_unit_bound(policy))
+    m0, m1, m2 = evaluate_many(params, _MONOMIALS, x, policy)
     return m0, m1, m2
 
 

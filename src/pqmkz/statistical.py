@@ -200,7 +200,7 @@ def stat_rate_bound(
         if d == 0.0:
             best = max(best or 0.0, 0.0)
             continue
-        w = 2.0 * modulus(f, math.sqrt(d), resolution).value
+        w = 2.0 * modulus(f, math.sqrt(d), resolution)
         best = w if best is None else max(best, w)
     if best is None:
         raise ValueError("pointwise width is negative over the whole grid")

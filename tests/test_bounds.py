@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pqmkz.bounds import (
-    ModulusKind,
     bound_report,
     decay_width,
     lipschitz_bound,
@@ -13,9 +12,11 @@ from pqmkz.bounds import (
     sup_error,
     thm33_bound,
 )
+from pqmkz.cli import resolve_function
 from pqmkz.engine import Function, PQParams, TruncationPolicy
 from pqmkz.pqcore import PQPair
 from pqmkz.presets import ABS_HALF, IDENTITY, ONE, PAPER_CUBIC, SQUARE
+from test_expressions import SPECS
 
 Q_CASE = PQParams(3, PQPair(1.0, 0.9))
 
@@ -52,12 +53,12 @@ class TestModulusAllPairs:
     def test_agrees_with_all_pairs(self):
         for f in (IDENTITY, PAPER_CUBIC, SQUARE, ABS_HALF):
             for delta in (1 / 16, 1 / 8, 1 / 4, 0.3):
-                assert modulus(f, delta, 513).value == all_pairs_modulus(
+                assert modulus(f, delta, 513) == all_pairs_modulus(
                     f, delta, 513
                 )
 
     def test_identity_gives_delta(self):
-        got = modulus(IDENTITY, 0.15, 1025).value
+        got = modulus(IDENTITY, 0.15, 1025)
         assert got == all_pairs_modulus(IDENTITY, 0.15, 1025)
         assert got == pytest.approx(0.15, abs=1e-14)
 
@@ -68,22 +69,78 @@ class TestModulusAllPairs:
             modulus(IDENTITY, 0.1, 1)
 
 
+def step_loop_moduli(f, deltas, resolution):
+    """The per-step form at each delta: max over d = 1..dmax of
+    max |f(x + d h) - f(x)|, plus the off-lattice step at delta.  One pass
+    over d = 1..max(dmax) keeps the running max after every step."""
+    xs = np.linspace(0.0, 1.0, resolution)
+    fv = f.values(xs)
+    step = 1.0 / (resolution - 1)
+    dmaxes = [int(math.floor(delta / step + 1e-9)) for delta in deltas]
+    running = [0.0]
+    for d in range(1, max(dmaxes) + 1):
+        running.append(
+            max(running[-1], float(np.max(np.abs(fv[d:] - fv[:-d]))))
+        )
+    out = []
+    for delta, dmax in zip(deltas, dmaxes):
+        best = running[dmax]
+        mask = xs + delta <= 1.0 + 1e-12
+        if np.any(mask):
+            shifted = np.minimum(xs[mask] + delta, 1.0)
+            best = max(
+                best, float(np.max(np.abs(f.values(shifted) - fv[mask])))
+            )
+        out.append(best)
+    return out
+
+
+# decay_width at the two ends of each fine-resolution bounds slot of the
+# benchmark: (n, p, q / p) from its low and high corners.
+SLOT_CORNERS = [
+    ((30, 0.95, 0.90), (31, 1.0, 0.91)),
+    ((25, 0.95, 0.85), (26, 1.0, 0.86)),
+    ((35, 0.95, 0.92), (36, 1.0, 0.93)),
+    ((38, 0.95, 0.88), (39, 1.0, 0.89)),
+    ((39, 0.95, 0.95), (40, 1.0, 0.96)),
+]
+
+
+class TestModulusLargeResolution:
+    """The window form equals the per-step form bit for bit at large R."""
+
+    DELTAS = [1.0] + [
+        decay_width(PQParams(n, PQPair(p, round(p * r, 6))))
+        for corners in SLOT_CORNERS
+        for n, p, r in corners
+    ]
+
+    @pytest.mark.parametrize("resolution", [1025, 4097, 16385])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_equals_step_loop(self, spec, resolution):
+        f = resolve_function(spec)
+        step = 1.0 / (resolution - 1)
+        deltas = [0.5 * step, step, 1.5 * step, 2.5 * step] + self.DELTAS
+        got = [modulus(f, delta, resolution) for delta in deltas]
+        assert got == step_loop_moduli(f, deltas, resolution)
+
+
 class TestModulus:
     def test_constant_is_zero(self):
-        assert modulus(ONE, 0.3, 257).value == 0.0
+        assert modulus(ONE, 0.3, 257) == 0.0
 
     def test_identity_attains_delta(self):
         est = modulus(IDENTITY, 0.1, 1025)
-        assert est.value == pytest.approx(0.1, abs=1e-15)
-        assert est.kind is ModulusKind.FIRST_ORDER
+        assert type(est) is float
+        assert est == pytest.approx(0.1, abs=1e-15)
 
     def test_square_matches_brute_force(self):
         expected = brute_force_modulus(SQUARE, 0.2, 257)
-        assert modulus(SQUARE, 0.2, 257).value == pytest.approx(
+        assert modulus(SQUARE, 0.2, 257) == pytest.approx(
             expected, abs=1e-14
         )
         # analytic sup 2*delta - delta^2 = 0.36 is approached from below
-        fine = modulus(SQUARE, 0.2, 2049).value
+        fine = modulus(SQUARE, 0.2, 2049)
         assert 0.36 - 2e-3 <= fine <= 0.36 + 1e-12
 
     def test_rejects_bad_delta(self):
@@ -96,21 +153,21 @@ class TestModulus:
 
     def test_monotone_in_delta(self):
         deltas = [1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2]
-        vals = [modulus(PAPER_CUBIC, d, 513).value for d in deltas]
+        vals = [modulus(PAPER_CUBIC, d, 513) for d in deltas]
         assert vals == sorted(vals)
 
     def test_monotone_under_refinement(self):
         for f in (PAPER_CUBIC, ABS_HALF):
-            v = [modulus(f, 0.3, 2 ** m + 1).value for m in (7, 8, 9, 10)]
+            v = [modulus(f, 0.3, 2 ** m + 1) for m in (7, 8, 9, 10)]
             for a, b in zip(v, v[1:]):
                 assert a <= b + 1e-15
 
     def test_subadditive_on_lattice(self):
         for d1, d2 in [(1 / 8, 1 / 8), (1 / 16, 1 / 8), (1 / 4, 1 / 4)]:
-            lhs = modulus(PAPER_CUBIC, d1 + d2, 513).value
+            lhs = modulus(PAPER_CUBIC, d1 + d2, 513)
             rhs = (
-                modulus(PAPER_CUBIC, d1, 513).value
-                + modulus(PAPER_CUBIC, d2, 513).value
+                modulus(PAPER_CUBIC, d1, 513)
+                + modulus(PAPER_CUBIC, d2, 513)
             )
             assert lhs <= rhs + 1e-12
 
@@ -118,15 +175,15 @@ class TestModulus:
 class TestSecondModulus:
     def test_affine_vanishes(self):
         affine = Function(lambda ts: 3 * ts - 1, "affine", 2.0)
-        assert second_modulus(affine, 0.2, 513).value <= 1e-14
+        assert second_modulus(affine, 0.2, 513) <= 1e-14
 
     def test_constant_vanishes(self):
-        assert second_modulus(ONE, 0.1, 257).value == 0.0
+        assert second_modulus(ONE, 0.1, 257) == 0.0
 
     def test_square_second_difference(self):
         # second difference of t^2 is exactly 2 h^2, maximized at h = bound
         h0 = 0.2
-        assert second_modulus(SQUARE, h0, 513).value == pytest.approx(
+        assert second_modulus(SQUARE, h0, 513) == pytest.approx(
             2 * h0 * h0, abs=1e-13
         )
 
@@ -237,6 +294,21 @@ class TestBoundReport:
             2 * math.sqrt(1 / 3.439), abs=1e-12
         )
         assert report.empirical_within_thm33
+
+    def test_rejects_bad_lipschitz_class(self):
+        grid = [0.0, 0.5]
+        for lip in [(-1.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                    (1.0, 2.0), (1.0, math.nan), (1.0, 0.0)]:
+            with pytest.raises(ValueError):
+                bound_report(Q_CASE, ONE, grid, resolution=257, lipschitz=lip)
+
+    def test_negative_width_gives_no_lipschitz_entry(self):
+        # q > p^2: the width squared at x = 1 is negative for n = 20
+        params = PQParams(20, PQPair(0.8, 0.7))
+        report = bound_report(
+            params, IDENTITY, [0.5, 1.0], resolution=257, lipschitz=(1.0, 1.0)
+        )
+        assert report.lipschitz_bound is None
 
     def test_cubic_with_lipschitz(self):
         grid = [i / 20 for i in range(20)]

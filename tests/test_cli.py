@@ -160,6 +160,40 @@ class TestMomentsIdentityBounds:
             assert float(row["defect"]) <= 1e-12
             assert row["converged"] == "true"
 
+    def test_identity_json_rows_equal_csv_rows(self, capsys):
+        common = [
+            "identity", "--n", "4", "--p", "0.95", "--q", "0.9",
+            "--grid", "6:0:0.9",
+        ]
+        code_c, out_c, _ = run(capsys, *common)
+        code_j, out_j, _ = run(capsys, *common, "--format", "json")
+        assert code_c == code_j == 0
+        payload = json.loads(out_j)
+        assert payload["schema_version"] == 1
+        csv_rows = list(csv.DictReader(out_c.splitlines()))
+        assert len(payload["rows"]) == len(csv_rows) == 6
+        for got, want in zip(payload["rows"], csv_rows):
+            assert list(got) == list(want)
+            assert got["x"] == float(want["x"])
+            assert got["defect"] == float(want["defect"])
+            assert got["converged"] == (want["converged"] == "true")
+
+    @pytest.mark.parametrize(
+        "lip",
+        [["--lip-M", m] for m in ("-1", "0", "nan", "inf")]
+        + [["--lip-M", "1", "--alpha", a] for a in ("2", "nan")],
+        ids=" ".join,
+    )
+    def test_bounds_rejects_bad_lipschitz_class(self, capsys, lip):
+        code, out, err = run(
+            capsys, "bounds", "--n", "3", "--p", "0.95", "--q", "0.9",
+            "--grid", "5:0:0.9", "--resolution", "257", *lip,
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
     def test_bounds_json_default_format(self, capsys, tmp_path):
         target = tmp_path / "bounds.json"
         code, _, _ = run(
