@@ -15,6 +15,7 @@ from .engine import (
     evaluate_many,
     node,
     normalization_defect,
+    normalization_defects,
     weight,
 )
 from .pqcore import (
@@ -47,5 +48,6 @@ __all__ = [
     "evaluate_many",
     "evaluate_grid",
     "normalization_defect",
+    "normalization_defects",
     "__version__",
 ]

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import Function, PQParams, TruncationPolicy, evaluate
+from .engine import Function, PQParams, TruncationPolicy, evaluate_grid
 from .moments import delta_n_sq, moment_scale
 
 __all__ = [
@@ -98,9 +98,13 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
         raise ValueError("step bound must lie in (0, 1/2]")
     xs, fv, dmax = _lattice(f, step_bound, resolution)
     best = 0.0
+    buf = np.empty(len(fv))
     for d in range(1, dmax + 1):
-        diff = fv[2 * d:] - 2.0 * fv[d:-d] + fv[: -2 * d]
-        best = max(best, float(np.max(np.abs(diff))))
+        # f(x+2h) - 2 f(x+h) + f(x) in that order, in one buffer
+        diff = np.multiply(fv[d:-d], 2.0, out=buf[: len(fv) - 2 * d])
+        np.subtract(fv[2 * d:], diff, out=diff)
+        np.add(diff, fv[: -2 * d], out=diff)
+        best = max(best, float(diff.max()), -float(diff.min()))
     mask = xs + 2.0 * step_bound <= 1.0 + 1e-12
     if np.any(mask):
         x0 = xs[mask]
@@ -117,7 +121,7 @@ def sup_error(
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> tuple[float, float, bool]:
     """(max |M f - f| over the grid, max truncation error bound, all converged)."""
-    outs = [evaluate(params, f, float(x), policy) for x in grid]
+    outs = [out for out, in evaluate_grid(params, [f], grid, policy)]
     fxs = f.values(np.array(grid, dtype=float)).tolist()
     worst = 0.0
     worst_bound = 0.0

@@ -26,8 +26,8 @@ from .engine import (
     Function,
     PQParams,
     TruncationPolicy,
-    evaluate,
-    normalization_defect,
+    evaluate_grid,
+    normalization_defects,
     normalization_partial_sum,
 )
 from .expressions import EvalError, ParseError, parse_function
@@ -147,7 +147,7 @@ EVAL_COLUMNS = [
 
 
 def _eval_rows(params, f, grid, policy):
-    outs = [evaluate(params, f, x, policy) for x in grid]
+    outs = [out for out, in evaluate_grid(params, [f], grid, policy)]
     fxs = f.values(np.array(grid, dtype=float)).tolist()
     rows = [
         [x, out.value, fx, abs(out.value - fx), out.tail_mass,
@@ -198,6 +198,10 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.format == "csv" and (args.lip_M is not None or args.alpha is not None):
+        raise ValueError("--lip-M and --alpha apply to the JSON report, not to csv")
+    if args.alpha is not None and args.lip_M is None:
+        raise ValueError("--alpha needs --lip-M")
     params = _params_from_args(args)
     policy = _policy_from_args(args)
     f = resolve_function(args.fn)
@@ -210,7 +214,7 @@ def _cmd_bounds(args) -> int:
         return 0 if ok else 1
     lip = None
     if args.lip_M is not None:
-        lip = (args.lip_M, args.alpha)
+        lip = (args.lip_M, 1.0 if args.alpha is None else args.alpha)
     report = bounds_mod.bound_report(
         params, f, grid, policy, resolution=args.resolution, lipschitz=lip
     )
@@ -224,15 +228,10 @@ def _cmd_identity(args) -> int:
     grid = (
         _parse_grid(args.grid) if args.grid is not None else _parse_grid("101:0:0.99")
     )
-    rows = []
-    ok = True
-    for x in grid:
-        defect = normalization_defect(params, x, policy)
-        converged = defect <= policy.tail_tol
-        ok = ok and converged
-        rows.append([x, defect, converged])
+    defects = normalization_defects(params, grid, policy)
+    rows = [[x, d, d <= policy.tail_tol] for x, d in zip(grid, defects)]
     _write_rows(args, ["x", "defect", "converged"], rows)
-    return 0 if ok else 1
+    return 0 if all(row[2] for row in rows) else 1
 
 
 def _figure1(args, outdir: Path) -> int:
@@ -362,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_bounds)
     p_bounds.add_argument("--grid", default=None, help="COUNT or COUNT:LO:HI")
     p_bounds.add_argument("--resolution", type=int, default=1025)
-    p_bounds.add_argument("--alpha", type=float, default=1.0)
+    p_bounds.add_argument(
+        "--alpha", type=float, default=None, help="Lipschitz exponent (default 1)"
+    )
     p_bounds.add_argument("--lip-M", dest="lip_M", type=float, default=None)
     p_bounds.set_defaults(handler=_cmd_bounds, format="json")
 

@@ -28,13 +28,21 @@ __all__ = [
     "evaluate_many",
     "evaluate_grid",
     "normalization_defect",
+    "normalization_defects",
     "normalization_partial_sum",
 ]
 
 _BLOCK = 256
+# Grid rows run the recurrence together this many at a time, which bounds
+# the 2-D temporaries of one block.
+_ROWS = 64
 # Below this log-magnitude the leading weight underflows double precision and
 # the tau-form recurrence cannot recover; refuse rather than return garbage.
 _LOG_W0_FLOOR = -650.0
+_UNDERFLOW = (
+    "leading weight underflows double precision for these parameters; "
+    "reduce n or move x away from 1"
+)
 
 
 @dataclass(frozen=True)
@@ -119,49 +127,118 @@ def _effective_sup_bound(f: Function) -> tuple[float, bool]:
     return _SUP_CACHE[f], True
 
 
-def _log_w0(params: PQParams, x: float) -> float:
-    """log w_0(x) = sum_{s=0..n} log(1 - tau^s x); refuses underflow."""
-    n, pq = params.n, params.pq
-    if pq.classical_mode:
-        log_w0 = (n + 1) * math.log1p(-x) if x > 0.0 else 0.0
-    else:
-        s = np.arange(n + 1)
-        log_w0 = float(np.sum(np.log1p(-np.exp(s * pq.log_tau) * x)))
-    if log_w0 < _LOG_W0_FLOOR:
-        raise ValueError(
-            "leading weight underflows double precision for these parameters; "
-            "reduce n or move x away from 1"
-        )
-    return log_w0
+def _sup_bound(f: Function, policy: TruncationPolicy) -> tuple[float, bool]:
+    if policy.f_sup_bound is not None:
+        return policy.f_sup_bound, False
+    return _effective_sup_bound(f)
 
 
-def _ratios(params: PQParams, x: float, ks: np.ndarray) -> np.ndarray:
-    """w_k / w_{k-1} = x (1 - tau^(n+k)) / (1 - tau^k) for k in ks (all >= 1)."""
-    n, pq = params.n, params.pq
-    if pq.classical_mode:
-        return x * (n + ks) / ks
-    lt = pq.log_tau
-    return x * np.expm1((n + ks) * lt) / np.expm1(ks * lt)
+class _Plan:
+    """The part of the series that does not depend on x, for one PQParams.
+
+    The weight ratio is w_k / w_{k-1} = x * e1[k] / e2[k] and the node is
+    e2[k] / e1[k], with e1[k] = expm1((n+k) log tau) and e2[k] = expm1(k log
+    tau) (n + k and k in classical mode); neg_tau_s holds -tau^s, s = 0..n,
+    for log w_0.  A plan serves one call and grows on demand.
+    """
+
+    def __init__(self, params: PQParams) -> None:
+        self.params = params
+        self.e1 = self.e2 = self.nodes = np.empty(0)
+        if not params.pq.classical_mode:
+            s = np.arange(params.n + 1)
+            self.neg_tau_s = -np.exp(s * params.pq.log_tau)
+
+    def grow(self, count: int) -> None:
+        """Hold at least count entries of e1, e2 and nodes."""
+        if count <= len(self.nodes):
+            return
+        n, pq = self.params.n, self.params.pq
+        ks = np.arange(max(count, 2 * len(self.nodes)))
+        if pq.classical_mode:
+            self.e1, self.e2 = (n + ks).astype(float), ks.astype(float)
+        else:
+            lt = pq.log_tau
+            self.e1, self.e2 = np.expm1((n + ks) * lt), np.expm1(ks * lt)
+        with np.errstate(invalid="ignore"):
+            self.nodes = self.e2 / self.e1
+        self.nodes[0] = 0.0
+
+    def leading_weights(self, xs: np.ndarray) -> np.ndarray:
+        """w_0(x) = prod_{s=0..n} (1 - tau^s x) for each x of xs in [0, 1),
+        up to the first x where it underflows double precision."""
+        if self.params.pq.classical_mode:
+            n = self.params.n
+            log_w0 = np.array(
+                [(n + 1) * math.log1p(-x) if x > 0.0 else 0.0 for x in xs]
+            )
+        else:
+            log_w0 = np.sum(np.log1p(np.multiply.outer(xs, self.neg_tau_s)), axis=1)
+        under = np.flatnonzero(log_w0 < _LOG_W0_FLOOR)
+        if under.size:
+            log_w0 = log_w0[: under[0]]
+        # math.exp, not np.exp: the two can differ in the last ulp
+        return np.array([math.exp(v) for v in log_w0])
 
 
-def _nodes(params: PQParams, count: int) -> np.ndarray:
-    """Abscissae p^n [k] / [n+k] = (1 - tau^k) / (1 - tau^(n+k)), k < count."""
-    n, pq = params.n, params.pq
-    ks = np.arange(count)
-    if pq.classical_mode:
-        return ks / (n + ks)
-    lt = pq.log_tau
-    with np.errstate(invalid="ignore"):
-        nodes = np.expm1(ks * lt) / np.expm1((n + ks) * lt)
-    nodes[0] = 0.0
-    return nodes
+def _weight_rows(
+    plan: _Plan, xs: np.ndarray, tail_tol: float, max_terms: int
+) -> list[tuple[np.ndarray, float, bool]]:
+    """(weights up to the stopping index, tail mass, flag) for each x of xs.
+
+    Each x in [0, 1) runs the same recurrence: from k = 1, blocks of _BLOCK
+    ratios, each block a cumprod scaled by the last weight, until the running
+    sum reaches 1 - tail_tol or max_terms weights exist.  Every row keeps
+    those block boundaries and that order of operations, so rows that share
+    a block run as one 2-D array and still get the one-point arithmetic bit
+    for bit.  The list stops before the first x whose leading weight
+    underflows; the caller raises for it.  tail_tol may be 0 here (internal
+    use: fixed-length partial sums).
+    """
+    target = 1.0 - tail_tol
+    out: list[tuple[np.ndarray, float, bool]] = []
+    for start in range(0, len(xs), _ROWS):
+        xc = xs[start: start + _ROWS]
+        w0 = plan.leading_weights(xc)
+        underflow = len(w0) < len(xc)
+        xc = xc[: len(w0)]
+        parts = [[w0[i: i + 1]] for i in range(len(w0))]
+        total, last = w0.copy(), w0.copy()
+        active = np.flatnonzero(~(total >= target))
+        produced = 1
+        while active.size and produced < max_terms:
+            m = min(_BLOCK, max_terms - produced)
+            plan.grow(produced + m)
+            block = slice(produced, produced + m)
+            ratios = xc[active, None] * plan.e1[block] / plan.e2[block]
+            wb = last[active, None] * np.cumprod(ratios, axis=1)
+            cums = total[active, None] + np.cumsum(wb, axis=1)
+            reached = cums >= target
+            stopped = reached.any(axis=1)
+            ends = np.where(stopped, reached.argmax(axis=1), m - 1)
+            at = (np.arange(active.size), ends)
+            for j, i in enumerate(active.tolist()):
+                parts[i].append(wb[j, : ends[j] + 1])
+            total[active] = cums[at]
+            last[active] = wb[at]
+            active = active[~stopped]
+            produced += m
+        for chunks, t in zip(parts, total.tolist()):
+            tail = max(0.0, 1.0 - t)
+            w = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+            out.append((w, tail, tail <= tail_tol))
+        if underflow:
+            break
+    return out
 
 
 def node(params: PQParams, k: int) -> float:
     """Evaluation abscissa p^n [k] / [n+k], always in [0, 1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return float(_nodes(params, k + 1)[k])
+    plan = _Plan(params)
+    plan.grow(k + 1)
+    return float(plan.nodes[k])
 
 
 def weight(params: PQParams, k: int, x: float) -> float:
@@ -170,10 +247,16 @@ def weight(params: PQParams, k: int, x: float) -> float:
         raise ValueError("x must lie in [0, 1)")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    w0 = math.exp(_log_w0(params, x))
+    plan = _Plan(params)
+    w0 = plan.leading_weights(np.array([x], dtype=float))
+    if not w0.size:
+        raise ValueError(_UNDERFLOW)
+    w0 = float(w0[0])
     if k == 0:
         return w0
-    return float(w0 * np.cumprod(_ratios(params, x, np.arange(1, k + 1)))[-1])
+    plan.grow(k + 1)
+    ratios = x * plan.e1[1: k + 1] / plan.e2[1: k + 1]
+    return float(w0 * np.cumprod(ratios)[-1])
 
 
 def _weights_nodes(
@@ -183,35 +266,13 @@ def _weights_nodes(
 
     tail_tol may be 0 here (internal use: fixed-length partial sums).
     """
-    w0 = math.exp(_log_w0(params, x))
-
-    target = 1.0 - tail_tol
-    chunks = [np.array([w0])]
-    total = w0
-    w_last = w0
-    produced = 1
-    done = total >= target
-    while not done and produced < max_terms:
-        m = min(_BLOCK, max_terms - produced)
-        wb = w_last * np.cumprod(
-            _ratios(params, x, np.arange(produced, produced + m))
-        )
-        cums = total + np.cumsum(wb)
-        hit = int(np.searchsorted(cums, target))
-        if hit < m:
-            wb = wb[: hit + 1]
-            total = float(cums[hit])
-            done = True
-        else:
-            total = float(cums[-1])
-        chunks.append(wb)
-        w_last = float(wb[-1])
-        produced += len(wb)
-
-    w = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    nodes = _nodes(params, len(w))
-    tail = max(0.0, 1.0 - total)
-    return w, nodes, tail, tail <= tail_tol
+    plan = _Plan(params)
+    rows = _weight_rows(plan, np.array([x], dtype=float), tail_tol, max_terms)
+    if not rows:
+        raise ValueError(_UNDERFLOW)
+    w, tail, converged = rows[0]
+    plan.grow(len(w))
+    return w, plan.nodes[: len(w)], tail, converged
 
 
 def evaluate(
@@ -239,39 +300,80 @@ def evaluate_many(
     Guarantees identical truncation (same weights, same tail) across all
     functions, which keeps derived quantities like central moments coherent.
     """
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    if x == 1.0:
-        return [
-            EvalOutcome(float(f(1.0)), 0.0, 1, 0.0, True, False) for f in fs
-        ]
-    w, nodes, tail, converged = _weights_nodes(
-        params, x, policy.tail_tol, policy.k_max
-    )
-    out = []
-    for f in fs:
-        fv = f.values(nodes)
-        value = float(w @ fv)
-        if policy.f_sup_bound is not None:
-            bound, heuristic = policy.f_sup_bound, False
-        else:
-            bound, heuristic = _effective_sup_bound(f)
-        out.append(
-            EvalOutcome(value, tail, len(w), tail * bound, converged, heuristic)
-        )
-    return out
+    return evaluate_grid(params, fs, [x], policy)[0]
 
 
 def evaluate_grid(
     params: PQParams,
-    f: Function,
+    fs: Sequence[Function],
     grid: Sequence[float],
     policy: TruncationPolicy = TruncationPolicy(),
-) -> list[EvalOutcome]:
-    """Elementwise evaluate; output order matches input order."""
+) -> list[list[EvalOutcome]]:
+    """Evaluate several functions at every x of a grid.
+
+    Returns one list per x, in grid order, with one outcome per function in
+    the order of fs.  Every x gets its own weights and truncation, as if
+    evaluated alone; the x-free part of the series is built once, and each
+    f is evaluated once, on the nodes of the longest row.  A failure raises
+    the error that the first failing x, taken in grid order, raises.
+    """
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
-    return [evaluate(params, f, float(x), policy) for x in grid]
+    xs = [float(x) for x in grid]
+    bad = next((i for i, x in enumerate(xs) if not 0.0 <= x <= 1.0), len(xs))
+    inner = [i for i in range(bad) if xs[i] < 1.0]
+    plan = _Plan(params)
+    rows = _weight_rows(
+        plan, np.array([xs[i] for i in inner], dtype=float),
+        policy.tail_tol, policy.k_max,
+    )
+    stop = inner[len(rows)] if len(rows) < len(inner) else bad
+    size = max((len(w) for w, _, _ in rows), default=0)
+    plan.grow(size)
+    nodes = plan.nodes[:size]
+    fvs, bounds, at_one = [], [], []
+    try:
+        if rows:
+            fvs = [f.values(nodes) for f in fs]
+            bounds = [_sup_bound(f, policy) for f in fs]
+        if 1.0 in xs[:stop]:
+            at_one = [float(f(1.0)) for f in fs]
+    except Exception:
+        # f failed on the joint nodes: rerun it x by x, in grid order, so
+        # that the error raised is the one of the first failing x
+        _replay(fs, xs[:stop], rows, nodes, policy)
+        raise
+    if stop < bad:
+        raise ValueError(_UNDERFLOW)
+    if stop < len(xs):
+        raise ValueError("x must lie in [0, 1]")
+    out = []
+    weights = iter(rows)
+    for x in xs[:stop]:
+        if x == 1.0:
+            out.append([EvalOutcome(v, 0.0, 1, 0.0, True, False) for v in at_one])
+            continue
+        w, tail, converged = next(weights)
+        k = len(w)
+        out.append([
+            EvalOutcome(float(w @ fv[:k]), tail, k, tail * bound, converged, heur)
+            for fv, (bound, heur) in zip(fvs, bounds)
+        ])
+    return out
+
+
+def _replay(fs, xs, rows, nodes, policy) -> None:
+    """Evaluate every f as each x of xs alone would, in grid order."""
+    weights = iter(rows)
+    for x in xs:
+        if x == 1.0:
+            for f in fs:
+                f(1.0)
+            continue
+        k = len(next(weights)[0])
+        for f in fs:
+            f.values(nodes[:k])
+            _sup_bound(f, policy)
 
 
 def normalization_partial_sum(params: PQParams, x: float, k_terms: int) -> float:
@@ -284,11 +386,28 @@ def normalization_partial_sum(params: PQParams, x: float, k_terms: int) -> float
     return float(np.sum(w))
 
 
+def normalization_defects(
+    params: PQParams,
+    grid: Sequence[float],
+    policy: TruncationPolicy = TruncationPolicy(),
+) -> list[float]:
+    """|prefix weight sum - 1| at every x of a grid, in grid order, under the
+    policy's truncation; the first failing x raises."""
+    xs = [float(x) for x in grid]
+    bad = next((i for i, x in enumerate(xs) if not 0.0 <= x < 1.0), len(xs))
+    rows = _weight_rows(
+        _Plan(params), np.array(xs[:bad], dtype=float),
+        policy.tail_tol, policy.k_max,
+    )
+    if len(rows) < bad:
+        raise ValueError(_UNDERFLOW)
+    if bad < len(xs):
+        raise ValueError("x must lie in [0, 1)")
+    return [abs(1.0 - float(np.sum(w))) for w, _, _ in rows]
+
+
 def normalization_defect(
     params: PQParams, x: float, policy: TruncationPolicy = TruncationPolicy()
 ) -> float:
     """|prefix weight sum - 1| under the policy's truncation."""
-    if not (0.0 <= x < 1.0):
-        raise ValueError("x must lie in [0, 1)")
-    w, _, _, _ = _weights_nodes(params, x, policy.tail_tol, policy.k_max)
-    return abs(1.0 - float(np.sum(w)))
+    return normalization_defects(params, [x], policy)[0]

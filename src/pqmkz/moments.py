@@ -13,7 +13,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import EvalOutcome, Function, PQParams, TruncationPolicy, evaluate_many
+from .engine import (
+    EvalOutcome,
+    Function,
+    PQParams,
+    TruncationPolicy,
+    evaluate_grid,
+    evaluate_many,
+)
 from .pqcore import one_minus_tau_pow
 from .presets import IDENTITY, ONE, SQUARE
 
@@ -149,9 +156,8 @@ def lemma_bounds_report(
     scale = moment_scale(params)
     p = params.pq.p
     reports = []
-    for x in grid:
+    for x, (m0, m1, m2) in zip(grid, evaluate_grid(params, _MONOMIALS, grid, policy)):
         x = float(x)
-        m0, m1, m2 = moment_triple(params, x, policy)
         central2 = m2.value - 2.0 * x * m1.value + x * x * m0.value
         tol = m0.error_bound + m1.error_bound + m2.error_bound
         lower_slack = m2.value - x * x

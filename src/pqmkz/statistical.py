@@ -14,7 +14,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import modulus
-from .engine import Function, PQParams, TruncationPolicy, evaluate_many
+from .engine import (
+    Function,
+    PQParams,
+    TruncationPolicy,
+    evaluate_grid,
+    evaluate_many,
+)
 from .moments import delta_n_sq
 from .pqcore import PQPair, pq_int
 from .presets import IDENTITY, ONE, SQUARE
@@ -147,18 +153,23 @@ def st_korovkin_check(
 
     for n in range(scheme.n_min, max(Ns) + 1):
         params = scheme.params(n)
-        worst = [0.0] * len(gs)
-        ok = True
-        for j, x in enumerate(xs):
-            outs = evaluate_many(params, gs, x, policy)
-            if not all(o.converged for o in outs):
-                ok = False
-                break
-            for i, o in enumerate(outs):
-                worst[i] = max(worst[i], abs(o.value - g_at[i][j]))
-        if not ok:
+        try:
+            rows = evaluate_grid(params, gs, xs, policy)
+        except ValueError:
+            # an x failed; the scan over x stops at the first x that does not
+            # converge, so the failure counts only if no such x precedes it
+            rows = []
+            for x in xs:
+                rows.append(evaluate_many(params, gs, x, policy))
+                if not all(o.converged for o in rows[-1]):
+                    break
+        if not all(o.converged for outs in rows for o in outs):
             excluded.add(n)
             continue
+        worst = [0.0] * len(gs)
+        for j, outs in enumerate(rows):
+            for i, o in enumerate(outs):
+                worst[i] = max(worst[i], abs(o.value - g_at[i][j]))
         for lab, e in zip(labels, worst):
             errors[lab][n] = e
 

@@ -48,7 +48,7 @@ def test_acceptance_01_normalization_certified():
         for p, q in [(1.0, 0.9), (0.95, 0.9), (0.9, 0.8)]:
             for n in range(1, 11):
                 params = PQParams(n, PQPair(p, q))
-                for out in evaluate_grid(params, ONE, grid):
+                for out, in evaluate_grid(params, [ONE], grid):
                     assert out.converged
                     assert abs(out.value - 1.0) <= 1e-12 + 1e-13
         assert time.perf_counter() - start < 10.0

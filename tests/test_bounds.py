@@ -125,6 +125,47 @@ class TestModulusLargeResolution:
         assert got == step_loop_moduli(f, deltas, resolution)
 
 
+def step_loop_second_moduli(f, step_bounds, resolution):
+    """The allocating per-step form of second_modulus at each step bound:
+    max over d = 1..dmax of max |f(x+2dh) - 2 f(x+dh) + f(x)|, plus the
+    off-lattice step.  One pass over d keeps the running max after each d."""
+    xs = np.linspace(0.0, 1.0, resolution)
+    fv = f.values(xs)
+    step = 1.0 / (resolution - 1)
+    dmaxes = [int(math.floor(b / step + 1e-9)) for b in step_bounds]
+    running = [0.0]
+    for d in range(1, max(dmaxes) + 1):
+        diff = fv[2 * d:] - 2.0 * fv[d:-d] + fv[: -2 * d]
+        running.append(max(running[-1], float(np.max(np.abs(diff)))))
+    out = []
+    for bound, dmax in zip(step_bounds, dmaxes):
+        best = running[dmax]
+        mask = xs + 2.0 * bound <= 1.0 + 1e-12
+        if np.any(mask):
+            x0 = xs[mask]
+            f1 = f.values(np.minimum(x0 + bound, 1.0))
+            f2 = f.values(np.minimum(x0 + 2.0 * bound, 1.0))
+            best = max(best, float(np.max(np.abs(f2 - 2.0 * f1 + fv[mask]))))
+        out.append(best)
+    return out
+
+
+class TestSecondModulusLargeResolution:
+    """The one-buffer second modulus equals the allocating loop bit for bit."""
+
+    @pytest.mark.parametrize("resolution", [4097, 16385])
+    @pytest.mark.parametrize(
+        "spec",
+        ["paper_cubic", "sin(40*x)*exp(0-x)", "abs(x-0.5)", "x^2", "1/(1+x)"],
+    )
+    def test_equals_step_loop(self, spec, resolution):
+        f = resolve_function(spec)
+        step = 1.0 / (resolution - 1)
+        bounds = [step, 2.5 * step, 0.05, 0.2, 0.5]
+        got = [second_modulus(f, b, resolution) for b in bounds]
+        assert got == step_loop_second_moduli(f, bounds, resolution)
+
+
 class TestModulus:
     def test_constant_is_zero(self):
         assert modulus(ONE, 0.3, 257) == 0.0

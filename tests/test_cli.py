@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from pqmkz.cli import main, resolve_function
+from pqmkz.engine import PQParams
+from pqmkz.moments import MOMENT_CSV_COLUMNS, default_moment_grid, lemma_bounds_report
+from pqmkz.pqcore import PQPair
 
 
 def run(capsys, *argv):
@@ -117,6 +120,27 @@ class TestRejections:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "300", "--p", "1", "--q", "0.99999999", "--fn", "sqrt(x-0.5)",
+              "--grid", "4:0:0.99"], "invalid value encountered in sqrt"),
+            (["--n", "300", "--p", "1", "--q", "0.99999999", "--fn", "one",
+              "--grid", "4:0:0.99"], "leading weight underflows"),
+            # x = 0.001 uses nodes in (0.3, 0.5) only; x = 0.9 also uses
+            # nodes above 0.71, where exp(1000*x) overflows first
+            (["--n", "3", "--p", "0.95", "--q", "0.9",
+              "--fn", "exp(1000*x)*0+sqrt((x-0.3)*(x-0.5))",
+              "--grid", "2:0.001:0.9"], "invalid value encountered in sqrt"),
+        ],
+    )
+    def test_eval_grid_reports_the_first_failing_x(self, capsys, argv, message):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["--scheme", "expr:1-(n-3)^0.5/100;0.5"],
@@ -146,6 +170,25 @@ class TestMomentsIdentityBounds:
         first = payload["rows"][0]
         assert first["x"] == 0.0
         assert abs(first["m0"] - 1.0) <= 1e-12
+
+    def test_moments_default_grid_rows_equal_one_point_rows(self, capsys):
+        code, out, _ = run(
+            capsys, "moments", "--n", "3", "--p", "0.9", "--q", "0.8",
+            "--format", "json",
+        )
+        assert code == 0
+        params = PQParams(3, PQPair(0.9, 0.8))
+        grid = default_moment_grid()
+        assert grid[-1] == 1.0
+        want = [
+            dict(zip(MOMENT_CSV_COLUMNS, lemma_bounds_report(params, [x])[0].csv_row()))
+            for x in grid
+        ]
+        assert json.loads(out)["rows"] == want
+        last = want[-1]
+        assert [last[c] for c in ("x", "m0", "m1", "m2", "tail_mass_max")] == [
+            1.0, 1.0, 1.0, 1.0, 0.0
+        ]
 
     def test_identity_csv(self, capsys, tmp_path):
         target = tmp_path / "identity.csv"
@@ -194,6 +237,35 @@ class TestMomentsIdentityBounds:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "ignored",
+        [["--alpha", "2"], ["--alpha", "0.5"]]
+        + [["--format", "csv", *o] for o in (
+            ["--lip-M", "-5"], ["--lip-M", "1"], ["--alpha", "1"],
+            ["--lip-M", "1", "--alpha", "1"],
+        )],
+        ids=" ".join,
+    )
+    def test_bounds_rejects_options_it_would_ignore(self, capsys, ignored):
+        code, out, err = run(
+            capsys, "bounds", "--n", "3", "--p", "0.95", "--q", "0.9",
+            "--grid", "5:0:0.9", "--resolution", "257", *ignored,
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    def test_bounds_alpha_defaults_to_one_with_lip_m(self, capsys):
+        common = [
+            "bounds", "--n", "3", "--p", "1", "--q", "0.9", "--grid", "5:0:0.9",
+            "--resolution", "257", "--lip-M", "2",
+        ]
+        code, out, _ = run(capsys, *common)
+        assert code == 0
+        assert json.loads(out)["lipschitz_bound"] is not None
+        assert run(capsys, *common, "--alpha", "1") == (code, out, "")
+
     def test_bounds_json_default_format(self, capsys, tmp_path):
         target = tmp_path / "bounds.json"
         code, _, _ = run(
@@ -224,7 +296,7 @@ class TestMomentsIdentityBounds:
             "--n", "3", "--p", "0.95", "--q", "0.9", "--fn", "paper_cubic",
             "--grid", "9:0:0.9", "--format", "csv",
         ]
-        code_b, out_b, _ = run(capsys, "bounds", *common)
+        code_b, out_b, _ = run(capsys, "bounds", *common, "--resolution", "1025")
         code_e, out_e, _ = run(capsys, "eval", *common)
         assert code_b == code_e == 0
         assert out_b == out_e

@@ -4,16 +4,20 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from pqmkz.cli import resolve_function
 from pqmkz.engine import (
     Function,
     PQParams,
     TruncationPolicy,
+    _Plan,
+    _weight_rows,
     _weights_nodes,
     evaluate,
     evaluate_grid,
     evaluate_many,
     node,
     normalization_defect,
+    normalization_defects,
     normalization_partial_sum,
     weight,
 )
@@ -210,24 +214,215 @@ class TestEvaluate:
 
 class TestEvaluateGrid:
     def test_endpoints(self):
-        outs = evaluate_grid(PARAMS, PAPER_CUBIC, [0.0, 1.0])
+        outs = [o for o, in evaluate_grid(PARAMS, [PAPER_CUBIC], [0.0, 1.0])]
         assert outs[0].value == PAPER_CUBIC(0.0)
         assert outs[1].value == PAPER_CUBIC(1.0)
 
     def test_constant_on_grid(self):
-        outs = evaluate_grid(PARAMS, ONE, [0.5])
+        outs = [o for o, in evaluate_grid(PARAMS, [ONE], [0.5])]
         assert outs[0].value == pytest.approx(1.0, abs=1e-12)
 
     def test_first_moment_exact_at_p_one(self):
         params = PQParams(3, PQPair(1.0, 0.9))
         grid = [i / 10 for i in range(11)]
-        outs = evaluate_grid(params, IDENTITY, grid)
+        outs = [o for o, in evaluate_grid(params, [IDENTITY], grid)]
         for x, out in zip(grid, outs):
             assert out.value == pytest.approx(x, abs=1e-10)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            evaluate_grid(PARAMS, ONE, [])
+            evaluate_grid(PARAMS, [ONE], [])
+
+
+# An independent per-x implementation of the weight kernel, one x at a time:
+# the reference that the row kernel must equal bit for bit.
+
+
+def ref_log_w0(params, x):
+    n, pq = params.n, params.pq
+    if pq.classical_mode:
+        log_w0 = (n + 1) * math.log1p(-x) if x > 0.0 else 0.0
+    else:
+        s = np.arange(n + 1)
+        log_w0 = float(np.sum(np.log1p(-np.exp(s * pq.log_tau) * x)))
+    if log_w0 < -650.0:
+        raise ValueError("leading weight underflows double precision")
+    return log_w0
+
+
+def ref_ratios(params, x, ks):
+    n, pq = params.n, params.pq
+    if pq.classical_mode:
+        return x * (n + ks) / ks
+    lt = pq.log_tau
+    return x * np.expm1((n + ks) * lt) / np.expm1(ks * lt)
+
+
+def ref_nodes(params, count):
+    n, pq = params.n, params.pq
+    ks = np.arange(count)
+    if pq.classical_mode:
+        return ks / (n + ks)
+    lt = pq.log_tau
+    with np.errstate(invalid="ignore"):
+        nodes = np.expm1(ks * lt) / np.expm1((n + ks) * lt)
+    nodes[0] = 0.0
+    return nodes
+
+
+def ref_weights_nodes(params, x, tail_tol, max_terms):
+    w0 = math.exp(ref_log_w0(params, x))
+    target = 1.0 - tail_tol
+    chunks = [np.array([w0])]
+    total = w0
+    w_last = w0
+    produced = 1
+    done = total >= target
+    while not done and produced < max_terms:
+        m = min(256, max_terms - produced)
+        wb = w_last * np.cumprod(
+            ref_ratios(params, x, np.arange(produced, produced + m))
+        )
+        cums = total + np.cumsum(wb)
+        hit = int(np.searchsorted(cums, target))
+        if hit < m:
+            wb = wb[: hit + 1]
+            total = float(cums[hit])
+            done = True
+        else:
+            total = float(cums[-1])
+        chunks.append(wb)
+        w_last = float(wb[-1])
+        produced += len(wb)
+    w = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    tail = max(0.0, 1.0 - total)
+    return w, ref_nodes(params, len(w)), tail, tail <= tail_tol
+
+
+def ref_rows(params, xs, tail_tol, max_terms):
+    """Per-x reference rows up to the first x that underflows."""
+    rows = []
+    for x in xs:
+        try:
+            rows.append(ref_weights_nodes(params, x, tail_tol, max_terms))
+        except ValueError:
+            break
+    return rows
+
+
+REF_DEGREES = [1, 2, 7, 8, 9, 40, 300, "classical"]
+REF_RATIOS = [0.5, 0.9, 0.99, 0.9995]
+REF_KMAX = [1, 2, 256, 257, 5000]
+REF_SIZES = [1, 63, 64, 65, 129]
+
+
+def ref_cases(degree):
+    """(params, tail_tol, k_max, grid in [0, 1)) over the reference ranges;
+    every grid holds x = 0 and is shuffled."""
+    rng = np.random.default_rng(degree if degree != "classical" else 0)
+    ratios = [None] if degree == "classical" else REF_RATIOS
+    i = 0
+    for ratio in ratios:
+        if ratio is None:
+            params = PQParams(3, PQPair.classical())
+        else:
+            p = float(rng.choice([1.0, 0.97]))
+            params = PQParams(degree, PQPair(p, p * ratio))
+        for tol in (0.0, 1e-8, 1e-12):
+            for k_max in REF_KMAX:
+                size = REF_SIZES[i % len(REF_SIZES)]
+                i += 1
+                xs = np.concatenate([[0.0], rng.uniform(0.0, 0.999, size - 1)])
+                if size > 2:
+                    xs[1] = 0.999
+                rng.shuffle(xs)
+                yield params, tol, k_max, xs
+
+
+class TestRowKernelEqualsPerX:
+    """The row kernel and its grid path against the per-x reference copy."""
+
+    @pytest.mark.parametrize("degree", REF_DEGREES)
+    def test_weights_tail_flag_bitwise(self, degree):
+        for params, tol, k_max, xs in ref_cases(degree):
+            plan = _Plan(params)
+            rows = _weight_rows(plan, xs, tol, k_max)
+            ref = ref_rows(params, [float(x) for x in xs], tol, k_max)
+            assert len(rows) == len(ref)
+            for (w, tail, flag), (w_ref, nodes_ref, tail_ref, flag_ref) in zip(
+                rows, ref
+            ):
+                assert w.tobytes() == w_ref.tobytes()
+                assert tail == tail_ref and flag == flag_ref
+                plan.grow(len(w))
+                assert plan.nodes[: len(w)].tobytes() == nodes_ref.tobytes()
+
+    @pytest.mark.parametrize("degree", REF_DEGREES)
+    def test_grid_values_bitwise(self, degree):
+        fs = [ONE, PAPER_CUBIC, resolve_function("sin(40*x)*exp(0-x)")]
+        for params, tol, k_max, xs in ref_cases(degree):
+            if tol == 0.0:
+                continue
+            policy = TruncationPolicy(tol, k_max)
+            grid = [float(x) for x in xs] + [1.0]
+            grid[0], grid[-1] = grid[-1], grid[0]
+            ref = ref_rows(params, [x for x in grid if x < 1.0], tol, k_max)
+            if len(ref) < len(grid) - 1:
+                with pytest.raises(ValueError, match="underflows"):
+                    evaluate_grid(params, fs, grid, policy)
+                continue
+            rows = evaluate_grid(params, fs, grid, policy)
+            assert len(rows) == len(grid)
+            ref = iter(ref)
+            for x, outs in zip(grid, rows):
+                if x == 1.0:
+                    assert [o.value for o in outs] == [f(1.0) for f in fs]
+                    continue
+                w_ref, nodes_ref, tail_ref, flag_ref = next(ref)
+                for f, out in zip(fs, outs):
+                    assert out.value == float(w_ref @ f.values(nodes_ref))
+                    assert out.tail_mass == tail_ref
+                    assert out.converged == flag_ref
+                    assert out.terms_used == len(w_ref)
+
+    @pytest.mark.parametrize("degree", REF_DEGREES)
+    def test_weight_and_node_views_bitwise(self, degree):
+        for params, _, k_max, xs in ref_cases(degree):
+            k = k_max - 1
+            assert node(params, k) == ref_nodes(params, k + 1)[k]
+            for x in xs[:3]:
+                try:
+                    w0 = math.exp(ref_log_w0(params, float(x)))
+                except ValueError:
+                    with pytest.raises(ValueError, match="underflows"):
+                        weight(params, k, float(x))
+                    continue
+                want = w0
+                if k:
+                    ks = np.arange(1, k + 1)
+                    want = float(w0 * np.cumprod(ref_ratios(params, float(x), ks))[-1])
+                assert weight(params, k, float(x)) == want
+
+    def test_one_point_views_match_grid_rows(self):
+        params = PQParams(9, PQPair(0.97, 0.9))
+        grid = [0.0, 0.3, 0.9, 1.0]
+        rows = evaluate_grid(params, [ONE, SQUARE], grid)
+        for x, outs in zip(grid, rows):
+            assert evaluate_many(params, [ONE, SQUARE], x) == outs
+        defects = normalization_defects(params, grid[:3])
+        assert defects == [normalization_defect(params, x) for x in grid[:3]]
+
+    def test_grid_errors_come_from_the_first_failing_x(self):
+        params = PQParams(3, PQPair(0.95, 0.9))
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            evaluate_grid(params, [ONE], [0.2, 1.5, 0.3])
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\)"):
+            normalization_defects(params, [0.2, 1.0])
+        deep = PQParams(300, PQPair(1.0, 0.99999999))
+        with pytest.raises(ValueError, match="underflows"):
+            evaluate_grid(deep, [ONE], [0.0, 0.99, 1.5])
+        with pytest.raises(ValueError, match="underflows"):
+            normalization_defects(deep, [0.0, 0.99, 1.0])
 
 
 class TestQMKZReduction:

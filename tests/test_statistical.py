@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pqmkz.engine import TruncationPolicy, evaluate_grid
 from pqmkz.presets import IDENTITY, ONE, PAPER_CUBIC
 from pqmkz.statistical import (
     DensityReport,
@@ -120,6 +121,17 @@ class TestKorovkinCheck:
             scheme_constant(1.0, 0.5), IDENTITY, 0.05, [10, 20]
         )
         assert reports["t^2"].densities[-1] > 0.3
+
+    def test_failure_after_a_nonconverged_x_excludes_n(self):
+        # at n = 378..380 an x of the grid fails to converge within k_max
+        # before a larger x whose leading weight underflows: the scan over x
+        # stops at the first and excludes n instead of raising
+        scheme = SequenceScheme("tau=0.999", lambda n: (1.0, 0.999), n_min=378)
+        policy = TruncationPolicy(1e-8, 1000)
+        with pytest.raises(ValueError, match="underflows"):
+            evaluate_grid(scheme.params(380), [ONE], default_stat_grid(), policy)
+        reports = st_korovkin_check(scheme, ONE, 0.5, [380], policy=policy)
+        assert reports["1"].excluded_counts == [380]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

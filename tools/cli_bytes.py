@@ -1,0 +1,171 @@
+"""Compare the CLI of this checkout with the CLI of another source tree.
+
+Usage, from the checkout root:
+
+    mkdir PARENT_DIR && git archive HEAD~1 | tar -x -C PARENT_DIR
+    python3 tools/cli_bytes.py PARENT_DIR
+
+Every argv of a fixed corpus runs through ``pqmkz.cli.main`` of this checkout
+and of PARENT_DIR, one subprocess per tree, each argv in its own empty working
+directory.  The exit code, stdout, stderr and every file the argv writes are
+compared byte for byte.  The corpus holds the ``pqmkz`` lines of README.md,
+the edge and error argvs below, and two cycles of seeds 1-3 of every
+benchmark workload (read from ``perfbench/workloads.py``).  Prints every
+argv that differs with what differs, then a count, and exits 1 if any argv
+differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_BOUNDS = ["bounds", "--n", "3", "--p", "0.95", "--q", "0.9", "--grid", "5:0:0.9",
+           "--resolution", "257"]
+_DEEP = ["--n", "300", "--p", "1", "--q", "0.99999999"]
+_SMALL = ["--n", "3", "--p", "0.95", "--q", "0.9"]
+
+EDGE = [
+    _BOUNDS + ["--alpha", "2"],
+    _BOUNDS + ["--lip-M", "2"],
+    _BOUNDS + ["--lip-M", "2", "--alpha", "0.5"],
+    _BOUNDS + ["--format", "csv"],
+    _BOUNDS + ["--format", "csv", "--lip-M", "-5"],
+    _BOUNDS + ["--format", "csv", "--alpha", "1"],
+    ["bounds", *_SMALL, "--grid", "3:0:0.9", "--kmax", "5", "--format", "csv"],
+    ["eval", *_DEEP, "--fn", "sqrt(x-0.5)", "--grid", "4:0:0.99"],
+    ["eval", *_DEEP, "--fn", "one", "--grid", "4:0:0.99"],
+    ["identity", *_DEEP, "--grid", "4:0:0.99"],
+    ["eval", *_SMALL, "--fn", "exp(1000*x)*0+sqrt((x-0.3)*(x-0.5))",
+     "--grid", "2:0.001:0.9"],
+    ["eval", *_SMALL, "--fn", "1/(x-1)", "--grid", "3:0:1"],
+    ["eval", *_SMALL, "--fn", "1/(x-0.5)", "--grid", "3:0:0.9"],
+    ["eval", *_SMALL, "--fn", "sin(3*x)", "--grid", "5:0:1", "--format", "json"],
+    ["eval", *_SMALL, "--fn", "one", "--x", "0.9", "--kmax", "5"],
+    ["eval", *_SMALL, "--fn", "one", "--x", "1.5"],
+    ["eval", "--n", "3", "--p", "1", "--q", "1", "--fn", "one", "--x", "0.5"],
+    ["eval", *_SMALL, "--fn", "x^2", "--grid", "129:0:0.999", "--kmax", "1"],
+    ["eval", *_SMALL, "--fn", "x^2", "--grid", "65:0:0.999", "--kmax", "2"],
+    ["eval", *_SMALL, "--fn", "x^2", "--grid", "64:0:0.999", "--kmax", "257"],
+    ["eval", *_SMALL, "--fn", "one", "--grid", "5:0:0.9", "--tol", "1e-18",
+     "--kmax", "20000"],
+    ["moments", "--n", "3", "--p", "0.9", "--q", "0.8"],
+    ["moments", "--n", "3", "--p", "0.9", "--q", "0.8", "--format", "json"],
+    ["identity", "--n", "4", "--p", "0.95", "--q", "0.9", "--grid", "5:0:1"],
+    ["stat", "--scheme", "constant:1:0.999", "--kmax", "1000", "--Ns", "380",
+     "--fn", "one"],
+    ["figure", "--id", "1", "--out", "fig"],
+]
+
+
+def _workload_argvs() -> list[list[str]]:
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = []
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            cycles = workloads.cycles(name, seed)
+            for _ in range(2):
+                out.extend(next(cycles))
+    return out
+
+
+def corpus() -> list[list[str]]:
+    readme = [shlex.split(line)[1:]
+              for line in (ROOT / "README.md").read_text().splitlines()
+              if line.startswith("pqmkz ")]
+    return readme + EDGE + _workload_argvs()
+
+
+def _files(top: Path) -> dict[str, str]:
+    """Every file under top, its bytes as latin-1 text (lossless in JSON)."""
+    return {str(p.relative_to(top)): p.read_bytes().decode("latin-1")
+            for p in sorted(top.rglob("*")) if p.is_file()}
+
+
+def run_side(src: Path, argvs: list[list[str]]) -> list[dict]:
+    """Run every argv through pqmkz.cli.main of src (this process only)."""
+    sys.path.insert(0, str(src))
+    from pqmkz import cli
+
+    results = []
+    home = os.getcwd()
+    for argv in argvs:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli.main(argv)
+            finally:
+                os.chdir(home)
+            results.append({"rc": rc, "stdout": out.getvalue(),
+                            "stderr": err.getvalue(), "files": _files(Path(work))})
+    return results
+
+
+def _side(src: Path, argvs: list[list[str]]) -> list[dict]:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--side", str(src)],
+        input=json.dumps(argvs), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _first_difference(a: str, b: str) -> str:
+    for i, (la, lb) in enumerate(zip(a.splitlines(), b.splitlines())):
+        if la != lb:
+            return f"line {i + 1}: {la!r} != {lb!r}"
+    return f"{len(a.splitlines())} lines != {len(b.splitlines())} lines"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_dir", nargs="?", help="source tree to compare with")
+    parser.add_argument("--side", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.side is not None:
+        json.dump(run_side(Path(args.side) / "src", json.load(sys.stdin)), sys.stdout)
+        return 0
+    if args.parent_dir is None:
+        parser.error("PARENT_DIR is required")
+    argvs = corpus()
+    mine = _side(ROOT, argvs)
+    theirs = _side(Path(args.parent_dir).resolve(), argvs)
+    differ = 0
+    for argv, a, b in zip(argvs, mine, theirs):
+        notes = []
+        if a["rc"] != b["rc"]:
+            notes.append(f"exit {a['rc']} != {b['rc']}")
+        for key in ("stdout", "stderr"):
+            if a[key] != b[key]:
+                notes.append(f"{key} {_first_difference(a[key], b[key])}")
+        if a["files"].keys() != b["files"].keys():
+            notes.append(f"files {sorted(a['files'])} != {sorted(b['files'])}")
+        for name in sorted(a["files"].keys() & b["files"].keys()):
+            if a["files"][name] != b["files"][name]:
+                notes.append(
+                    f"{name} {_first_difference(a['files'][name], b['files'][name])}")
+        if notes:
+            differ += 1
+            print(f"DIFF {shlex.join(argv)}")
+            for note in notes:
+                print(f"  {note}")
+    print(f"{len(argvs)} argvs, {len(argvs) - differ} identical, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
