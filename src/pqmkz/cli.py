@@ -28,7 +28,7 @@ from .engine import (
     TruncationPolicy,
     evaluate_grid,
     normalization_defects,
-    normalization_partial_sum,
+    normalization_partial_sums,
 )
 from .expressions import EvalError, ParseError, parse_function
 from .pqcore import PQPair
@@ -158,6 +158,8 @@ def _eval_rows(params, f, grid, policy):
 
 
 def _cmd_eval(args) -> int:
+    if args.x is not None and args.grid is not None:
+        raise ValueError("eval takes --x or --grid, not both")
     params = _params_from_args(args)
     policy = _policy_from_args(args)
     f = resolve_function(args.fn)
@@ -240,11 +242,10 @@ def _figure1(args, outdir: Path) -> int:
     q = args.q if args.q is not None else 0.9
     params = PQParams(n, PQPair(p, q))
     grid = np.linspace(0.0, 0.99, 201)
-    rows = []
-    for x in grid:
-        s100 = normalization_partial_sum(params, float(x), 101)
-        s500 = normalization_partial_sum(params, float(x), 501)
-        rows.append([x, s100, s500, abs(1.0 - s100), abs(1.0 - s500)])
+    s100 = normalization_partial_sums(params, grid, 101)
+    s500 = normalization_partial_sums(params, grid, 501)
+    rows = [[x, a, b, abs(1.0 - a), abs(1.0 - b)]
+            for x, a, b in zip(grid, s100, s500)]
     _write_csv(
         outdir / "figure1.csv",
         ["x", "s_k100", "s_k500", "defect_k100", "defect_k500"],
@@ -255,8 +256,9 @@ def _figure1(args, outdir: Path) -> int:
 
 def _figure2(args, outdir: Path) -> int:
     n = args.n if args.n is not None else 10
-    f = resolve_function(args.fn)
-    policy = TruncationPolicy(tail_tol=args.tol, k_max=args.kmax)
+    f = resolve_function(args.fn if args.fn is not None else "paper_cubic")
+    policy = TruncationPolicy(1e-12 if args.tol is None else args.tol,
+                              100_000 if args.kmax is None else args.kmax)
     grid = [float(v) for v in np.linspace(0.0, 0.99, 201)]
     columns = ["x", "value", "f_x", "abs_error", "tail_mass", "converged"]
     keep = [EVAL_COLUMNS.index(c) for c in columns]
@@ -279,6 +281,10 @@ def _figure2(args, outdir: Path) -> int:
 
 
 def _cmd_figure(args) -> int:
+    unused = ["fn", "tol", "kmax"] if args.id == 1 else ["p", "q"]
+    given = [f"--{name}" for name in unused if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"figure {args.id} does not use {', '.join(given)}")
     outdir = Path(args.out) if args.out is not None else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     if args.id == 1:
@@ -318,7 +324,7 @@ def _cmd_stat(args) -> int:
         for row in report.csv_rows():
             rows.append([label] + row)
     if args.format == "csv":
-        _write_csv(args.out, ["g", "N", "count", "density", "excluded"], rows)
+        _write_csv(args.out, ["g", *stat_mod.DensityReport.CSV_COLUMNS], rows)
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -375,11 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="emit plot-ready data files")
     p_fig.add_argument("--id", type=int, choices=[1, 2], required=True)
     p_fig.add_argument("--n", type=int, default=None)
-    p_fig.add_argument("--p", type=float, default=None)
-    p_fig.add_argument("--q", type=float, default=None)
-    p_fig.add_argument("--fn", default="paper_cubic")
-    p_fig.add_argument("--tol", type=float, default=1e-12)
-    p_fig.add_argument("--kmax", type=int, default=100_000)
+    p_fig.add_argument("--p", type=float, default=None, help="figure 1 only")
+    p_fig.add_argument("--q", type=float, default=None, help="figure 1 only")
+    p_fig.add_argument("--fn", default=None, help="figure 2 only")
+    p_fig.add_argument("--tol", type=float, default=None, help="figure 2 only")
+    p_fig.add_argument("--kmax", type=int, default=None, help="figure 2 only")
     p_fig.add_argument("--out", default=None, help="output directory")
     p_fig.set_defaults(handler=_cmd_figure)
 

@@ -30,6 +30,7 @@ __all__ = [
     "normalization_defect",
     "normalization_defects",
     "normalization_partial_sum",
+    "normalization_partial_sums",
 ]
 
 _BLOCK = 256
@@ -118,19 +119,15 @@ class Function:
 _SUP_CACHE: dict[Function, float] = {}
 
 
-def _effective_sup_bound(f: Function) -> tuple[float, bool]:
+def _sup_bound(f: Function, policy: TruncationPolicy) -> tuple[float, bool]:
+    if policy.f_sup_bound is not None:
+        return policy.f_sup_bound, False
     if f.sup_hint is not None:
         return f.sup_hint, False
     if f not in _SUP_CACHE:
         xs = np.linspace(0.0, 1.0, 1025)
         _SUP_CACHE[f] = 2.0 * float(np.max(np.abs(f.values(xs))))
     return _SUP_CACHE[f], True
-
-
-def _sup_bound(f: Function, policy: TruncationPolicy) -> tuple[float, bool]:
-    if policy.f_sup_bound is not None:
-        return policy.f_sup_bound, False
-    return _effective_sup_bound(f)
 
 
 class _Plan:
@@ -165,8 +162,8 @@ class _Plan:
         self.nodes[0] = 0.0
 
     def leading_weights(self, xs: np.ndarray) -> np.ndarray:
-        """w_0(x) = prod_{s=0..n} (1 - tau^s x) for each x of xs in [0, 1),
-        up to the first x where it underflows double precision."""
+        """w_0(x) = prod_{s=0..n} (1 - tau^s x) for each x of xs in [0, 1);
+        raises if any of them underflows double precision."""
         if self.params.pq.classical_mode:
             n = self.params.n
             log_w0 = np.array(
@@ -174,9 +171,8 @@ class _Plan:
             )
         else:
             log_w0 = np.sum(np.log1p(np.multiply.outer(xs, self.neg_tau_s)), axis=1)
-        under = np.flatnonzero(log_w0 < _LOG_W0_FLOOR)
-        if under.size:
-            log_w0 = log_w0[: under[0]]
+        if np.any(log_w0 < _LOG_W0_FLOOR):
+            raise ValueError(_UNDERFLOW)
         # math.exp, not np.exp: the two can differ in the last ulp
         return np.array([math.exp(v) for v in log_w0])
 
@@ -191,17 +187,14 @@ def _weight_rows(
     sum reaches 1 - tail_tol or max_terms weights exist.  Every row keeps
     those block boundaries and that order of operations, so rows that share
     a block run as one 2-D array and still get the one-point arithmetic bit
-    for bit.  The list stops before the first x whose leading weight
-    underflows; the caller raises for it.  tail_tol may be 0 here (internal
-    use: fixed-length partial sums).
+    for bit.  tail_tol may be 0 here (internal use: fixed-length partial
+    sums).
     """
     target = 1.0 - tail_tol
     out: list[tuple[np.ndarray, float, bool]] = []
     for start in range(0, len(xs), _ROWS):
         xc = xs[start: start + _ROWS]
         w0 = plan.leading_weights(xc)
-        underflow = len(w0) < len(xc)
-        xc = xc[: len(w0)]
         parts = [[w0[i: i + 1]] for i in range(len(w0))]
         total, last = w0.copy(), w0.copy()
         active = np.flatnonzero(~(total >= target))
@@ -227,8 +220,6 @@ def _weight_rows(
             tail = max(0.0, 1.0 - t)
             w = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
             out.append((w, tail, tail <= tail_tol))
-        if underflow:
-            break
     return out
 
 
@@ -248,31 +239,12 @@ def weight(params: PQParams, k: int, x: float) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     plan = _Plan(params)
-    w0 = plan.leading_weights(np.array([x], dtype=float))
-    if not w0.size:
-        raise ValueError(_UNDERFLOW)
-    w0 = float(w0[0])
+    w0 = float(plan.leading_weights(np.array([x], dtype=float))[0])
     if k == 0:
         return w0
     plan.grow(k + 1)
     ratios = x * plan.e1[1: k + 1] / plan.e2[1: k + 1]
     return float(w0 * np.cumprod(ratios)[-1])
-
-
-def _weights_nodes(
-    params: PQParams, x: float, tail_tol: float, max_terms: int
-) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """All weights up to the stopping index, their nodes, tail mass, flag.
-
-    tail_tol may be 0 here (internal use: fixed-length partial sums).
-    """
-    plan = _Plan(params)
-    rows = _weight_rows(plan, np.array([x], dtype=float), tail_tol, max_terms)
-    if not rows:
-        raise ValueError(_UNDERFLOW)
-    w, tail, converged = rows[0]
-    plan.grow(len(w))
-    return w, plan.nodes[: len(w)], tail, converged
 
 
 def evaluate(
@@ -303,6 +275,18 @@ def evaluate_many(
     return evaluate_grid(params, fs, [x], policy)[0]
 
 
+def _first_failure(run: Callable[[list[float]], list], xs: list[float]) -> list:
+    """run(xs), the work of a whole grid.  If it raises, run each x of xs
+    alone, in grid order, so that the error raised is the one of the first x
+    that fails alone; if none does, the original error is raised."""
+    try:
+        return run(xs)
+    except Exception:
+        for x in xs:
+            run([x])
+        raise
+
+
 def evaluate_grid(
     params: PQParams,
     fs: Sequence[Function],
@@ -319,71 +303,67 @@ def evaluate_grid(
     """
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
-    xs = [float(x) for x in grid]
-    bad = next((i for i, x in enumerate(xs) if not 0.0 <= x <= 1.0), len(xs))
-    inner = [i for i in range(bad) if xs[i] < 1.0]
     plan = _Plan(params)
-    rows = _weight_rows(
-        plan, np.array([xs[i] for i in inner], dtype=float),
-        policy.tail_tol, policy.k_max,
-    )
-    stop = inner[len(rows)] if len(rows) < len(inner) else bad
-    size = max((len(w) for w, _, _ in rows), default=0)
-    plan.grow(size)
-    nodes = plan.nodes[:size]
-    fvs, bounds, at_one = [], [], []
-    try:
+
+    def run(xs: list[float]) -> list[list[EvalOutcome]]:
+        if not all(0.0 <= x <= 1.0 for x in xs):
+            raise ValueError("x must lie in [0, 1]")
+        rows = _weight_rows(
+            plan, np.array([x for x in xs if x < 1.0], dtype=float),
+            policy.tail_tol, policy.k_max,
+        )
+        size = max((len(w) for w, _, _ in rows), default=0)
+        plan.grow(size)
+        fvs = []
         if rows:
-            fvs = [f.values(nodes) for f in fs]
-            bounds = [_sup_bound(f, policy) for f in fs]
-        if 1.0 in xs[:stop]:
-            at_one = [float(f(1.0)) for f in fs]
-    except Exception:
-        # f failed on the joint nodes: rerun it x by x, in grid order, so
-        # that the error raised is the one of the first failing x
-        _replay(fs, xs[:stop], rows, nodes, policy)
-        raise
-    if stop < bad:
-        raise ValueError(_UNDERFLOW)
-    if stop < len(xs):
-        raise ValueError("x must lie in [0, 1]")
-    out = []
-    weights = iter(rows)
-    for x in xs[:stop]:
-        if x == 1.0:
-            out.append([EvalOutcome(v, 0.0, 1, 0.0, True, False) for v in at_one])
-            continue
-        w, tail, converged = next(weights)
-        k = len(w)
-        out.append([
-            EvalOutcome(float(w @ fv[:k]), tail, k, tail * bound, converged, heur)
-            for fv, (bound, heur) in zip(fvs, bounds)
-        ])
-    return out
+            # for each f: its values, then its sup bound
+            fvs = [(f.values(plan.nodes[:size]), *_sup_bound(f, policy)) for f in fs]
+        at_one = [float(f(1.0)) for f in fs] if 1.0 in xs else []
+        out = []
+        weights = iter(rows)
+        for x in xs:
+            if x == 1.0:
+                out.append([EvalOutcome(v, 0.0, 1, 0.0, True, False) for v in at_one])
+                continue
+            w, tail, converged = next(weights)
+            k = len(w)
+            out.append([
+                EvalOutcome(float(w @ fv[:k]), tail, k, tail * bound, converged, heur)
+                for fv, bound, heur in fvs
+            ])
+        return out
+
+    return _first_failure(run, [float(x) for x in grid])
 
 
-def _replay(fs, xs, rows, nodes, policy) -> None:
-    """Evaluate every f as each x of xs alone would, in grid order."""
-    weights = iter(rows)
-    for x in xs:
-        if x == 1.0:
-            for f in fs:
-                f(1.0)
-            continue
-        k = len(next(weights)[0])
-        for f in fs:
-            f.values(nodes[:k])
-            _sup_bound(f, policy)
+def _prefix_sums(
+    params: PQParams, grid: Sequence[float], tail_tol: float, max_terms: int
+) -> list[float]:
+    """Sum of the truncated weights at every x of a grid, in grid order."""
+    plan = _Plan(params)
+
+    def run(xs: list[float]) -> list[float]:
+        if not all(0.0 <= x < 1.0 for x in xs):
+            raise ValueError("x must lie in [0, 1)")
+        rows = _weight_rows(plan, np.array(xs, dtype=float), tail_tol, max_terms)
+        return [float(np.sum(w)) for w, _, _ in rows]
+
+    return _first_failure(run, [float(x) for x in grid])
+
+
+def normalization_partial_sums(
+    params: PQParams, grid: Sequence[float], k_terms: int
+) -> list[float]:
+    """Sum of the first k_terms weights (indices 0 .. k_terms-1) at every x
+    of a grid, in grid order; the first failing x raises."""
+    if k_terms < 1:
+        raise ValueError("k_terms must be >= 1")
+    return _prefix_sums(params, grid, 0.0, k_terms)
 
 
 def normalization_partial_sum(params: PQParams, x: float, k_terms: int) -> float:
     """Sum of the first k_terms weights (indices 0 .. k_terms-1)."""
-    if not (0.0 <= x < 1.0):
-        raise ValueError("x must lie in [0, 1)")
-    if k_terms < 1:
-        raise ValueError("k_terms must be >= 1")
-    w, _, _, _ = _weights_nodes(params, x, 0.0, k_terms)
-    return float(np.sum(w))
+    return normalization_partial_sums(params, [x], k_terms)[0]
 
 
 def normalization_defects(
@@ -393,17 +373,8 @@ def normalization_defects(
 ) -> list[float]:
     """|prefix weight sum - 1| at every x of a grid, in grid order, under the
     policy's truncation; the first failing x raises."""
-    xs = [float(x) for x in grid]
-    bad = next((i for i, x in enumerate(xs) if not 0.0 <= x < 1.0), len(xs))
-    rows = _weight_rows(
-        _Plan(params), np.array(xs[:bad], dtype=float),
-        policy.tail_tol, policy.k_max,
-    )
-    if len(rows) < bad:
-        raise ValueError(_UNDERFLOW)
-    if bad < len(xs):
-        raise ValueError("x must lie in [0, 1)")
-    return [abs(1.0 - float(np.sum(w))) for w, _, _ in rows]
+    return [abs(1.0 - s)
+            for s in _prefix_sums(params, grid, policy.tail_tol, policy.k_max)]
 
 
 def normalization_defect(

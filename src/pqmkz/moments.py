@@ -64,9 +64,6 @@ class MomentReport:
     lemma1_lower_slack: float
     lemma1_upper_slack: float
     lemma2_slack: float
-    # second-moment upper bound with the p*x^2 quadratic term, the variant
-    # the convergence proofs actually use; reported alongside the +x^2 form
-    lemma1_upper_alt_slack: float
     lemma2_bound: float
 
     def csv_row(self) -> list[float]:
@@ -162,7 +159,6 @@ def lemma_bounds_report(
         tol = m0.error_bound + m1.error_bound + m2.error_bound
         lower_slack = m2.value - x * x
         upper_slack = scale * x + x * x - m2.value
-        upper_alt_slack = scale * x + p * x * x - m2.value
         l2_bound = scale * x + (p - 1.0) * x * x
         l2_slack = l2_bound - central2
         reports.append(
@@ -178,7 +174,6 @@ def lemma_bounds_report(
                 lemma1_lower_slack=lower_slack,
                 lemma1_upper_slack=upper_slack,
                 lemma2_slack=l2_slack,
-                lemma1_upper_alt_slack=upper_alt_slack,
                 lemma2_bound=l2_bound,
             )
         )

@@ -143,6 +143,30 @@ class TestRejections:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["figure", "--id", "1", "--fn", "x^2"],
+            ["figure", "--id", "1", "--tol", "1e-3"],
+            ["figure", "--id", "1", "--fn", "x^2", "--tol", "1e-3", "--kmax", "7"],
+            ["figure", "--id", "2", "--p", "0.5"],
+            ["figure", "--id", "2", "--p", "0.5", "--q", "0.1"],
+            ["eval", "--n", "3", "--p", "0.95", "--q", "0.9", "--x", "0.5",
+             "--grid", "5:0:0.9"],
+        ],
+        ids=" ".join,
+    )
+    def test_options_that_would_be_ignored_exit_2(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "fig"
+        if argv[0] == "figure":
+            argv = [*argv, "--out", str(out_dir)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["--scheme", "expr:1-(n-3)^0.5/100;0.5"],
             ["--scheme", "expr:exp(1000*n);0.5"],
             ["--eps", "nan"],
@@ -311,6 +335,22 @@ class TestFigures:
         assert len(rows) == 201
         for row in rows[::40]:
             assert float(row["defect_k500"]) <= float(row["defect_k100"]) + 1e-15
+
+    def test_figure2_defaults_are_the_explicit_options(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "figure", "--id", "2", "--n", "3", "--out", str(tmp_path / "a"),
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys, "figure", "--id", "2", "--n", "3", "--fn", "paper_cubic",
+            "--tol", "1e-12", "--kmax", "100000", "--out", str(tmp_path / "b"),
+        )
+        assert code == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name).read_bytes()
 
     def test_figure2_outputs(self, capsys, tmp_path):
         code, _, _ = run(

@@ -1,17 +1,18 @@
+import csv
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from pqmkz.cli import resolve_function
+from pqmkz.cli import main, resolve_function
 from pqmkz.engine import (
     Function,
     PQParams,
     TruncationPolicy,
+    _UNDERFLOW,
     _Plan,
     _weight_rows,
-    _weights_nodes,
     evaluate,
     evaluate_grid,
     evaluate_many,
@@ -19,6 +20,7 @@ from pqmkz.engine import (
     normalization_defect,
     normalization_defects,
     normalization_partial_sum,
+    normalization_partial_sums,
     weight,
 )
 from pqmkz.oracle import exact_polynomial_bracket
@@ -78,7 +80,9 @@ class TestNode:
             assert node(params, 2000) == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_kernel_nodes(self):
-        _, nodes, _, _ = _weights_nodes(PARAMS, 0.5, 0.0, 300)
+        plan = _Plan(PARAMS)
+        [(w, _, _)] = _weight_rows(plan, np.array([0.5]), 0.0, 300)
+        nodes = plan.nodes[: len(w)]
         for k in range(300):
             assert nodes[k] == node(PARAMS, k)
 
@@ -113,7 +117,7 @@ class TestWeightStream:
 
     @staticmethod
     def kernel(x, count):
-        w, _, _, _ = _weights_nodes(PARAMS, x, 0.0, count)
+        [(w, _, _)] = _weight_rows(_Plan(PARAMS), np.array([x]), 0.0, count)
         assert len(w) == count
         return w
 
@@ -346,8 +350,13 @@ class TestRowKernelEqualsPerX:
     def test_weights_tail_flag_bitwise(self, degree):
         for params, tol, k_max, xs in ref_cases(degree):
             plan = _Plan(params)
-            rows = _weight_rows(plan, xs, tol, k_max)
             ref = ref_rows(params, [float(x) for x in xs], tol, k_max)
+            if len(ref) < len(xs):
+                with pytest.raises(ValueError, match="underflows"):
+                    _weight_rows(plan, xs, tol, k_max)
+                rows = _weight_rows(plan, xs[: len(ref)], tol, k_max)
+            else:
+                rows = _weight_rows(plan, xs, tol, k_max)
             assert len(rows) == len(ref)
             for (w, tail, flag), (w_ref, nodes_ref, tail_ref, flag_ref) in zip(
                 rows, ref
@@ -423,6 +432,152 @@ class TestRowKernelEqualsPerX:
             evaluate_grid(deep, [ONE], [0.0, 0.99, 1.5])
         with pytest.raises(ValueError, match="underflows"):
             normalization_defects(deep, [0.0, 0.99, 1.0])
+
+
+class TestPartialSums:
+    """normalization_partial_sums against the per-x reference copy."""
+
+    @pytest.mark.parametrize("size", [1, 64, 65, 201])
+    def test_equal_reference_sums_bitwise(self, size):
+        rng = np.random.default_rng(size)
+        for params in (PARAMS, CLASSICAL3, PQParams(40, PQPair(1.0, 0.99))):
+            grid = rng.uniform(0.0, 0.99, size)
+            grid[0] = 0.0
+            for k in (1, 101, 256, 257, 501):
+                sums = normalization_partial_sums(params, grid, k)
+                assert sums == [
+                    float(np.sum(ref_weights_nodes(params, float(x), 0.0, k)[0]))
+                    for x in grid
+                ]
+                assert normalization_partial_sum(params, float(grid[-1]), k) == sums[-1]
+
+    def test_figure1_csv_holds_the_sums(self, tmp_path):
+        assert main(["figure", "--id", "1", "--out", str(tmp_path)]) == 0
+        with (tmp_path / "figure1.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        grid = [float(row["x"]) for row in rows]
+        assert grid == [float(x) for x in np.linspace(0.0, 0.99, 201)]
+        for column, k in (("s_k100", 101), ("s_k500", 501)):
+            want = [
+                float(np.sum(ref_weights_nodes(PARAMS, x, 0.0, k)[0])) for x in grid
+            ]
+            assert [float(row[column]) for row in rows] == want
+
+    def test_rejects(self):
+        with pytest.raises(ValueError, match="k_terms"):
+            normalization_partial_sums(PARAMS, [0.5], 0)
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\)"):
+            normalization_partial_sums(PARAMS, [0.5, 1.0], 5)
+
+
+DEEP = PQParams(300, PQPair(1.0, 0.99999999))
+FAILING_FNS = [
+    "one",
+    "sqrt(x-0.5)",  # fails at node 0, so at every x < 1
+    "sqrt(0.99-x)",  # fails once a row reaches nodes above 0.99
+    "1/(x-1)",  # fails at x = 1 only, and on the heuristic sup grid
+    "x^2",
+]
+
+
+def _outcome(thunk):
+    """The result of thunk(), or the (type, message) of what it raises."""
+    try:
+        return thunk()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def expected_grid(params, fs, grid, policy):
+    """evaluate_grid computed x by x from the reference weights: each x in
+    grid order, its weights, then for each f its values and its sup bound."""
+    out = []
+    for x in grid:
+        if not 0.0 <= x <= 1.0:
+            raise ValueError("x must lie in [0, 1]")
+        if x == 1.0:
+            out.append([(f(1.0), 0.0, 1, True) for f in fs])
+            continue
+        try:
+            w, nodes, tail, flag = ref_weights_nodes(
+                params, x, policy.tail_tol, policy.k_max)
+        except ValueError:
+            raise ValueError(_UNDERFLOW) from None
+        row = []
+        for f in fs:
+            fv = f.values(nodes)
+            if policy.f_sup_bound is None and f.sup_hint is None:
+                f.values(np.linspace(0.0, 1.0, 1025))
+            row.append((float(w @ fv), tail, len(w), flag))
+        out.append(row)
+    return out
+
+
+def expected_sums(params, grid, tail_tol, max_terms):
+    out = []
+    for x in grid:
+        if not 0.0 <= x < 1.0:
+            raise ValueError("x must lie in [0, 1)")
+        try:
+            w = ref_weights_nodes(params, x, tail_tol, max_terms)[0]
+        except ValueError:
+            raise ValueError(_UNDERFLOW) from None
+        out.append(float(np.sum(w)))
+    return out
+
+
+def failure_cases(count):
+    """Seeded (params, fs, policy, grid) cases over the failure kinds: the
+    underflow, f failing at node 0, at later nodes and at x = 1, and x = 1.5."""
+    rng = np.random.default_rng(7)
+    small = PQParams(3, PQPair(0.95, 0.9))
+    for i in range(count):
+        params = DEEP if i % 3 else small
+        names = rng.choice(FAILING_FNS, size=int(rng.integers(1, 3)))
+        fs = [resolve_function(str(name)) for name in names]
+        sup = 1.0 if rng.random() < 0.5 else None
+        policy = TruncationPolicy(1e-8, int(rng.choice([40, 300, 5000])), sup)
+        hi = 0.99 if params is small else 0.9
+        grid = np.sort(rng.uniform(0.0, hi, int(rng.integers(1, 140))))
+        if rng.random() < 0.3:
+            rng.shuffle(grid)
+        grid = [float(x) for x in grid]
+        for special in (1.0, 1.5):
+            if rng.random() < 0.3:
+                grid.insert(int(rng.integers(0, len(grid) + 1)), special)
+        yield params, fs, policy, grid
+
+
+class TestFailureRule:
+    """Grid results, or grid errors, equal those of the first failing x
+    computed one x at a time."""
+
+    def test_seeded_grids(self):
+        errors = late = 0
+        for params, fs, policy, grid in failure_cases(200):
+            want = _outcome(lambda: expected_grid(params, fs, grid, policy))
+            got = _outcome(lambda: [
+                [(o.value, o.tail_mass, o.terms_used, o.converged) for o in outs]
+                for outs in evaluate_grid(params, fs, grid, policy)
+            ])
+            assert got == want
+            if isinstance(want, tuple):
+                errors += 1
+                first = next(
+                    i for i, x in enumerate(grid)
+                    if isinstance(
+                        _outcome(lambda: expected_grid(params, fs, [x], policy)), tuple)
+                )
+                late += first >= 64
+            want = _outcome(lambda: [
+                abs(1.0 - s)
+                for s in expected_sums(params, grid, policy.tail_tol, policy.k_max)
+            ])
+            assert _outcome(lambda: normalization_defects(params, grid, policy)) == want
+            k = policy.k_max
+            want = _outcome(lambda: expected_sums(params, grid, 0.0, k))
+            assert _outcome(lambda: normalization_partial_sums(params, grid, k)) == want
+        assert errors >= 50 and late >= 10
 
 
 class TestQMKZReduction:

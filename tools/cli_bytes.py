@@ -66,6 +66,18 @@ EDGE = [
     ["stat", "--scheme", "constant:1:0.999", "--kmax", "1000", "--Ns", "380",
      "--fn", "one"],
     ["figure", "--id", "1", "--out", "fig"],
+    # the first x to underflow is index 68, in the second chunk of 64 rows
+    ["identity", *_DEEP, "--grid", "70:0:0.9"],
+    ["eval", *_DEEP, "--fn", "one", "--grid", "70:0:0.9"],
+    ["figure", "--id", "1", *_DEEP, "--out", "fig"],
+    # alone, the first x to reach a node above 0.99 is index 38
+    ["eval", *_SMALL, "--fn", "sqrt(0.99-x)", "--sup-bound", "1",
+     "--grid", "70:0:0.99"],
+    # options the command would ignore
+    ["figure", "--id", "1", "--fn", "x^2", "--tol", "1e-3", "--kmax", "7",
+     "--out", "fig"],
+    ["figure", "--id", "2", "--p", "0.5", "--q", "0.1", "--out", "fig"],
+    ["eval", *_SMALL, "--x", "0.5", "--grid", "5:0:0.9"],
 ]
 
 
