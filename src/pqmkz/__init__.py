@@ -8,10 +8,12 @@ reference oracle.
 from .engine import (
     EvalOutcome,
     Function,
+    GridValues,
     PQParams,
     TruncationPolicy,
     evaluate,
     evaluate_grid,
+    evaluate_grid_values,
     evaluate_many,
     node,
     normalization_defect,
@@ -36,6 +38,7 @@ __all__ = [
     "TruncationPolicy",
     "EvalOutcome",
     "Function",
+    "GridValues",
     "pq_int",
     "pq_factorial",
     "pq_binomial",
@@ -47,6 +50,7 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "evaluate_grid",
+    "evaluate_grid_values",
     "normalization_defect",
     "normalization_defects",
     "__version__",

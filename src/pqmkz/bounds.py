@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import Function, PQParams, TruncationPolicy, evaluate_grid
+from .engine import Function, PQParams, TruncationPolicy, evaluate_grid_values
 from .moments import delta_n_sq, moment_scale
 
 __all__ = [
@@ -121,14 +121,14 @@ def sup_error(
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> tuple[float, float, bool]:
     """(max |M f - f| over the grid, max truncation error bound, all converged)."""
-    outs = [out for out, in evaluate_grid(params, [f], grid, policy)]
-    fxs = f.values(np.array(grid, dtype=float)).tolist()
-    worst = 0.0
-    worst_bound = 0.0
-    for out, fx in zip(outs, fxs):
-        worst = max(worst, abs(out.value - fx))
-        worst_bound = max(worst_bound, out.error_bound)
-    return worst, worst_bound, all(out.converged for out in outs)
+    res = evaluate_grid_values(params, [f], grid, policy)
+    gap = np.abs(res.values[0] - f.values(np.array(grid, dtype=float)))
+    # fmax from 0, like a running max(), passes over nan
+    return (
+        float(np.fmax.reduce(gap, initial=0.0)),
+        float(np.fmax.reduce(res.error_bound[0], initial=0.0)),
+        bool(res.converged.all()),
+    )
 
 
 def decay_width(params: PQParams) -> float:

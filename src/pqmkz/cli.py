@@ -26,7 +26,7 @@ from .engine import (
     Function,
     PQParams,
     TruncationPolicy,
-    evaluate_grid,
+    evaluate_grid_values,
     normalization_defects,
     normalization_partial_sums,
 )
@@ -147,14 +147,14 @@ EVAL_COLUMNS = [
 
 
 def _eval_rows(params, f, grid, policy):
-    outs = [out for out, in evaluate_grid(params, [f], grid, policy)]
-    fxs = f.values(np.array(grid, dtype=float)).tolist()
-    rows = [
-        [x, out.value, fx, abs(out.value - fx), out.tail_mass,
-         out.terms_used, out.error_bound, out.converged]
-        for x, out, fx in zip(grid, outs, fxs)
-    ]
-    return rows, all(out.converged for out in outs)
+    res = evaluate_grid_values(params, [f], grid, policy)
+    value = res.values[0]
+    fx = f.values(np.array(grid, dtype=float))
+    # Python scalars, so that _fmt and json see floats, ints and bools
+    columns = [grid, value.tolist(), fx.tolist(), np.abs(value - fx).tolist(),
+               res.tail_mass.tolist(), res.terms_used.tolist(),
+               res.error_bound[0].tolist(), res.converged.tolist()]
+    return list(zip(*columns)), bool(res.converged.all())
 
 
 def _cmd_eval(args) -> int:
@@ -236,6 +236,13 @@ def _cmd_identity(args) -> int:
     return 0 if all(row[2] for row in rows) else 1
 
 
+def _write_figure_csv(path: Path, header: Sequence[str], rows) -> None:
+    """_write_csv to a file, making its directory first: a figure that fails
+    before its first file leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(path, header, rows)
+
+
 def _figure1(args, outdir: Path) -> int:
     n = args.n if args.n is not None else 3
     p = args.p if args.p is not None else 0.95
@@ -246,7 +253,7 @@ def _figure1(args, outdir: Path) -> int:
     s500 = normalization_partial_sums(params, grid, 501)
     rows = [[x, a, b, abs(1.0 - a), abs(1.0 - b)]
             for x, a, b in zip(grid, s100, s500)]
-    _write_csv(
+    _write_figure_csv(
         outdir / "figure1.csv",
         ["x", "s_k100", "s_k500", "defect_k100", "defect_k500"],
         rows,
@@ -270,13 +277,13 @@ def _figure2(args, outdir: Path) -> int:
         rows, ok = _eval_rows(params, f, grid, policy)
         if not ok:
             status = 1
-        _write_csv(
+        _write_figure_csv(
             outdir / f"figure2_p{p}_q{q}.csv",
             columns,
             [[row[i] for i in keep] for row in rows],
         )
         summary.append([p, q, max(row[gap] for row in rows)])
-    _write_csv(outdir / "figure2_supgap.csv", ["p", "q", "sup_gap"], summary)
+    _write_figure_csv(outdir / "figure2_supgap.csv", ["p", "q", "sup_gap"], summary)
     return status
 
 
@@ -286,7 +293,6 @@ def _cmd_figure(args) -> int:
     if given:
         raise ValueError(f"figure {args.id} does not use {', '.join(given)}")
     outdir = Path(args.out) if args.out is not None else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.id == 1:
         return _figure1(args, outdir)
     return _figure2(args, outdir)

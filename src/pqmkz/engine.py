@@ -27,6 +27,8 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "evaluate_grid",
+    "evaluate_grid_values",
+    "GridValues",
     "normalization_defect",
     "normalization_defects",
     "normalization_partial_sum",
@@ -92,6 +94,26 @@ class EvalOutcome:
     error_bound: float
     converged: bool
     heuristic_bound: bool = False
+
+
+@dataclass(frozen=True)
+class GridValues:
+    """Columns of a grid evaluation of fs: row i of a 2-D array is fs[i] and
+    column j is grid[j].
+
+    tail_mass, terms_used and converged hold one entry per x; sup_bound and
+    heuristic_bound one per f (0.0 and False when the grid holds only x = 1,
+    which asks for no bound); error_bound[i, j] = tail_mass[j] * sup_bound[i]
+    below x = 1 and 0.0 at x = 1.
+    """
+
+    values: np.ndarray
+    tail_mass: np.ndarray
+    terms_used: np.ndarray
+    converged: np.ndarray
+    sup_bound: np.ndarray
+    heuristic_bound: np.ndarray
+    error_bound: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -275,16 +297,81 @@ def evaluate_many(
     return evaluate_grid(params, fs, [x], policy)[0]
 
 
-def _first_failure(run: Callable[[list[float]], list], xs: list[float]) -> list:
+def _first_failure(run: Callable[[list[float]], object], xs: list[float]):
     """run(xs), the work of a whole grid.  If it raises, run each x of xs
     alone, in grid order, so that the error raised is the one of the first x
-    that fails alone; if none does, the original error is raised."""
+    that fails alone; if none does, the original error is raised.  Either
+    error carries, as its done attribute, the one-x results of the x before
+    the failing one (of every x when none fails alone)."""
     try:
         return run(xs)
-    except Exception:
-        for x in xs:
-            run([x])
+    except Exception as exc:
+        done = []
+        try:
+            for x in xs:
+                done.append(run([x]))
+        except Exception as first:
+            first.done = done
+            raise
+        exc.done = done
         raise
+
+
+def evaluate_grid_values(
+    params: PQParams,
+    fs: Sequence[Function],
+    grid: Sequence[float],
+    policy: TruncationPolicy = TruncationPolicy(),
+) -> GridValues:
+    """Evaluate several functions at every x of a grid, as columns.
+
+    Every x gets its own weights and truncation, as if evaluated alone; the
+    x-free part of the series is built once, and each f is evaluated once,
+    on the nodes of the longest row.  x = 1 is the interpolation branch:
+    value f(1), tail 0, one term.  A failure raises the error that the first
+    failing x, taken in grid order, raises.
+    """
+    if len(grid) == 0:
+        raise ValueError("grid must be nonempty")
+    plan = _Plan(params)
+
+    def run(xs: list[float]) -> GridValues:
+        if not all(0.0 <= x <= 1.0 for x in xs):
+            raise ValueError("x must lie in [0, 1]")
+        below = [j for j, x in enumerate(xs) if x < 1.0]
+        rows = _weight_rows(
+            plan, np.array([xs[j] for j in below], dtype=float),
+            policy.tail_tol, policy.k_max,
+        )
+        ws = [w for w, _, _ in rows]
+        size = max(map(len, ws), default=0)
+        plan.grow(size)
+        values = np.empty((len(fs), len(xs)))
+        bound = np.zeros(len(fs))
+        heuristic = np.zeros(len(fs), dtype=bool)
+        if rows:
+            # for each f: its values, then its sup bound
+            for i, f in enumerate(fs):
+                fv = f.values(plan.nodes[:size])
+                values[i, below] = [w.dot(fv[: len(w)]) for w in ws]
+                bound[i], heuristic[i] = _sup_bound(f, policy)
+        tail = np.zeros(len(xs))
+        terms = np.ones(len(xs), dtype=int)
+        converged = np.ones(len(xs), dtype=bool)
+        tail[below] = [t for _, t, _ in rows]
+        terms[below] = list(map(len, ws))
+        converged[below] = [c for _, _, c in rows]
+        # tail 0 times an infinite heuristic bound is nan, quietly, as in
+        # float arithmetic
+        with np.errstate(invalid="ignore"):
+            error = np.multiply.outer(bound, tail)
+        if len(below) < len(xs):
+            at_one = [j for j, x in enumerate(xs) if x == 1.0]
+            values[:, at_one] = np.array([float(f(1.0)) for f in fs])[:, None]
+            error[:, at_one] = 0.0
+        return GridValues(values, tail, terms, converged, bound, heuristic, error)
+
+    return _first_failure(run, [float(x) for x in grid])
 
 
 def evaluate_grid(
@@ -293,47 +380,17 @@ def evaluate_grid(
     grid: Sequence[float],
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> list[list[EvalOutcome]]:
-    """Evaluate several functions at every x of a grid.
-
-    Returns one list per x, in grid order, with one outcome per function in
-    the order of fs.  Every x gets its own weights and truncation, as if
-    evaluated alone; the x-free part of the series is built once, and each
-    f is evaluated once, on the nodes of the longest row.  A failure raises
-    the error that the first failing x, taken in grid order, raises.
-    """
-    if len(grid) == 0:
-        raise ValueError("grid must be nonempty")
-    plan = _Plan(params)
-
-    def run(xs: list[float]) -> list[list[EvalOutcome]]:
-        if not all(0.0 <= x <= 1.0 for x in xs):
-            raise ValueError("x must lie in [0, 1]")
-        rows = _weight_rows(
-            plan, np.array([x for x in xs if x < 1.0], dtype=float),
-            policy.tail_tol, policy.k_max,
-        )
-        size = max((len(w) for w, _, _ in rows), default=0)
-        plan.grow(size)
-        fvs = []
-        if rows:
-            # for each f: its values, then its sup bound
-            fvs = [(f.values(plan.nodes[:size]), *_sup_bound(f, policy)) for f in fs]
-        at_one = [float(f(1.0)) for f in fs] if 1.0 in xs else []
-        out = []
-        weights = iter(rows)
-        for x in xs:
-            if x == 1.0:
-                out.append([EvalOutcome(v, 0.0, 1, 0.0, True, False) for v in at_one])
-                continue
-            w, tail, converged = next(weights)
-            k = len(w)
-            out.append([
-                EvalOutcome(float(w @ fv[:k]), tail, k, tail * bound, converged, heur)
-                for fv, bound, heur in fvs
-            ])
-        return out
-
-    return _first_failure(run, [float(x) for x in grid])
+    """evaluate_grid_values as outcomes: one list per x, in grid order, with
+    one outcome per function in the order of fs."""
+    g = evaluate_grid_values(params, fs, grid, policy)
+    heuristic = g.heuristic_bound.tolist()
+    return [
+        [EvalOutcome(v, tail, k, e, ok, h and x < 1.0)
+         for v, e, h in zip(vs, es, heuristic)]
+        for x, vs, es, tail, k, ok in zip(
+            map(float, grid), g.values.T.tolist(), g.error_bound.T.tolist(),
+            g.tail_mass.tolist(), g.terms_used.tolist(), g.converged.tolist())
+    ]
 
 
 def _prefix_sums(

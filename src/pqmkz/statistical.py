@@ -18,8 +18,7 @@ from .engine import (
     Function,
     PQParams,
     TruncationPolicy,
-    evaluate_grid,
-    evaluate_many,
+    evaluate_grid_values,
 )
 from .moments import delta_n_sq
 from .pqcore import PQPair, pq_int
@@ -147,30 +146,29 @@ def st_korovkin_check(
     labels = ["1", "t", "t^2", f.label or "f"]
     # the grid is the same for every n, so each g is evaluated on it once
     xs = [float(x) for x in grid]
-    g_at = [g.values(np.array(xs)).tolist() for g in gs]
+    if not xs:
+        raise ValueError("grid must be nonempty")
+    g_at = np.array([g.values(np.array(xs)) for g in gs], dtype=float)
     errors: dict[str, dict[int, float]] = {lab: {} for lab in labels}
     excluded: set[int] = set(range(1, scheme.n_min))
 
     for n in range(scheme.n_min, max(Ns) + 1):
         params = scheme.params(n)
         try:
-            rows = evaluate_grid(params, gs, xs, policy)
-        except ValueError:
+            res = evaluate_grid_values(params, gs, xs, policy)
+        except ValueError as exc:
             # an x failed; the scan over x stops at the first x that does not
             # converge, so the failure counts only if no such x precedes it
-            rows = []
-            for x in xs:
-                rows.append(evaluate_many(params, gs, x, policy))
-                if not all(o.converged for o in rows[-1]):
-                    break
-        if not all(o.converged for outs in rows for o in outs):
+            if all(done.converged.all() for done in exc.done):
+                raise
             excluded.add(n)
             continue
-        worst = [0.0] * len(gs)
-        for j, outs in enumerate(rows):
-            for i, o in enumerate(outs):
-                worst[i] = max(worst[i], abs(o.value - g_at[i][j]))
-        for lab, e in zip(labels, worst):
+        if not res.converged.all():
+            excluded.add(n)
+            continue
+        # fmax from 0, like a running max(), passes over nan
+        worst = np.fmax.reduce(np.abs(res.values - g_at), axis=1, initial=0.0)
+        for lab, e in zip(labels, worst.tolist()):
             errors[lab][n] = e
 
     reports = {}

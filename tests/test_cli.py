@@ -352,6 +352,15 @@ class TestFigures:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name).read_bytes()
 
+    def test_failing_figure_leaves_no_directory(self, capsys, tmp_path):
+        out = tmp_path / "fig"
+        code, _, err = run(
+            capsys, "figure", "--id", "1", "--n", "300", "--p", "1",
+            "--q", "0.99999999", "--out", str(out),
+        )
+        assert code == 2 and "underflows" in err
+        assert not out.exists()
+
     def test_figure2_outputs(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "figure", "--id", "2", "--n", "4", "--out", str(tmp_path),

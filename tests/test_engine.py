@@ -15,6 +15,7 @@ from pqmkz.engine import (
     _weight_rows,
     evaluate,
     evaluate_grid,
+    evaluate_grid_values,
     evaluate_many,
     node,
     normalization_defect,
@@ -343,6 +344,22 @@ def ref_cases(degree):
                 yield params, tol, k_max, xs
 
 
+def assert_columns_are_outcomes(cols, rows, grid):
+    """Every column of cols equals, bit for bit, the outcomes of rows."""
+    def bits(field):
+        return np.array([[getattr(o, field) for o in outs] for outs in rows]).T.tobytes()
+
+    assert cols.values.tobytes() == bits("value")
+    assert cols.error_bound.tobytes() == bits("error_bound")
+    assert cols.tail_mass.tolist() == [outs[0].tail_mass for outs in rows]
+    assert cols.terms_used.tolist() == [outs[0].terms_used for outs in rows]
+    assert cols.converged.tolist() == [outs[0].converged for outs in rows]
+    for x, outs in zip(grid, rows):
+        assert [o.heuristic_bound for o in outs] == [
+            h and x < 1.0 for h in cols.heuristic_bound.tolist()]
+        assert all(o.tail_mass == outs[0].tail_mass for o in outs)
+
+
 class TestRowKernelEqualsPerX:
     """The row kernel and its grid path against the per-x reference copy."""
 
@@ -377,22 +394,74 @@ class TestRowKernelEqualsPerX:
             grid[0], grid[-1] = grid[-1], grid[0]
             ref = ref_rows(params, [x for x in grid if x < 1.0], tol, k_max)
             if len(ref) < len(grid) - 1:
-                with pytest.raises(ValueError, match="underflows"):
-                    evaluate_grid(params, fs, grid, policy)
+                for grid_path in (evaluate_grid, evaluate_grid_values):
+                    with pytest.raises(ValueError, match="underflows"):
+                        grid_path(params, fs, grid, policy)
                 continue
             rows = evaluate_grid(params, fs, grid, policy)
             assert len(rows) == len(grid)
+            cols = evaluate_grid_values(params, fs, grid, policy)
+            assert_columns_are_outcomes(cols, rows, grid)
             ref = iter(ref)
-            for x, outs in zip(grid, rows):
+            for j, (x, outs) in enumerate(zip(grid, rows)):
                 if x == 1.0:
                     assert [o.value for o in outs] == [f(1.0) for f in fs]
                     continue
                 w_ref, nodes_ref, tail_ref, flag_ref = next(ref)
+                want = [w_ref @ f.values(nodes_ref) for f in fs]
+                assert cols.values[:, j].tobytes() == np.array(want).tobytes()
                 for f, out in zip(fs, outs):
                     assert out.value == float(w_ref @ f.values(nodes_ref))
                     assert out.tail_mass == tail_ref
                     assert out.converged == flag_ref
                     assert out.terms_used == len(w_ref)
+
+    @pytest.mark.parametrize("size", [1, 64, 65, 201])
+    @pytest.mark.parametrize("k_max", [2, 300, 100_000])
+    def test_columns_are_the_outcomes(self, size, k_max):
+        # a preset with a hint, a parsed f without one (heuristic bound), and
+        # x = 1 at both ends and in the middle of the grid
+        fs = [PAPER_CUBIC, resolve_function("x^2+sin(3*x)")]
+        grid = np.linspace(0.0, 0.999, size).tolist()
+        grid[size // 2] = grid[-1] = 1.0
+        for params in (PARAMS, CLASSICAL3, PQParams(40, PQPair(1.0, 0.99))):
+            policy = TruncationPolicy(1e-12, k_max)
+            cols = evaluate_grid_values(params, fs, grid, policy)
+            assert cols.values.shape == cols.error_bound.shape == (2, size)
+            below = [x < 1.0 for x in grid]
+            assert cols.sup_bound[0] == (0.125 if any(below) else 0.0)
+            assert cols.heuristic_bound.tolist() == [False, any(below)]
+            at_one = [j for j, x in enumerate(grid) if x == 1.0]
+            assert cols.values[:, at_one].tolist() == [
+                [f(1.0)] * len(at_one) for f in fs]
+            assert cols.error_bound[:, at_one].tolist() == [[0.0] * len(at_one)] * 2
+            assert cols.terms_used[at_one].tolist() == [1] * len(at_one)
+            assert cols.converged[at_one].all()
+            if k_max == 2 and any(below):
+                assert not cols.converged.all()
+            assert_columns_are_outcomes(
+                cols, evaluate_grid(params, fs, grid, policy), grid)
+
+    def test_grid_of_only_x_one_asks_no_sup_bound(self):
+        def never(ts):
+            raise AssertionError("evaluated below x = 1")
+
+        f = Function(lambda ts: never(ts) if np.any(ts < 1.0) else ts, "probe")
+        cols = evaluate_grid_values(PARAMS, [f], [1.0, 1.0])
+        assert cols.values.tolist() == [[1.0, 1.0]]
+        assert cols.sup_bound.tolist() == [0.0]
+        assert cols.heuristic_bound.tolist() == [False]
+
+    def test_grid_values_raise_as_grid(self):
+        small = PQParams(3, PQPair(0.95, 0.9))
+        cases = [
+            (small, [ONE, resolve_function("sqrt(0.5-x)")], [0.0, 0.3, 0.9, 1.0]),
+            (DEEP, [ONE], [float(x) for x in np.linspace(0.0, 0.9, 70)]),
+        ]
+        for params, fs, grid in cases:
+            a, b = (_outcome(lambda: grid_path(params, fs, grid))
+                    for grid_path in (evaluate_grid, evaluate_grid_values))
+            assert isinstance(a, tuple) and a == b
 
     @pytest.mark.parametrize("degree", REF_DEGREES)
     def test_weight_and_node_views_bitwise(self, degree):
@@ -561,6 +630,14 @@ class TestFailureRule:
                 for outs in evaluate_grid(params, fs, grid, policy)
             ])
             assert got == want
+            got = _outcome(lambda: evaluate_grid_values(params, fs, grid, policy))
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.values.T.tolist() == [[v for v, _, _, _ in r] for r in want]
+                assert got.tail_mass.tolist() == [r[0][1] for r in want]
+                assert got.terms_used.tolist() == [r[0][2] for r in want]
+                assert got.converged.tolist() == [r[0][3] for r in want]
             if isinstance(want, tuple):
                 errors += 1
                 first = next(

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pqmkz import engine
 from pqmkz.engine import TruncationPolicy, evaluate_grid
 from pqmkz.presets import IDENTITY, ONE, PAPER_CUBIC
 from pqmkz.statistical import (
@@ -133,9 +134,30 @@ class TestKorovkinCheck:
         reports = st_korovkin_check(scheme, ONE, 0.5, [380], policy=policy)
         assert reports["1"].excluded_counts == [380]
 
+    def test_failing_n_runs_each_x_alone_at_most_once(self, monkeypatch):
+        # at n = 373..380 the x at index 26 does not converge and the x at
+        # index 32 underflows: one grid run, then x alone up to index 32;
+        # most smaller n do not converge either, but raise nothing
+        calls = []
+        kernel = engine._weight_rows
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(engine, "_weight_rows", counted)
+        policy = TruncationPolicy(1e-8, 1000)
+        reports = st_korovkin_check(
+            scheme_constant(1.0, 0.999), ONE, 0.2, [380], policy=policy)
+        assert reports["1"].excluded_counts == [367]
+        assert len(calls) == 372 + 8 * (1 + 33)
+        assert calls.count(33) == 380
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             st_korovkin_check(scheme_paper(), ONE, 0.0, [10])
+        with pytest.raises(ValueError, match="grid must be nonempty"):
+            st_korovkin_check(scheme_paper(), ONE, 0.1, [10], grid=[])
         with pytest.raises(ValueError):
             st_korovkin_check(scheme_paper(), ONE, 0.1, [20, 10])
 

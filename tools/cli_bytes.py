@@ -78,6 +78,13 @@ EDGE = [
      "--out", "fig"],
     ["figure", "--id", "2", "--p", "0.5", "--q", "0.1", "--out", "fig"],
     ["eval", *_SMALL, "--x", "0.5", "--grid", "5:0:0.9"],
+    # sup_error and the eval rows with an x = 1 row
+    ["bounds", *_SMALL, "--grid", "5:0:1", "--resolution", "257"],
+    ["bounds", *_SMALL, "--grid", "5:0:1", "--resolution", "257", "--format", "csv"],
+    # an expression error at the first x ends the stat sweep
+    ["stat", "--scheme", "constant:0.95:0.9", "--fn", "sqrt(0.5-x)", "--Ns", "3"],
+    ["stat", "--scheme", "paper", "--fn", "sin(3*x)", "--Ns", "5,10", "--format",
+     "json"],
 ]
 
 
