@@ -1,8 +1,10 @@
 """Command-line surface: experiments in, CSV/JSON data files out.
 
-Numbers are printed with 17 significant digits so doubles round-trip; every
-truncated value is emitted next to its tail mass and convergence flag.  All
-output is deterministic for fixed inputs.
+CSV prints numbers with 17 significant digits and JSON prints Python's
+shortest round-trip repr, so doubles round-trip in both; every truncated
+value is emitted next to its tail mass and convergence flag.  Row-shaped
+outputs are written a column at a time.  All output is deterministic for
+fixed inputs.
 
 Exit codes: 0 success, 1 evaluation failures (partial output written),
 2 usage errors.
@@ -25,6 +27,7 @@ from . import statistical as stat_mod
 from .engine import (
     Function,
     PQParams,
+    SupBoundError,
     TruncationPolicy,
     evaluate_grid_values,
     normalization_defects,
@@ -49,36 +52,62 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def _write_csv(path, header: Sequence[str], rows) -> None:
-    out = sys.stdout if path is None else open(path, "w", newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    finally:
-        if path is not None:
-            out.close()
+def _csv_column(col) -> list[str]:
+    """The CSV fields of one column: "%.17g" (the text of format(v, ".17g"))
+    when every value is a float, else _fmt of each value."""
+    if all(isinstance(v, float) for v in col):
+        return list(map("%.17g".__mod__, col))
+    return list(map(_fmt, col))
 
 
-def _write_json(path, payload) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _json_column(col) -> list[str]:
+    """The JSON tokens of one column, as json.dumps(..., indent=2) writes
+    them.  Without str values, one C-encoder call: its float, int, bool and
+    None tokens are those of the indenting encoder and hold no comma."""
+    if any(isinstance(v, str) for v in col):
+        return list(map(json.dumps, col))
+    return json.dumps(col, separators=(",", ":"))[1:-1].split(",") if col else []
+
+
+def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
 
 
-def _write_rows(args, columns: Sequence[str], rows) -> None:
-    """CSV, or JSON with one object per row under "rows"."""
+def _write_csv(path, header: Sequence[str], columns) -> None:
+    """A header row, then one row per index of the columns."""
+    out = sys.stdout if path is None else open(path, "w", newline="")
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*map(_csv_column, columns)))
+    finally:
+        if path is not None:
+            out.close()
+
+
+def _write_json(path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _write_json_rows(path, key: str, header: Sequence[str], columns) -> None:
+    """The bytes of _write_json({"schema_version": ..., key: rows}), rows
+    holding one object per index of the columns."""
+    names = [json.dumps(name).replace("%", "%%") for name in header]
+    row = "    {" + ",".join(f"\n      {name}: %s" for name in names) + "\n    }"
+    body = ",\n".join(row % tokens for tokens in zip(*map(_json_column, columns)))
+    head = f'{{\n  "schema_version": {SCHEMA_VERSION},\n  {json.dumps(key)}: ['
+    _write_text(path, f"{head}\n{body}\n  ]\n}}\n" if body else f"{head}]\n}}\n")
+
+
+def _write_rows(args, key: str, header: Sequence[str], columns) -> None:
+    """CSV, or JSON with one object per row under key."""
     if args.format == "csv":
-        _write_csv(args.out, columns, rows)
+        _write_csv(args.out, header, columns)
     else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
-        _write_json(args.out, payload)
+        _write_json_rows(args.out, key, header, columns)
 
 
 def resolve_function(spec: str) -> Function:
@@ -146,7 +175,8 @@ EVAL_COLUMNS = [
 ]
 
 
-def _eval_rows(params, f, grid, policy):
+def _eval_columns(params, f, grid, policy):
+    """The EVAL_COLUMNS of a grid, and whether every x converged."""
     res = evaluate_grid_values(params, [f], grid, policy)
     value = res.values[0]
     fx = f.values(np.array(grid, dtype=float))
@@ -154,7 +184,7 @@ def _eval_rows(params, f, grid, policy):
     columns = [grid, value.tolist(), fx.tolist(), np.abs(value - fx).tolist(),
                res.tail_mass.tolist(), res.terms_used.tolist(),
                res.error_bound[0].tolist(), res.converged.tolist()]
-    return list(zip(*columns)), bool(res.converged.all())
+    return columns, bool(res.converged.all())
 
 
 def _cmd_eval(args) -> int:
@@ -169,18 +199,15 @@ def _cmd_eval(args) -> int:
         grid = _parse_grid(args.grid)
     else:
         raise ValueError("eval needs --x or --grid")
-    rows, ok = _eval_rows(params, f, grid, policy)
+    try:
+        columns, ok = _eval_columns(params, f, grid, policy)
+    except SupBoundError as exc:
+        raise ValueError(f"{exc}; give a finite one with --sup-bound") from exc
     if args.x is not None and args.out is None and args.format == "csv":
-        for name, v in zip(EVAL_COLUMNS, rows[0]):
-            print(f"{name}={_fmt(v)}")
-    elif args.format == "csv":
-        _write_csv(args.out, EVAL_COLUMNS, rows)
+        for name, col in zip(EVAL_COLUMNS, columns):
+            print(f"{name}={_fmt(col[0])}")
     else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "results": [dict(zip(EVAL_COLUMNS, row)) for row in rows],
-        }
-        _write_json(args.out, payload)
+        _write_rows(args, "results", EVAL_COLUMNS, columns)
     return 0 if ok else 1
 
 
@@ -194,7 +221,7 @@ def _cmd_moments(args) -> int:
     )
     reports = moments_mod.lemma_bounds_report(params, grid, policy)
     rows = [r.csv_row() for r in reports]
-    _write_rows(args, moments_mod.MOMENT_CSV_COLUMNS, rows)
+    _write_rows(args, "rows", moments_mod.MOMENT_CSV_COLUMNS, list(zip(*rows)))
     ok = all(r.m0.converged and r.m1.converged and r.m2.converged for r in reports)
     return 0 if ok else 1
 
@@ -211,8 +238,8 @@ def _cmd_bounds(args) -> int:
         _parse_grid(args.grid) if args.grid is not None else _parse_grid("101:0:0.99")
     )
     if args.format == "csv":
-        rows, ok = _eval_rows(params, f, grid, policy)
-        _write_csv(args.out, EVAL_COLUMNS, rows)
+        columns, ok = _eval_columns(params, f, grid, policy)
+        _write_csv(args.out, EVAL_COLUMNS, columns)
         return 0 if ok else 1
     lip = None
     if args.lip_M is not None:
@@ -231,16 +258,16 @@ def _cmd_identity(args) -> int:
         _parse_grid(args.grid) if args.grid is not None else _parse_grid("101:0:0.99")
     )
     defects = normalization_defects(params, grid, policy)
-    rows = [[x, d, d <= policy.tail_tol] for x, d in zip(grid, defects)]
-    _write_rows(args, ["x", "defect", "converged"], rows)
-    return 0 if all(row[2] for row in rows) else 1
+    converged = [d <= policy.tail_tol for d in defects]
+    _write_rows(args, "rows", ["x", "defect", "converged"], [grid, defects, converged])
+    return 0 if all(converged) else 1
 
 
-def _write_figure_csv(path: Path, header: Sequence[str], rows) -> None:
+def _write_figure_csv(path: Path, header: Sequence[str], columns) -> None:
     """_write_csv to a file, making its directory first: a figure that fails
     before its first file leaves no directory behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(path, header, rows)
+    _write_csv(path, header, columns)
 
 
 def _figure1(args, outdir: Path) -> int:
@@ -251,12 +278,11 @@ def _figure1(args, outdir: Path) -> int:
     grid = np.linspace(0.0, 0.99, 201)
     s100 = normalization_partial_sums(params, grid, 101)
     s500 = normalization_partial_sums(params, grid, 501)
-    rows = [[x, a, b, abs(1.0 - a), abs(1.0 - b)]
-            for x, a, b in zip(grid, s100, s500)]
     _write_figure_csv(
         outdir / "figure1.csv",
         ["x", "s_k100", "s_k500", "defect_k100", "defect_k500"],
-        rows,
+        [grid.tolist(), s100, s500,
+         [abs(1.0 - a) for a in s100], [abs(1.0 - b) for b in s500]],
     )
     return 0
 
@@ -267,23 +293,23 @@ def _figure2(args, outdir: Path) -> int:
     policy = TruncationPolicy(1e-12 if args.tol is None else args.tol,
                               100_000 if args.kmax is None else args.kmax)
     grid = [float(v) for v in np.linspace(0.0, 0.99, 201)]
-    columns = ["x", "value", "f_x", "abs_error", "tail_mass", "converged"]
-    keep = [EVAL_COLUMNS.index(c) for c in columns]
-    gap = EVAL_COLUMNS.index("abs_error")
+    header = ["x", "value", "f_x", "abs_error", "tail_mass", "converged"]
     summary = []
     status = 0
     for p, q in FIGURE2_PAIRS:
         params = PQParams(n, PQPair(p, q))
-        rows, ok = _eval_rows(params, f, grid, policy)
+        columns, ok = _eval_columns(params, f, grid, policy)
         if not ok:
             status = 1
+        table = dict(zip(EVAL_COLUMNS, columns))
         _write_figure_csv(
             outdir / f"figure2_p{p}_q{q}.csv",
-            columns,
-            [[row[i] for i in keep] for row in rows],
+            header,
+            [table[name] for name in header],
         )
-        summary.append([p, q, max(row[gap] for row in rows)])
-    _write_figure_csv(outdir / "figure2_supgap.csv", ["p", "q", "sup_gap"], summary)
+        summary.append([p, q, max(table["abs_error"])])
+    _write_figure_csv(outdir / "figure2_supgap.csv", ["p", "q", "sup_gap"],
+                      list(zip(*summary)))
     return status
 
 
@@ -330,7 +356,8 @@ def _cmd_stat(args) -> int:
         for row in report.csv_rows():
             rows.append([label] + row)
     if args.format == "csv":
-        _write_csv(args.out, ["g", *stat_mod.DensityReport.CSV_COLUMNS], rows)
+        _write_csv(args.out, ["g", *stat_mod.DensityReport.CSV_COLUMNS],
+                   list(zip(*rows)))
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,

@@ -29,6 +29,7 @@ __all__ = [
     "evaluate_grid",
     "evaluate_grid_values",
     "GridValues",
+    "SupBoundError",
     "normalization_defect",
     "normalization_defects",
     "normalization_partial_sum",
@@ -138,6 +139,11 @@ class Function:
         return float(self.values(np.array([t], dtype=float))[0])
 
 
+class SupBoundError(ValueError):
+    """f has no sup hint, none was given, and the heuristic bound is not
+    finite, so no error bound can be stated."""
+
+
 _SUP_CACHE: dict[Function, float] = {}
 
 
@@ -149,6 +155,10 @@ def _sup_bound(f: Function, policy: TruncationPolicy) -> tuple[float, bool]:
     if f not in _SUP_CACHE:
         xs = np.linspace(0.0, 1.0, 1025)
         _SUP_CACHE[f] = 2.0 * float(np.max(np.abs(f.values(xs))))
+    if not math.isfinite(_SUP_CACHE[f]):
+        raise SupBoundError(
+            f"the heuristic sup bound 2*max|f| on [0, 1] is {_SUP_CACHE[f]!r}"
+        )
     return _SUP_CACHE[f], True
 
 
@@ -361,10 +371,7 @@ def evaluate_grid_values(
         tail[below] = [t for _, t, _ in rows]
         terms[below] = list(map(len, ws))
         converged[below] = [c for _, _, c in rows]
-        # tail 0 times an infinite heuristic bound is nan, quietly, as in
-        # float arithmetic
-        with np.errstate(invalid="ignore"):
-            error = np.multiply.outer(bound, tail)
+        error = np.multiply.outer(bound, tail)
         if len(below) < len(xs):
             at_one = [j for j, x in enumerate(xs) if x == 1.0]
             values[:, at_one] = np.array([float(f(1.0)) for f in fs])[:, None]

@@ -4,11 +4,13 @@ Grammar:
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' factor)?          # right associative
+    factor := '-' factor | base ('^' factor)?   # right associative
     base   := NUMBER | VAR | '(' expr ')' | FUNC '(' expr ')'
     FUNC   := sin | cos | exp | abs | sqrt
 
-Printing fully parenthesizes, so print-then-parse reproduces the tree.
+Unary minus binds looser than '^' and tighter than '*': -x^2 is -(x^2), and
+2^-x and x*-2 parse.  Printing fully parenthesizes, so print-then-parse
+reproduces the tree.
 Evaluation is vectorized over a float array of points, and a single point is
 a one-element view of the same code.  Division by zero, invalid values (sqrt
 of a negative, a fractional power of a negative, 0/0) and overflow raise
@@ -63,12 +65,17 @@ class BinOp:
 
 
 @dataclass(frozen=True)
+class Neg:
+    arg: "Node"
+
+
+@dataclass(frozen=True)
 class Call:
     func: str
     arg: "Node"
 
 
-Node = Union[Num, Var, BinOp, Call]
+Node = Union[Num, Var, BinOp, Neg, Call]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)"
@@ -138,6 +145,10 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
+        tok = self._peek()
+        if tok and tok[0] == "op" and tok[1] == "-":
+            self._next()
+            return Neg(self.factor())
         node = self.base()
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] == "^":
@@ -186,6 +197,8 @@ def _eval_array(node: Node, var: str, xs: np.ndarray) -> np.ndarray:
         return np.full_like(xs, node.value, dtype=float)
     if isinstance(node, Var):
         return np.asarray(xs, dtype=float)
+    if isinstance(node, Neg):
+        return -_eval_array(node.arg, var, xs)
     if isinstance(node, Call):
         return _ARRAY_FUNCS[node.func](_eval_array(node.arg, var, xs))
     a = _eval_array(node.left, var, xs)
@@ -206,6 +219,8 @@ def _to_text(node: Node) -> str:
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
+    if isinstance(node, Neg):
+        return f"(-{_to_text(node.arg)})"
     if isinstance(node, Call):
         return f"{node.func}({_to_text(node.arg)})"
     return f"({_to_text(node.left)}{node.op}{_to_text(node.right)})"

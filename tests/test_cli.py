@@ -1,9 +1,14 @@
 import csv
+import io
 import json
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pqmkz import cli
 from pqmkz.cli import main, resolve_function
 from pqmkz.engine import PQParams
 from pqmkz.moments import MOMENT_CSV_COLUMNS, default_moment_grid, lemma_bounds_report
@@ -82,7 +87,8 @@ class TestEval:
         assert code == 1
         assert target.exists()
 
-    @pytest.mark.parametrize("fn", ["x^2", "sin(40*x)*exp(0-x)", "paper_cubic"])
+    @pytest.mark.parametrize(
+        "fn", ["x^2", "sin(40*x)*exp(0-x)", "paper_cubic", "x*-2-x^2*exp(-x)"])
     def test_f_x_column_is_the_array_evaluator(self, capsys, fn):
         code, out, _ = run(
             capsys, "eval", "--n", "5", "--p", "0.95", "--q", "0.9",
@@ -178,6 +184,26 @@ class TestRejections:
         assert out == ""
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--grid", "5:0:1"],
+            ["eval", "--grid", "3:0:1", "--format", "json"],
+        ],
+    )
+    def test_huge_constant_has_no_finite_sup_bound(self, capsys, argv):
+        # 2 * max|f| overflows: no error bound, so no Infinity or NaN in JSON
+        # and no overflow warning from the moduli
+        code, out, err = run(
+            capsys, argv[0], "--n", "3", "--p", "0.95", "--q", "0.9",
+            "--fn", "1.7976931348623157e308", *argv[1:],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the heuristic sup bound 2*max|f|")
+        assert len(err.splitlines()) == 1
+        assert ("--sup-bound" in err) == (argv[0] == "eval")
 
 
 class TestMomentsIdentityBounds:
@@ -400,6 +426,101 @@ class TestStat:
         code, _, err = run(capsys, "stat", "--scheme", "nope", "--Ns", "5")
         assert code == 2
         assert "unknown scheme" in err
+
+
+def _reference_fmt(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def _reference_csv(header, columns) -> str:
+    """The row-at-a-time CSV writer the columnar one replaced."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([_reference_fmt(v) for v in row])
+    return out.getvalue()
+
+
+def _reference_json(key, header, columns) -> str:
+    """The indenting json.dumps of the payload of one object per row."""
+    rows = [dict(zip(header, row)) for row in zip(*columns)]
+    return json.dumps({"schema_version": 1, key: rows}, indent=2) + "\n"
+
+
+def _stdout_lines(write, *args) -> list[str]:
+    """What write prints, split at "\\n".  Lists, not text: pytest's text
+    diff of a failing 300-row table makes shrinking take minutes."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        write(None, *args)
+    return out.getvalue().split("\n")
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                     5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3]),
+    st.floats().map(np.float64),
+)
+_INTS = st.one_of(st.integers(), st.integers(2**63 - 2, 2**64 + 2),
+                  st.integers(-2**200, 2**200))
+_TEXT = st.text(st.sampled_from(list('ab ,"\'\n\r%{}:\\\té\u2028')), max_size=6)
+
+
+def _column_values(with_none: bool):
+    flags = st.sampled_from([True, False, None] if with_none else [True, False])
+    return st.sampled_from([
+        _FLOATS, _INTS, flags, _TEXT,
+        st.one_of(_FLOATS, _INTS), st.one_of(_FLOATS, _TEXT, flags),
+    ])
+
+
+@st.composite
+def _table(draw, with_none):
+    rows = draw(st.integers(1, 300))
+    header = draw(st.lists(st.text(st.sampled_from(list('ab_%"\\ ,')), min_size=1,
+                                   max_size=4), min_size=1, max_size=6, unique=True))
+    columns = []
+    for _ in header:
+        # a drawn pool of values repeated to the row count: drawing every
+        # value of 300 rows makes each example slow
+        pool = draw(st.lists(draw(_column_values(with_none)), min_size=1,
+                             max_size=40))
+        column = (pool * rows)[:rows]
+        columns.append(column if draw(st.booleans()) else tuple(column))
+    return header, columns
+
+
+class TestColumnarWriter:
+    """The columnar writers give the bytes of the row-at-a-time ones."""
+
+    @given(table=_table(with_none=False))
+    @settings(max_examples=150, deadline=None)
+    def test_csv_equals_row_writer(self, table):
+        header, columns = table
+        assert _stdout_lines(cli._write_csv, header, columns) == (
+            _reference_csv(header, columns).split("\n"))
+
+    @given(table=_table(with_none=True), key=st.sampled_from(["rows", "results"]))
+    @settings(max_examples=150, deadline=None)
+    def test_json_equals_indented_dumps(self, table, key):
+        header, columns = table
+        assert _stdout_lines(cli._write_json_rows, key, header, columns) == (
+            _reference_json(key, header, columns).split("\n"))
+
+    @pytest.mark.parametrize("key", ["rows", "results"])
+    def test_empty_table(self, key):
+        header, columns = ["x", "y"], [[], []]
+        assert _stdout_lines(cli._write_csv, header, columns) == ["x,y", ""]
+        assert _stdout_lines(cli._write_json_rows, key, header, columns) == (
+            _reference_json(key, header, columns).split("\n"))
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ from pqmkz.expressions import (
     Call,
     EvalError,
     Expression,
+    Neg,
     Num,
     ParseError,
     Var,
@@ -66,9 +67,18 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_function("x$2")
 
-    def test_no_unary_minus(self):
-        with pytest.raises(ParseError):
-            parse_function("-x")
+    def test_unary_minus(self):
+        assert parse_function("-x").root == Neg(Var("x"))
+        # looser than '^', tighter than '*' and '/'
+        assert parse_function("-x^2").root == Neg(BinOp("^", Var("x"), Num(2.0)))
+        assert parse_function("2^-x").root == BinOp("^", Num(2.0), Neg(Var("x")))
+        assert parse_function("x*-2").root == BinOp("*", Var("x"), Neg(Num(2.0)))
+        assert parse_function("-x^2")(0.5) == -0.25
+        assert parse_function("1--x")(0.5) == 1.5
+        assert parse_function("0-x").root == BinOp("-", Num(0.0), Var("x"))
+        with pytest.raises(ParseError) as exc:
+            parse_function("x-")
+        assert exc.value.position == 3
 
 
 class TestEvaluation:
@@ -167,6 +177,7 @@ def _ast_strategy(ops=("+", "-", "*"), funcs=("sin", "cos", "abs")):
     def extend(children):
         return st.one_of(
             st.builds(BinOp, st.sampled_from(ops), children, children),
+            st.builds(Neg, children),
             st.builds(Call, st.sampled_from(funcs), children),
         )
 

@@ -85,6 +85,17 @@ EDGE = [
     ["stat", "--scheme", "constant:0.95:0.9", "--fn", "sqrt(0.5-x)", "--Ns", "3"],
     ["stat", "--scheme", "paper", "--fn", "sin(3*x)", "--Ns", "5,10", "--format",
      "json"],
+    # one-row tables, x = 1 rows and a str column through the table writer
+    ["eval", *_SMALL, "--x", "0.5", "--format", "json"],
+    ["identity", *_SMALL, "--grid", "1", "--format", "json"],
+    ["moments", *_SMALL, "--grid", "3:0:1", "--format", "json"],
+    ["stat", "--scheme", "paper", "--fn", "sin(3*x)", "--Ns", "5", "--format", "csv"],
+    ["figure", "--id", "2", "--n", "3"],
+    # 2 * max|f| overflows, so f has no finite sup bound
+    ["bounds", *_SMALL, "--fn", "1.7976931348623157e308", "--grid", "5:0:1"],
+    ["eval", *_SMALL, "--fn", "1.7976931348623157e308", "--grid", "3:0:1",
+     "--format", "json"],
+    ["eval", *_SMALL, "--fn", "exp(-x)", "--x", "0.5"],
 ]
 
 
