@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import Function, PQParams, TruncationPolicy, evaluate_grid_values
 from .moments import delta_n_sq, moment_scale
@@ -27,6 +26,9 @@ __all__ = [
     "lipschitz_bound",
     "bound_report",
 ]
+
+# second-difference steps that share one max and one min
+_STEPS_PER_PASS = 4
 
 
 @dataclass(frozen=True)
@@ -67,24 +69,55 @@ def _lattice(f: Function, width: float, resolution: int):
         raise ValueError("resolution must be >= 2")
     xs = np.linspace(0.0, 1.0, resolution)
     step = 1.0 / (resolution - 1)
-    return xs, f.values(xs), int(math.floor(width / step + 1e-9))
+    fv = f.values(xs)
+    bad = ~np.isfinite(fv)
+    if bad.any():
+        raise ValueError(
+            f"f is {fv[bad][0]!r} at x={xs[bad][0]!r} on the modulus lattice"
+        )
+    return xs, fv, int(math.floor(width / step + 1e-9))
+
+
+def _window_extrema(v: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of every window of w consecutive entries of v, in O(len(v)).
+
+    v is cut into blocks of w entries.  Window i is v[i:] up to the end of
+    i's block joined to v[:i + w] from the start of the block that holds
+    i + w - 1, so its max is the larger of a running max from the one
+    block's end and a running max from the other's start (van Herk 1992;
+    Gil & Werman 1993); likewise its min.
+    """
+    n = len(v)
+    blocks = np.empty(-(-n // w) * w)
+    blocks[:n] = v
+    blocks[n:] = v[-1]  # only in block ends past the last window
+    blocks = blocks.reshape(-1, w)
+    out = []
+    for op in (np.maximum, np.minimum):
+        head = op.accumulate(blocks, axis=1).ravel()
+        tail = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+        out.append(op(tail[: n - w + 1], head[w - 1 : n]))
+    return out[0], out[1]
 
 
 def modulus(f: Function, delta: float, resolution: int) -> float:
     """First-order modulus: grid sup of |f(x+h) - f(x)|, 0 < h <= delta.
 
     Over lattice steps 1..d the sup is the largest max - min over windows of
-    d + 1 consecutive lattice values.
+    d + 1 consecutive lattice values.  A difference too large for a double
+    gives inf.
     """
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     xs, fv, dmax = _lattice(f, delta, resolution)
-    w = sliding_window_view(fv, dmax + 1)
-    best = float(np.max(w.max(axis=1) - w.min(axis=1)))
+    hi, lo = _window_extrema(fv, dmax + 1)
+    with np.errstate(over="ignore"):
+        best = float(np.max(hi - lo))
     mask = xs + delta <= 1.0 + 1e-12
     if np.any(mask):
-        shifted = np.minimum(xs[mask] + delta, 1.0)
-        best = max(best, float(np.max(np.abs(f.values(shifted) - fv[mask]))))
+        shifted = f.values(np.minimum(xs[mask] + delta, 1.0))
+        with np.errstate(over="ignore"):
+            best = max(best, float(np.max(np.abs(shifted - fv[mask]))))
     return best
 
 
@@ -93,24 +126,37 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
 
     step_bound is the already-rooted bound on h (the convention that pairs
     with a squared width argument elsewhere); 0 < h <= step_bound, x+2h <= 1.
+    A difference too large for a double gives inf.
     """
     if not (0.0 < step_bound <= 0.5):
         raise ValueError("step bound must lie in (0, 1/2]")
     xs, fv, dmax = _lattice(f, step_bound, resolution)
+    n = len(fv)
     best = 0.0
-    buf = np.empty(len(fv))
-    for d in range(1, dmax + 1):
-        # f(x+2h) - 2 f(x+h) + f(x) in that order, in one buffer
-        diff = np.multiply(fv[d:-d], 2.0, out=buf[: len(fv) - 2 * d])
-        np.subtract(fv[2 * d:], diff, out=diff)
-        np.add(diff, fv[: -2 * d], out=diff)
-        best = max(best, float(diff.max()), -float(diff.min()))
+    rows = np.empty((_STEPS_PER_PASS, n))
+    with np.errstate(over="ignore"):
+        # exact: doubling changes only the exponent, and overflows where the
+        # per-step product would
+        twice = 2.0 * fv
+        for first in range(1, dmax + 1, _STEPS_PER_PASS):
+            steps = range(first, min(first + _STEPS_PER_PASS, dmax + 1))
+            width = n - 2 * first
+            for row, d in zip(rows, steps):
+                # f(x+2h) - 2 f(x+h) + f(x) in that order; a 0 past the
+                # row's end leaves best, which starts at 0, unchanged
+                m = n - 2 * d
+                np.subtract(fv[2 * d:], twice[d:-d], out=row[:m])
+                np.add(row[:m], fv[: -2 * d], out=row[:m])
+                row[m:width] = 0.0
+            group = rows[: len(steps), :width]
+            best = max(best, float(group.max()), -float(group.min()))
     mask = xs + 2.0 * step_bound <= 1.0 + 1e-12
     if np.any(mask):
         x0 = xs[mask]
         f1 = f.values(np.minimum(x0 + step_bound, 1.0))
         f2 = f.values(np.minimum(x0 + 2.0 * step_bound, 1.0))
-        best = max(best, float(np.max(np.abs(f2 - 2.0 * f1 + fv[mask]))))
+        with np.errstate(over="ignore"):
+            best = max(best, float(np.max(np.abs(f2 - 2.0 * f1 + fv[mask]))))
     return best
 
 
@@ -165,6 +211,12 @@ def lipschitz_bound(
     return M * d2 ** (alpha / 2.0)
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {value!r}: the moduli of f overflow")
+    return value
+
+
 def bound_report(
     params: PQParams,
     f: Function,
@@ -178,18 +230,20 @@ def bound_report(
     lipschitz, when given, is the user-asserted (M, alpha) pair; membership
     in the class is not detected, but M must be positive and finite and
     alpha in (0, 1].  The Lipschitz entry is the grid maximum of the
-    pointwise bound, or None when the width goes negative anywhere.
+    pointwise bound, or None when the width goes negative anywhere.  A bound
+    that overflows, or an f that is not finite on the lattice, raises
+    ValueError.
     """
     if lipschitz is not None:
         _check_lipschitz_class(*lipschitz)
     empirical, trunc, converged = sup_error(params, f, grid, policy)
-    t33 = thm33_bound(params, f, resolution)
+    t33 = _finite("thm33_bound", thm33_bound(params, f, resolution))
 
     widths = [delta_n_sq(params, float(x)) for x in grid]
     positive = [w for w in widths if w > 0.0]
     if positive:
         w_max = min(math.sqrt(max(positive)), 0.5)
-        omega2 = second_modulus(f, w_max, resolution)
+        omega2 = _finite("omega2_sup", second_modulus(f, w_max, resolution))
     else:
         omega2 = 0.0
     ratio = empirical / omega2 if omega2 > 0.0 else 0.0

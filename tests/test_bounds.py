@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pqmkz.bounds import (
+    _window_extrema,
     bound_report,
     decay_width,
     lipschitz_bound,
@@ -115,12 +119,13 @@ class TestModulusLargeResolution:
         for n, p, r in corners
     ]
 
-    @pytest.mark.parametrize("resolution", [1025, 4097, 16385])
+    @pytest.mark.parametrize("resolution", [2, 3, 5, 1025, 4097, 16385])
     @pytest.mark.parametrize("spec", SPECS)
     def test_equals_step_loop(self, spec, resolution):
         f = resolve_function(spec)
         step = 1.0 / (resolution - 1)
         deltas = [0.5 * step, step, 1.5 * step, 2.5 * step] + self.DELTAS
+        deltas = [delta for delta in deltas if delta <= 1.0]
         got = [modulus(f, delta, resolution) for delta in deltas]
         assert got == step_loop_moduli(f, deltas, resolution)
 
@@ -153,7 +158,7 @@ def step_loop_second_moduli(f, step_bounds, resolution):
 class TestSecondModulusLargeResolution:
     """The one-buffer second modulus equals the allocating loop bit for bit."""
 
-    @pytest.mark.parametrize("resolution", [4097, 16385])
+    @pytest.mark.parametrize("resolution", [2, 3, 5, 1025, 4097, 16385])
     @pytest.mark.parametrize(
         "spec",
         ["paper_cubic", "sin(40*x)*exp(0-x)", "abs(x-0.5)", "x^2", "1/(1+x)"],
@@ -161,9 +166,59 @@ class TestSecondModulusLargeResolution:
     def test_equals_step_loop(self, spec, resolution):
         f = resolve_function(spec)
         step = 1.0 / (resolution - 1)
-        bounds = [step, 2.5 * step, 0.05, 0.2, 0.5]
+        # dmax 0, 1, 2, 3 and 5 leave every remainder of the steps that
+        # share one max and min
+        bounds = [0.5 * step, step, 2 * step, 3 * step, 5 * step, 2.5 * step,
+                  0.05, 0.2, 0.5]
+        bounds = [b for b in bounds if b <= 0.5]
         got = [second_modulus(f, b, resolution) for b in bounds]
         assert got == step_loop_second_moduli(f, bounds, resolution)
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestWindowExtrema:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ENTRIES, min_size=1, max_size=300), st.data())
+    def test_equals_window_reduction(self, values, data):
+        v = np.array(values)
+        w = data.draw(st.integers(1, len(v)))
+        hi, lo = _window_extrema(v, w)
+        windows = sliding_window_view(v, w)
+        # ==, with nan equal to nan: the two may differ in the sign of a zero
+        assert np.array_equal(hi, windows.max(axis=1), equal_nan=True)
+        assert np.array_equal(lo, windows.min(axis=1), equal_nan=True)
+
+
+class TestOverflowAndNonFinite:
+    def test_moduli_overflow_to_inf_quietly(self):
+        f = resolve_function("1e308*sin(40*x)")
+        assert modulus(f, 0.1, 1025) == math.inf
+        assert second_modulus(f, 0.1, 1025) == math.inf
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_lattice_rejected(self, bad):
+        f = Function(lambda x: np.where(x > 0.5, bad, x), sup_hint=1.0)
+        with pytest.raises(ValueError, match="on the modulus lattice"):
+            modulus(f, 0.1, 257)
+        with pytest.raises(ValueError, match="on the modulus lattice"):
+            second_modulus(f, 0.1, 257)
+
+    def test_bound_report_rejects_infinite_thm33(self):
+        f = resolve_function("8e307*sin(40*x)")
+        with pytest.raises(ValueError, match="thm33_bound is inf"):
+            bound_report(Q_CASE, f, [0.0, 0.5, 1.0], resolution=257)
+
+    def test_bound_report_rejects_infinite_omega2(self):
+        # 2 f overflows, as the per-step product did, so the second modulus
+        # is inf while thm33_bound is 0
+        f = Function(lambda x: np.full_like(x, 1e308), sup_hint=1e308)
+        with pytest.raises(ValueError, match="omega2_sup is inf"):
+            bound_report(Q_CASE, f, [0.25, 0.5], resolution=257)
 
 
 class TestModulus:

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +208,17 @@ class TestRejections:
         assert err.startswith("error: the heuristic sup bound 2*max|f|")
         assert len(err.splitlines()) == 1
         assert ("--sup-bound" in err) == (argv[0] == "eval")
+
+    def test_bounds_overflowing_modulus_exit_2(self, capsys):
+        # 2 * max|f| is finite, but 2 * omega(f, delta) is not: no Infinity in
+        # the JSON, no verdict and no overflow warning
+        code, out, err = run(
+            capsys, "bounds", "--n", "3", "--p", "0.95", "--q", "0.9",
+            "--fn", "8e307*sin(40*x)", "--grid", "5:0:1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: thm33_bound is inf: the moduli of f overflow\n"
 
 
 class TestMomentsIdentityBounds:
@@ -538,3 +553,21 @@ class TestDeterminism:
             assert main(argv + ["--out", str(b)]) == 0
             capsys.readouterr()
             assert a.read_bytes() == b.read_bytes()
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_exits_1_quietly(self):
+        # 20 000 rows fill the pipe long before the run ends, so the writer
+        # meets the closed pipe mid-output
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pqmkz.cli", "eval", "--n", "5", "--p",
+             "0.95", "--q", "0.9", "--fn=-x", "--grid", "20000:0:0.9"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"x,value,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""

@@ -96,6 +96,16 @@ EDGE = [
     ["eval", *_SMALL, "--fn", "1.7976931348623157e308", "--grid", "3:0:1",
      "--format", "json"],
     ["eval", *_SMALL, "--fn", "exp(-x)", "--x", "0.5"],
+    # the moduli on the smallest lattices, at a large delta (n = 1) and at
+    # the finest benchmark resolution
+    ["bounds", *_SMALL, "--grid", "5:0:0.9", "--resolution", "2"],
+    ["bounds", *_SMALL, "--grid", "5:0:0.9", "--resolution", "3"],
+    ["bounds", "--n", "1", "--p", "1", "--q", "0.5", "--grid", "5:0:0.9",
+     "--resolution", "257"],
+    ["bounds", *_SMALL, "--fn", "abs(x-0.5)", "--grid", "5:0:0.9",
+     "--resolution", "16385"],
+    # 2 * max|f| is finite, but 2 * omega(f, delta) overflows
+    ["bounds", *_SMALL, "--fn", "8e307*sin(40*x)", "--grid", "5:0:1"],
 ]
 
 
