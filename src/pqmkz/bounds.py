@@ -27,6 +27,9 @@ __all__ = [
     "bound_report",
 ]
 
+# the version of the layout of every JSON output, this report's and the CLI's
+SCHEMA_VERSION = 1
+
 # second-difference steps that share one max and one min
 _STEPS_PER_PASS = 4
 
@@ -50,7 +53,7 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "empirical_sup_error": self.empirical_sup_error,
             "max_truncation_bound": self.max_truncation_bound,
             "thm33_bound": self.thm33_bound,

@@ -6,14 +6,15 @@ value is emitted next to its tail mass and convergence flag.  Row-shaped
 outputs are written a column at a time.  All output is deterministic for
 fixed inputs.
 
-Exit codes: 0 success, 1 evaluation failures (partial output written),
-2 usage errors.
+Exit codes: 0 success, 1 a point that did not converge (rows written) or a
+closed stdout, 2 usage and evaluation errors and unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import moments as moments_mod
 from . import statistical as stat_mod
+from .bounds import SCHEMA_VERSION
 from .engine import (
     Function,
     PQParams,
@@ -37,8 +39,6 @@ from .engine import (
 from .expressions import EvalError, ParseError, parse_function
 from .pqcore import PQPair
 from .presets import builtin
-
-SCHEMA_VERSION = 1
 
 FIGURE2_PAIRS = [(0.9, 0.85), (0.95, 0.9), (0.999, 0.995)]
 
@@ -141,11 +141,7 @@ def _params_from_args(args) -> PQParams:
 
 
 def _policy_from_args(args) -> TruncationPolicy:
-    return TruncationPolicy(
-        tail_tol=args.tol,
-        k_max=args.kmax,
-        f_sup_bound=getattr(args, "sup_bound", None),
-    )
+    return TruncationPolicy(tail_tol=args.tol, k_max=args.kmax)
 
 
 def _add_common(parser, with_function=True):
@@ -194,6 +190,8 @@ def _cmd_eval(args) -> int:
     params = _params_from_args(args)
     policy = _policy_from_args(args)
     f = resolve_function(args.fn)
+    if args.sup_bound is not None:
+        f = dataclasses.replace(f, sup_hint=args.sup_bound)
     if args.x is not None:
         grid = [args.x]
     elif args.grid is not None:
@@ -447,15 +445,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except (ValueError, ParseError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader closed stdout: send what is still buffered, and the
         # flush at exit, to devnull (the SIGPIPE recipe of the Python docs)
-        # and report the output as incomplete
+        # and report the output as incomplete; caught before OSError, of
+        # which it is a subclass
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (ValueError, ParseError, EvalError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

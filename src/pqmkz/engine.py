@@ -9,6 +9,7 @@ and p^(n(n+1)/2) never appear on their own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -66,12 +67,11 @@ class TruncationPolicy:
     """Stopping rule for the infinite series.
 
     tail_tol is the target residual weight mass; k_max caps the number of
-    terms; f_sup_bound, when given, certifies error_bound = tail * bound.
+    terms.
     """
 
     tail_tol: float = 1e-12
     k_max: int = 100_000
-    f_sup_bound: float | None = None
 
     def __post_init__(self) -> None:
         if self.tail_tol <= 0.0:
@@ -80,11 +80,6 @@ class TruncationPolicy:
             raise ValueError("tail_tol must be finite")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.f_sup_bound is not None:
-            if self.f_sup_bound < 0.0:
-                raise ValueError("f_sup_bound must be nonnegative")
-            if not math.isfinite(self.f_sup_bound):
-                raise ValueError("f_sup_bound must be finite")
 
 
 @dataclass(frozen=True)
@@ -117,6 +112,11 @@ class GridValues:
     error_bound: np.ndarray
 
 
+class SupBoundError(ValueError):
+    """f has no sup hint and the heuristic bound is not finite, so no error
+    bound can be stated."""
+
+
 @dataclass(frozen=True)
 class Function:
     """An evaluable real function on [0,1].
@@ -133,33 +133,31 @@ class Function:
     label: str = ""
     sup_hint: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.sup_hint is not None and not 0.0 <= self.sup_hint < math.inf:
+            raise ValueError(f"sup_hint must be finite and >= 0, got {self.sup_hint!r}")
+
     def __call__(self, t: float) -> float:
         # a one-element array, not a 0-d one: numpy's 0-d power can round
         # differently from the array loop
         return float(self.values(np.array([t], dtype=float))[0])
 
+    def sup_bound(self) -> tuple[float, bool]:
+        """(sup_hint, False), or without a hint (2 * max|f| on 1025 points of
+        [0, 1], True); raises SupBoundError when that heuristic is not
+        finite."""
+        if self.sup_hint is not None:
+            return self.sup_hint, False
+        h = self._heuristic_sup
+        if not math.isfinite(h):
+            raise SupBoundError(f"the heuristic sup bound 2*max|f| on [0, 1] is {h!r}")
+        return h, True
 
-class SupBoundError(ValueError):
-    """f has no sup hint, none was given, and the heuristic bound is not
-    finite, so no error bound can be stated."""
-
-
-_SUP_CACHE: dict[Function, float] = {}
-
-
-def _sup_bound(f: Function, policy: TruncationPolicy) -> tuple[float, bool]:
-    if policy.f_sup_bound is not None:
-        return policy.f_sup_bound, False
-    if f.sup_hint is not None:
-        return f.sup_hint, False
-    if f not in _SUP_CACHE:
+    @functools.cached_property
+    def _heuristic_sup(self) -> float:
+        # stored on this object, so it lives and dies with f
         xs = np.linspace(0.0, 1.0, 1025)
-        _SUP_CACHE[f] = 2.0 * float(np.max(np.abs(f.values(xs))))
-    if not math.isfinite(_SUP_CACHE[f]):
-        raise SupBoundError(
-            f"the heuristic sup bound 2*max|f| on [0, 1] is {_SUP_CACHE[f]!r}"
-        )
-    return _SUP_CACHE[f], True
+        return 2.0 * float(np.max(np.abs(self.values(xs))))
 
 
 class _Plan:
@@ -364,7 +362,7 @@ def evaluate_grid_values(
             for i, f in enumerate(fs):
                 fv = f.values(plan.nodes[:size])
                 values[i, below] = [w.dot(fv[: len(w)]) for w in ws]
-                bound[i], heuristic[i] = _sup_bound(f, policy)
+                bound[i], heuristic[i] = f.sup_bound()
         tail = np.zeros(len(xs))
         terms = np.ones(len(xs), dtype=int)
         converged = np.ones(len(xs), dtype=bool)

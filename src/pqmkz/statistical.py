@@ -8,7 +8,7 @@ checked for a nonincreasing trend across increasing N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,16 +73,13 @@ class DensityReport:
     Ns: list[int]
     densities: list[float]
     member_counts: list[int]
-    excluded_counts: list[int] = field(default_factory=list)
+    excluded_counts: list[int]
 
     CSV_COLUMNS = ["N", "count", "density", "excluded"]
 
     def csv_rows(self) -> list[list[float]]:
-        excluded = self.excluded_counts or [0] * len(self.Ns)
-        return [
-            [N, c, d, e]
-            for N, c, d, e in zip(self.Ns, self.member_counts, self.densities, excluded)
-        ]
+        return [list(row) for row in zip(
+            self.Ns, self.member_counts, self.densities, self.excluded_counts)]
 
 
 def scheme_paper() -> SequenceScheme:

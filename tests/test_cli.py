@@ -1,9 +1,11 @@
 import csv
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -106,6 +108,35 @@ class TestEval:
         assert f_x.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+class TestSupBound:
+    def test_sup_bound_replaces_the_preset_bound(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--n", "3", "--p", "0.95", "--q", "0.9", "--fn", "one",
+            "--x", "0.5", "--sup-bound", "0.5",
+        )
+        assert code == 0
+        row = dict(line.split("=") for line in out.splitlines())
+        assert float(row["error_bound"]) == float(row["tail_mass"]) * 0.5
+
+    def test_parsed_function_is_freed_after_main(self, capsys, monkeypatch):
+        # the heuristic sup bound is stored on f, so nothing keeps f alive
+        refs = []
+
+        def tracked(spec):
+            f = resolve_function(spec)
+            refs.append(weakref.ref(f))
+            return f
+
+        monkeypatch.setattr(cli, "resolve_function", tracked)
+        code, out, _ = run(
+            capsys, "eval", "--n", "3", "--p", "0.95", "--q", "0.9",
+            "--fn", "sin(3*x)", "--grid", "3:0:0.9",
+        )
+        assert code == 0 and out
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
+
+
 class TestRejections:
     """Inputs the program cannot handle exit 2 with one error line."""
 
@@ -119,6 +150,8 @@ class TestRejections:
             ["eval", "--fn", "one", "--x", "0.5", "--tol", "nan"],
             ["eval", "--fn", "one", "--x", "0.5", "--tol", "inf"],
             ["eval", "--fn", "one", "--x", "0.5", "--sup-bound", "nan"],
+            ["eval", "--fn", "one", "--x", "0.5", "--sup-bound", "inf"],
+            ["eval", "--fn", "one", "--x", "0.5", "--sup-bound", "-1"],
         ],
     )
     def test_eval_exit_2(self, capsys, argv):
@@ -208,6 +241,24 @@ class TestRejections:
         assert err.startswith("error: the heuristic sup bound 2*max|f|")
         assert len(err.splitlines()) == 1
         assert ("--sup-bound" in err) == (argv[0] == "eval")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--n", "3", "--p", "0.95", "--q", "0.9", "--fn", "one",
+             "--grid", "3", "--out", "{tmp}/missing/x.csv"],
+            ["eval", "--n", "3", "--p", "0.95", "--q", "0.9", "--fn", "one",
+             "--grid", "3", "--out", "{tmp}"],
+            ["figure", "--id", "1", "--out", "{tmp}/file/fig"],
+        ],
+    )
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
 
     def test_bounds_overflowing_modulus_exit_2(self, capsys):
         # 2 * max|f| is finite, but 2 * omega(f, delta) is not: no Infinity in

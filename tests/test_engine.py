@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -45,15 +46,20 @@ class TestPolicy:
             TruncationPolicy(tail_tol=0.0)
         with pytest.raises(ValueError):
             TruncationPolicy(k_max=0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(f_sup_bound=-1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="tail_tol must be"):
             TruncationPolicy(tail_tol=bad)
-        with pytest.raises(ValueError, match="f_sup_bound must be"):
-            TruncationPolicy(f_sup_bound=bad)
+
+
+class TestFunctionSupBound:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_sup_hint(self, bad):
+        with pytest.raises(ValueError, match="sup_hint must be finite and >= 0"):
+            Function(np.sin, "sin", bad)
+        with pytest.raises(ValueError, match="sup_hint must be finite and >= 0"):
+            dataclasses.replace(ONE, sup_hint=bad)
 
 
 class TestNode:
@@ -575,7 +581,7 @@ def expected_grid(params, fs, grid, policy):
         row = []
         for f in fs:
             fv = f.values(nodes)
-            if policy.f_sup_bound is None and f.sup_hint is None:
+            if f.sup_hint is None:
                 f.values(np.linspace(0.0, 1.0, 1025))
             row.append((float(w @ fv), tail, len(w), flag))
         out.append(row)
@@ -604,8 +610,10 @@ def failure_cases(count):
         params = DEEP if i % 3 else small
         names = rng.choice(FAILING_FNS, size=int(rng.integers(1, 3)))
         fs = [resolve_function(str(name)) for name in names]
-        sup = 1.0 if rng.random() < 0.5 else None
-        policy = TruncationPolicy(1e-8, int(rng.choice([40, 300, 5000])), sup)
+        if rng.random() < 0.5:
+            # as eval --sup-bound 1 does
+            fs = [dataclasses.replace(f, sup_hint=1.0) for f in fs]
+        policy = TruncationPolicy(1e-8, int(rng.choice([40, 300, 5000])))
         hi = 0.99 if params is small else 0.9
         grid = np.sort(rng.uniform(0.0, hi, int(rng.integers(1, 140))))
         if rng.random() < 0.3:

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from pqmkz import engine
-from pqmkz.engine import TruncationPolicy, evaluate_grid
+from pqmkz.engine import Function, TruncationPolicy, evaluate_grid
+from pqmkz.expressions import parse_function
 from pqmkz.presets import IDENTITY, ONE, PAPER_CUBIC
 from pqmkz.statistical import (
     DensityReport,
@@ -152,6 +154,24 @@ class TestKorovkinCheck:
         assert reports["1"].excluded_counts == [367]
         assert len(calls) == 372 + 8 * (1 + 33)
         assert calls.count(33) == 380
+
+    def test_parsed_f_heuristic_sup_computed_once(self):
+        # the sweep asks for f's sup bound at every n; the 1025-point
+        # heuristic (the only call whose points end at x = 1) runs once
+        expr = parse_function("sin(3*x)")
+        calls = []
+
+        def values(ts):
+            calls.append(len(ts) == 1025 and ts[-1] == 1.0)
+            return expr.evaluate_array(ts)
+
+        f = Function(values, "sin(3*x)")
+        st_korovkin_check(scheme_paper(), f, 0.2, [40])
+        assert len(calls) > 40 and calls.count(True) == 1
+        bound, heuristic = f.sup_bound()
+        xs = np.linspace(0.0, 1.0, 1025)
+        assert heuristic and bound == 2.0 * np.max(np.abs(np.sin(3 * xs)))
+        assert calls.count(True) == 1
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,16 @@ EDGE = [
      "--resolution", "16385"],
     # 2 * max|f| is finite, but 2 * omega(f, delta) overflows
     ["bounds", *_SMALL, "--fn", "8e307*sin(40*x)", "--grid", "5:0:1"],
+    # --sup-bound sets f's own bound: invalid, zero, and below a preset's
+    ["eval", *_SMALL, "--fn", "one", "--grid", "3", "--sup-bound", "-1"],
+    ["eval", *_SMALL, "--fn", "one", "--grid", "3", "--sup-bound", "nan"],
+    ["eval", *_SMALL, "--fn", "x", "--grid", "3", "--sup-bound", "0"],
+    ["eval", *_SMALL, "--fn", "one", "--grid", "3", "--sup-bound", "0.5"],
+    # an --out that cannot be written: a missing directory, a directory, and
+    # a figure directory under a file
+    ["eval", *_SMALL, "--fn", "one", "--grid", "3", "--out", "missing/x.csv"],
+    ["eval", *_SMALL, "--fn", "one", "--grid", "3", "--out", "."],
+    ["figure", "--id", "1", "--out", "/dev/null/fig"],
 ]
 
 
@@ -150,6 +160,9 @@ def run_side(src: Path, argvs: list[list[str]]) -> list[dict]:
             try:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     rc = cli.main(argv)
+            except Exception as exc:
+                # an error that escapes main is a result to compare, too
+                rc = f"{type(exc).__name__}: {exc}"
             finally:
                 os.chdir(home)
             results.append({"rc": rc, "stdout": out.getvalue(),
