@@ -10,14 +10,16 @@ from .engine import (
     Function,
     GridValues,
     PQParams,
+    SupBoundError,
     TruncationPolicy,
     evaluate,
-    evaluate_grid,
     evaluate_grid_values,
     evaluate_many,
     node,
     normalization_defect,
     normalization_defects,
+    normalization_partial_sum,
+    normalization_partial_sums,
     weight,
 )
 from .pqcore import (
@@ -39,6 +41,7 @@ __all__ = [
     "EvalOutcome",
     "Function",
     "GridValues",
+    "SupBoundError",
     "pq_int",
     "pq_factorial",
     "pq_binomial",
@@ -49,9 +52,10 @@ __all__ = [
     "weight",
     "evaluate",
     "evaluate_many",
-    "evaluate_grid",
     "evaluate_grid_values",
     "normalization_defect",
     "normalization_defects",
+    "normalization_partial_sum",
+    "normalization_partial_sums",
     "__version__",
 ]

@@ -218,11 +218,11 @@ def _cmd_moments(args) -> int:
         if args.grid is not None
         else moments_mod.default_moment_grid()
     )
-    reports = moments_mod.lemma_bounds_report(params, grid, policy)
-    rows = [r.csv_row() for r in reports]
-    _write_rows(args, "rows", moments_mod.MOMENT_CSV_COLUMNS, list(zip(*rows)))
-    ok = all(r.m0.converged and r.m1.converged and r.m2.converged for r in reports)
-    return 0 if ok else 1
+    table = moments_mod.lemma_bounds_report(params, grid, policy)
+    header = moments_mod.MOMENT_CSV_COLUMNS
+    # Python floats, so that _fmt and json see floats
+    _write_rows(args, "rows", header, [getattr(table, c).tolist() for c in header])
+    return 0 if table.converged.all() else 1
 
 
 def _cmd_bounds(args) -> int:
@@ -350,13 +350,12 @@ def _cmd_stat(args) -> int:
     Ns = [int(s) for s in args.Ns.split(",")]
     policy = TruncationPolicy(tail_tol=args.tol, k_max=args.kmax)
     reports = stat_mod.st_korovkin_check(scheme, f, args.eps, Ns, policy=policy)
-    rows = []
-    for label, report in reports.items():
-        for row in report.csv_rows():
-            rows.append([label] + row)
     if args.format == "csv":
+        labels = [label for label, r in reports.items() for _ in r.Ns]
+        columns = [[v for r in reports.values() for v in getattr(r, name)]
+                   for name in ("Ns", "member_counts", "densities", "excluded_counts")]
         _write_csv(args.out, ["g", *stat_mod.DensityReport.CSV_COLUMNS],
-                   list(zip(*rows)))
+                   [labels, *columns])
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,

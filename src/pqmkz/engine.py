@@ -27,7 +27,6 @@ __all__ = [
     "weight",
     "evaluate",
     "evaluate_many",
-    "evaluate_grid",
     "evaluate_grid_values",
     "GridValues",
     "SupBoundError",
@@ -84,6 +83,10 @@ class TruncationPolicy:
 
 @dataclass(frozen=True)
 class EvalOutcome:
+    """One f at one x: the column of that x in a GridValues.
+    heuristic_bound is true only below x = 1, where f's bound is used and
+    was not given as a hint."""
+
     value: float
     tail_mass: float
     terms_used: int
@@ -297,12 +300,19 @@ def evaluate_many(
     x: float,
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> list[EvalOutcome]:
-    """Evaluate several functions sharing one weight pass.
+    """Evaluate several functions sharing one weight pass: the one column of
+    evaluate_grid_values at x, one outcome per function in the order of fs.
 
     Guarantees identical truncation (same weights, same tail) across all
     functions, which keeps derived quantities like central moments coherent.
     """
-    return evaluate_grid(params, fs, [x], policy)[0]
+    g = evaluate_grid_values(params, fs, [x], policy)
+    (tail,), (k,), (ok,) = (g.tail_mass.tolist(), g.terms_used.tolist(),
+                            g.converged.tolist())
+    below = float(x) < 1.0
+    return [EvalOutcome(v, tail, k, e, ok, h and below)
+            for v, e, h in zip(g.values[:, 0].tolist(), g.error_bound[:, 0].tolist(),
+                               g.heuristic_bound.tolist())]
 
 
 def _first_failure(run: Callable[[list[float]], object], xs: list[float]):
@@ -377,25 +387,6 @@ def evaluate_grid_values(
         return GridValues(values, tail, terms, converged, bound, heuristic, error)
 
     return _first_failure(run, [float(x) for x in grid])
-
-
-def evaluate_grid(
-    params: PQParams,
-    fs: Sequence[Function],
-    grid: Sequence[float],
-    policy: TruncationPolicy = TruncationPolicy(),
-) -> list[list[EvalOutcome]]:
-    """evaluate_grid_values as outcomes: one list per x, in grid order, with
-    one outcome per function in the order of fs."""
-    g = evaluate_grid_values(params, fs, grid, policy)
-    heuristic = g.heuristic_bound.tolist()
-    return [
-        [EvalOutcome(v, tail, k, e, ok, h and x < 1.0)
-         for v, e, h in zip(vs, es, heuristic)]
-        for x, vs, es, tail, k, ok in zip(
-            map(float, grid), g.values.T.tolist(), g.error_bound.T.tolist(),
-            g.tail_mass.tolist(), g.terms_used.tolist(), g.converged.tolist())
-    ]
 
 
 def _prefix_sums(

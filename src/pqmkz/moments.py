@@ -18,14 +18,14 @@ from .engine import (
     Function,
     PQParams,
     TruncationPolicy,
-    evaluate_grid,
+    evaluate_grid_values,
     evaluate_many,
 )
 from .pqcore import one_minus_tau_pow
 from .presets import IDENTITY, ONE, SQUARE
 
 __all__ = [
-    "MomentReport",
+    "MomentTable",
     "MOMENT_CSV_COLUMNS",
     "moment_scale",
     "raw_moment",
@@ -52,32 +52,30 @@ MOMENT_CSV_COLUMNS = [
 
 
 @dataclass(frozen=True)
-class MomentReport:
-    x: float
-    m0: EvalOutcome
-    m1: EvalOutcome
-    m2: EvalOutcome
-    central2: float
-    lemma1_lower_ok: bool
-    lemma1_upper_ok: bool
-    lemma2_ok: bool
-    lemma1_lower_slack: float
-    lemma1_upper_slack: float
-    lemma2_slack: float
-    lemma2_bound: float
+class MomentTable:
+    """Moment diagnostics over a grid: one numpy column per field, one entry
+    per x.
 
-    def csv_row(self) -> list[float]:
-        return [
-            self.x,
-            self.m0.value,
-            self.m1.value,
-            self.m2.value,
-            self.central2,
-            self.lemma1_lower_slack,
-            self.lemma1_upper_slack,
-            self.lemma2_slack,
-            max(self.m0.tail_mass, self.m1.tail_mass, self.m2.tail_mass),
-        ]
+    The first nine fields are the MOMENT_CSV_COLUMNS.  tail_mass_max is the
+    one tail of the three monomials, which share a truncation.  Slacks are
+    signed (nonnegative means the inequality holds), and each *_ok flag
+    allows the summed error bound of the three moments.
+    """
+
+    x: np.ndarray
+    m0: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    central2: np.ndarray
+    l1_lower_slack: np.ndarray
+    l1_upper_slack: np.ndarray
+    l2_slack: np.ndarray
+    tail_mass_max: np.ndarray
+    l2_bound: np.ndarray
+    converged: np.ndarray
+    l1_lower_ok: np.ndarray
+    l1_upper_ok: np.ndarray
+    l2_ok: np.ndarray
 
 
 def moment_scale(params: PQParams) -> float:
@@ -144,37 +142,25 @@ def lemma_bounds_report(
     params: PQParams,
     grid: Sequence[float],
     policy: TruncationPolicy = TruncationPolicy(),
-) -> list[MomentReport]:
-    """Pointwise second-moment diagnostics over a grid.
+) -> MomentTable:
+    """Pointwise second-moment diagnostics over a grid, as columns.
 
-    Pass/fail uses a tolerance equal to the summed moment error bounds;
-    slacks are signed (nonnegative means the inequality holds).
+    Each column is computed elementwise in the operation order of the
+    one-point formulas, so every entry is the double those formulas give on
+    evaluate_many at that x.
     """
+    g = evaluate_grid_values(params, _MONOMIALS, grid, policy)
+    m0, m1, m2 = g.values
+    x = np.array(grid, dtype=float)
     scale = moment_scale(params)
-    p = params.pq.p
-    reports = []
-    for x, (m0, m1, m2) in zip(grid, evaluate_grid(params, _MONOMIALS, grid, policy)):
-        x = float(x)
-        central2 = m2.value - 2.0 * x * m1.value + x * x * m0.value
-        tol = m0.error_bound + m1.error_bound + m2.error_bound
-        lower_slack = m2.value - x * x
-        upper_slack = scale * x + x * x - m2.value
-        l2_bound = scale * x + (p - 1.0) * x * x
-        l2_slack = l2_bound - central2
-        reports.append(
-            MomentReport(
-                x=x,
-                m0=m0,
-                m1=m1,
-                m2=m2,
-                central2=central2,
-                lemma1_lower_ok=lower_slack >= -tol,
-                lemma1_upper_ok=upper_slack >= -tol,
-                lemma2_ok=l2_slack >= -tol,
-                lemma1_lower_slack=lower_slack,
-                lemma1_upper_slack=upper_slack,
-                lemma2_slack=l2_slack,
-                lemma2_bound=l2_bound,
-            )
-        )
-    return reports
+    central2 = m2 - 2.0 * x * m1 + x * x * m0
+    tol = g.error_bound[0] + g.error_bound[1] + g.error_bound[2]
+    lower_slack = m2 - x * x
+    upper_slack = scale * x + x * x - m2
+    l2_bound = scale * x + (params.pq.p - 1.0) * x * x
+    l2_slack = l2_bound - central2
+    return MomentTable(
+        x, m0, m1, m2, central2, lower_slack, upper_slack, l2_slack,
+        g.tail_mass, l2_bound, g.converged,
+        lower_slack >= -tol, upper_slack >= -tol, l2_slack >= -tol,
+    )

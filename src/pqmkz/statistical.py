@@ -69,6 +69,9 @@ class SequenceScheme:
 
 @dataclass(frozen=True)
 class DensityReport:
+    """One density table; CSV_COLUMNS name Ns, member_counts, densities and
+    excluded_counts, one CSV row per N."""
+
     epsilon: float
     Ns: list[int]
     densities: list[float]
@@ -76,10 +79,6 @@ class DensityReport:
     excluded_counts: list[int]
 
     CSV_COLUMNS = ["N", "count", "density", "excluded"]
-
-    def csv_rows(self) -> list[list[float]]:
-        return [list(row) for row in zip(
-            self.Ns, self.member_counts, self.densities, self.excluded_counts)]
 
 
 def scheme_paper() -> SequenceScheme:

@@ -20,7 +20,7 @@ from pqmkz.engine import (
     PQParams,
     TruncationPolicy,
     evaluate,
-    evaluate_grid,
+    evaluate_grid_values,
     normalization_partial_sum,
 )
 from pqmkz.moments import lemma_bounds_report, moment_scale, raw_moment
@@ -48,9 +48,9 @@ def test_acceptance_01_normalization_certified():
         for p, q in [(1.0, 0.9), (0.95, 0.9), (0.9, 0.8)]:
             for n in range(1, 11):
                 params = PQParams(n, PQPair(p, q))
-                for out, in evaluate_grid(params, [ONE], grid):
-                    assert out.converged
-                    assert abs(out.value - 1.0) <= 1e-12 + 1e-13
+                g = evaluate_grid_values(params, [ONE], grid)
+                assert g.converged.all()
+                assert np.all(np.abs(g.values[0] - 1.0) <= 1e-12 + 1e-13)
         assert time.perf_counter() - start < 10.0
 
 
@@ -139,8 +139,8 @@ def test_acceptance_06_second_moment_envelope_at_p_one():
                     budget = out.error_bound + 1e-13
                     assert out.value >= x * x - budget
                     assert out.value <= scale * x + x * x + budget
-        (diag,) = lemma_bounds_report(PQParams(5, PQPair(0.9, 0.8)), [0.9])
-        sign = "negative" if diag.lemma2_bound < 0.0 else "nonnegative"
+        diag = lemma_bounds_report(PQParams(5, PQPair(0.9, 0.8)), [0.9])
+        sign = "negative" if diag.l2_bound[0] < 0.0 else "nonnegative"
         print(f"  pointwise width bound at (0.9,0.8,n=5,x=0.9) is {sign}")
 
 

@@ -296,10 +296,11 @@ class TestMomentsIdentityBounds:
         params = PQParams(3, PQPair(0.9, 0.8))
         grid = default_moment_grid()
         assert grid[-1] == 1.0
-        want = [
-            dict(zip(MOMENT_CSV_COLUMNS, lemma_bounds_report(params, [x])[0].csv_row()))
-            for x in grid
-        ]
+        # the table's columns as rows; tests/test_moments.py holds each entry
+        # to the one-point formulas at its x
+        table = lemma_bounds_report(params, grid)
+        columns = [getattr(table, name).tolist() for name in MOMENT_CSV_COLUMNS]
+        want = [dict(zip(MOMENT_CSV_COLUMNS, row)) for row in zip(*columns)]
         assert json.loads(out)["rows"] == want
         last = want[-1]
         assert [last[c] for c in ("x", "m0", "m1", "m2", "tail_mass_max")] == [

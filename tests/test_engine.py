@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import pqmkz
+from pqmkz import engine
 from pqmkz.cli import main, resolve_function
 from pqmkz.engine import (
     Function,
@@ -15,7 +17,6 @@ from pqmkz.engine import (
     _Plan,
     _weight_rows,
     evaluate,
-    evaluate_grid,
     evaluate_grid_values,
     evaluate_many,
     node,
@@ -32,6 +33,11 @@ from qmkz_reference import q_mkz
 
 PARAMS = PQParams(3, PQPair(0.95, 0.9))
 CLASSICAL3 = PQParams(3, PQPair.classical())
+
+
+def test_package_exports_every_engine_name():
+    assert set(engine.__all__) <= set(pqmkz.__all__)
+    assert all(getattr(pqmkz, name) is getattr(engine, name) for name in engine.__all__)
 
 
 class TestPQParams:
@@ -225,24 +231,22 @@ class TestEvaluate:
 
 class TestEvaluateGrid:
     def test_endpoints(self):
-        outs = [o for o, in evaluate_grid(PARAMS, [PAPER_CUBIC], [0.0, 1.0])]
-        assert outs[0].value == PAPER_CUBIC(0.0)
-        assert outs[1].value == PAPER_CUBIC(1.0)
+        values = evaluate_grid_values(PARAMS, [PAPER_CUBIC], [0.0, 1.0]).values
+        assert values.tolist() == [[PAPER_CUBIC(0.0), PAPER_CUBIC(1.0)]]
 
     def test_constant_on_grid(self):
-        outs = [o for o, in evaluate_grid(PARAMS, [ONE], [0.5])]
-        assert outs[0].value == pytest.approx(1.0, abs=1e-12)
+        values = evaluate_grid_values(PARAMS, [ONE], [0.5]).values
+        assert values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_first_moment_exact_at_p_one(self):
         params = PQParams(3, PQPair(1.0, 0.9))
         grid = [i / 10 for i in range(11)]
-        outs = [o for o, in evaluate_grid(params, [IDENTITY], grid)]
-        for x, out in zip(grid, outs):
-            assert out.value == pytest.approx(x, abs=1e-10)
+        values = evaluate_grid_values(params, [IDENTITY], grid).values
+        assert values[0].tolist() == pytest.approx(grid, abs=1e-10)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            evaluate_grid(PARAMS, [ONE], [])
+            evaluate_grid_values(PARAMS, [ONE], [])
 
 
 # An independent per-x implementation of the weight kernel, one x at a time:
@@ -350,20 +354,18 @@ def ref_cases(degree):
                 yield params, tol, k_max, xs
 
 
-def assert_columns_are_outcomes(cols, rows, grid):
-    """Every column of cols equals, bit for bit, the outcomes of rows."""
-    def bits(field):
-        return np.array([[getattr(o, field) for o in outs] for outs in rows]).T.tobytes()
-
-    assert cols.values.tobytes() == bits("value")
-    assert cols.error_bound.tobytes() == bits("error_bound")
-    assert cols.tail_mass.tolist() == [outs[0].tail_mass for outs in rows]
-    assert cols.terms_used.tolist() == [outs[0].terms_used for outs in rows]
-    assert cols.converged.tolist() == [outs[0].converged for outs in rows]
-    for x, outs in zip(grid, rows):
-        assert [o.heuristic_bound for o in outs] == [
-            h and x < 1.0 for h in cols.heuristic_bound.tolist()]
-        assert all(o.tail_mass == outs[0].tail_mass for o in outs)
+def assert_outcomes_are_columns(params, fs, grid, policy, cols):
+    """evaluate_many at each x of grid is, bit for bit, the column of x in
+    cols, the grid's GridValues; its heuristic flags hold only below x = 1."""
+    for j, x in enumerate(grid):
+        outs = evaluate_many(params, fs, x, policy)
+        got = [(o.value, o.error_bound, o.tail_mass) for o in outs]
+        want = [(v, e, cols.tail_mass[j]) for v, e in zip(
+            cols.values[:, j], cols.error_bound[:, j])]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert [(o.terms_used, o.converged, o.heuristic_bound) for o in outs] == [
+            (cols.terms_used[j], cols.converged[j], h and x < 1.0)
+            for h in cols.heuristic_bound.tolist()]
 
 
 class TestRowKernelEqualsPerX:
@@ -400,27 +402,22 @@ class TestRowKernelEqualsPerX:
             grid[0], grid[-1] = grid[-1], grid[0]
             ref = ref_rows(params, [x for x in grid if x < 1.0], tol, k_max)
             if len(ref) < len(grid) - 1:
-                for grid_path in (evaluate_grid, evaluate_grid_values):
-                    with pytest.raises(ValueError, match="underflows"):
-                        grid_path(params, fs, grid, policy)
+                with pytest.raises(ValueError, match="underflows"):
+                    evaluate_grid_values(params, fs, grid, policy)
                 continue
-            rows = evaluate_grid(params, fs, grid, policy)
-            assert len(rows) == len(grid)
             cols = evaluate_grid_values(params, fs, grid, policy)
-            assert_columns_are_outcomes(cols, rows, grid)
+            assert cols.values.shape == (len(fs), len(grid))
             ref = iter(ref)
-            for j, (x, outs) in enumerate(zip(grid, rows)):
+            for j, x in enumerate(grid):
                 if x == 1.0:
-                    assert [o.value for o in outs] == [f(1.0) for f in fs]
+                    assert cols.values[:, j].tolist() == [f(1.0) for f in fs]
                     continue
                 w_ref, nodes_ref, tail_ref, flag_ref = next(ref)
                 want = [w_ref @ f.values(nodes_ref) for f in fs]
                 assert cols.values[:, j].tobytes() == np.array(want).tobytes()
-                for f, out in zip(fs, outs):
-                    assert out.value == float(w_ref @ f.values(nodes_ref))
-                    assert out.tail_mass == tail_ref
-                    assert out.converged == flag_ref
-                    assert out.terms_used == len(w_ref)
+                assert cols.tail_mass[j] == tail_ref
+                assert cols.converged[j] == flag_ref
+                assert cols.terms_used[j] == len(w_ref)
 
     @pytest.mark.parametrize("size", [1, 64, 65, 201])
     @pytest.mark.parametrize("k_max", [2, 300, 100_000])
@@ -445,8 +442,7 @@ class TestRowKernelEqualsPerX:
             assert cols.converged[at_one].all()
             if k_max == 2 and any(below):
                 assert not cols.converged.all()
-            assert_columns_are_outcomes(
-                cols, evaluate_grid(params, fs, grid, policy), grid)
+            assert_outcomes_are_columns(params, fs, grid, policy, cols)
 
     def test_grid_of_only_x_one_asks_no_sup_bound(self):
         def never(ts):
@@ -465,9 +461,9 @@ class TestRowKernelEqualsPerX:
             (DEEP, [ONE], [float(x) for x in np.linspace(0.0, 0.9, 70)]),
         ]
         for params, fs, grid in cases:
-            a, b = (_outcome(lambda: grid_path(params, fs, grid))
-                    for grid_path in (evaluate_grid, evaluate_grid_values))
-            assert isinstance(a, tuple) and a == b
+            got = _outcome(lambda: evaluate_grid_values(params, fs, grid))
+            want = _outcome(lambda: expected_grid(params, fs, grid, TruncationPolicy()))
+            assert isinstance(got, tuple) and got == want
 
     @pytest.mark.parametrize("degree", REF_DEGREES)
     def test_weight_and_node_views_bitwise(self, degree):
@@ -490,21 +486,21 @@ class TestRowKernelEqualsPerX:
     def test_one_point_views_match_grid_rows(self):
         params = PQParams(9, PQPair(0.97, 0.9))
         grid = [0.0, 0.3, 0.9, 1.0]
-        rows = evaluate_grid(params, [ONE, SQUARE], grid)
-        for x, outs in zip(grid, rows):
-            assert evaluate_many(params, [ONE, SQUARE], x) == outs
+        policy = TruncationPolicy()
+        cols = evaluate_grid_values(params, [ONE, SQUARE], grid, policy)
+        assert_outcomes_are_columns(params, [ONE, SQUARE], grid, policy, cols)
         defects = normalization_defects(params, grid[:3])
         assert defects == [normalization_defect(params, x) for x in grid[:3]]
 
     def test_grid_errors_come_from_the_first_failing_x(self):
         params = PQParams(3, PQPair(0.95, 0.9))
         with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
-            evaluate_grid(params, [ONE], [0.2, 1.5, 0.3])
+            evaluate_grid_values(params, [ONE], [0.2, 1.5, 0.3])
         with pytest.raises(ValueError, match=r"x must lie in \[0, 1\)"):
             normalization_defects(params, [0.2, 1.0])
         deep = PQParams(300, PQPair(1.0, 0.99999999))
         with pytest.raises(ValueError, match="underflows"):
-            evaluate_grid(deep, [ONE], [0.0, 0.99, 1.5])
+            evaluate_grid_values(deep, [ONE], [0.0, 0.99, 1.5])
         with pytest.raises(ValueError, match="underflows"):
             normalization_defects(deep, [0.0, 0.99, 1.0])
 
@@ -564,8 +560,9 @@ def _outcome(thunk):
 
 
 def expected_grid(params, fs, grid, policy):
-    """evaluate_grid computed x by x from the reference weights: each x in
-    grid order, its weights, then for each f its values and its sup bound."""
+    """evaluate_grid_values computed x by x from the reference weights, as
+    one (value, tail, terms, converged) per f for each x: each x in grid
+    order, its weights, then for each f its values and its sup bound."""
     out = []
     for x in grid:
         if not 0.0 <= x <= 1.0:
@@ -633,11 +630,6 @@ class TestFailureRule:
         errors = late = 0
         for params, fs, policy, grid in failure_cases(200):
             want = _outcome(lambda: expected_grid(params, fs, grid, policy))
-            got = _outcome(lambda: [
-                [(o.value, o.tail_mass, o.terms_used, o.converged) for o in outs]
-                for outs in evaluate_grid(params, fs, grid, policy)
-            ])
-            assert got == want
             got = _outcome(lambda: evaluate_grid_values(params, fs, grid, policy))
             if isinstance(want, tuple):
                 assert got == want

@@ -1,7 +1,11 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from pqmkz.engine import PQParams, TruncationPolicy
+from pqmkz.engine import PQParams, TruncationPolicy, evaluate_many
 from pqmkz.moments import (
+    MomentTable,
     central_second_moment,
     default_moment_grid,
     delta_n_sq,
@@ -11,6 +15,7 @@ from pqmkz.moments import (
     raw_moment,
 )
 from pqmkz.pqcore import PQPair
+from pqmkz.presets import IDENTITY, ONE, SQUARE
 
 Q_CASE = PQParams(3, PQPair(1.0, 0.9))
 PQ_CASE = PQParams(5, PQPair(0.9, 0.8))
@@ -94,34 +99,80 @@ class TestDeltaNSq:
         assert moment_scale(PQParams(4, PQPair.classical())) == pytest.approx(0.2)
 
 
+def one_point_row(params, x, policy):
+    """Every MomentTable field at x, from the one-point formulas on
+    evaluate_many: the per-x reference the table must equal bit for bit."""
+    m0, m1, m2 = evaluate_many(params, [ONE, IDENTITY, SQUARE], x, policy)
+    scale = moment_scale(params)
+    p = params.pq.p
+    central2 = m2.value - 2.0 * x * m1.value + x * x * m0.value
+    tol = m0.error_bound + m1.error_bound + m2.error_bound
+    lower_slack = m2.value - x * x
+    upper_slack = scale * x + x * x - m2.value
+    l2_bound = scale * x + (p - 1.0) * x * x
+    l2_slack = l2_bound - central2
+    return {
+        "x": x, "m0": m0.value, "m1": m1.value, "m2": m2.value,
+        "central2": central2, "l1_lower_slack": lower_slack,
+        "l1_upper_slack": upper_slack, "l2_slack": l2_slack,
+        "tail_mass_max": max(m0.tail_mass, m1.tail_mass, m2.tail_mass),
+        "l2_bound": l2_bound,
+        "converged": m0.converged and m1.converged and m2.converged,
+        "l1_lower_ok": lower_slack >= -tol, "l1_upper_ok": upper_slack >= -tol,
+        "l2_ok": l2_slack >= -tol,
+    }
+
+
 class TestLemmaReport:
     def test_q_case_all_pass(self):
         grid = [i / 10 for i in range(11)]
-        reports = lemma_bounds_report(Q_CASE, grid)
-        for r in reports:
-            assert r.lemma1_lower_ok
-            assert r.lemma1_upper_ok
-            assert r.lemma2_ok
+        table = lemma_bounds_report(Q_CASE, grid)
+        assert table.l1_lower_ok.all()
+        assert table.l1_upper_ok.all()
+        assert table.l2_ok.all()
 
     def test_origin_row_has_zero_slack(self):
-        (r,) = lemma_bounds_report(PQ_CASE, [0.0])
-        assert r.lemma1_lower_slack == pytest.approx(0.0, abs=1e-15)
-        assert r.lemma1_upper_slack == pytest.approx(0.0, abs=1e-15)
-        assert r.lemma2_slack == pytest.approx(0.0, abs=1e-15)
+        table = lemma_bounds_report(PQ_CASE, [0.0])
+        assert table.l1_lower_slack.tolist() == pytest.approx([0.0], abs=1e-15)
+        assert table.l1_upper_slack.tolist() == pytest.approx([0.0], abs=1e-15)
+        assert table.l2_slack.tolist() == pytest.approx([0.0], abs=1e-15)
 
     def test_general_case_reports_without_asserting(self):
         # the stated bound can go negative for p < 1; the report must carry
         # the signed value and the flag instead of raising
-        (r,) = lemma_bounds_report(PQ_CASE, [0.9])
-        assert r.central2 >= -1e-10
-        if r.lemma2_bound < 0.0:
-            assert not r.lemma2_ok
+        table = lemma_bounds_report(PQ_CASE, [0.9])
+        assert table.central2[0] >= -1e-10
+        if table.l2_bound[0] < 0.0:
+            assert not table.l2_ok[0]
 
-    def test_csv_row_shape(self):
-        (r,) = lemma_bounds_report(Q_CASE, [0.5])
-        row = r.csv_row()
-        assert len(row) == 9
-        assert row[0] == 0.5
+    def test_table_equals_one_point_formulas_bitwise(self):
+        # grids with x = 0 and x = 1, more than 64 x (two row chunks), and a
+        # k_max at which no x > 0 converges
+        cases = [
+            (PQ_CASE, default_moment_grid(), TruncationPolicy()),
+            (Q_CASE, np.linspace(0.0, 1.0, 130).tolist(), TruncationPolicy(1e-12, 2)),
+            (PQParams(4, PQPair.classical()), default_moment_grid(),
+             TruncationPolicy(1e-12, 300)),
+            (PQParams(20, PQPair(0.5, 0.45)), np.linspace(0.0, 1.0, 70).tolist(),
+             TruncationPolicy()),
+        ]
+        names = [field.name for field in dataclasses.fields(MomentTable)]
+        # the lemma 1 flags hold at every x (m2 >= m1^2 by Jensen; a truncated
+        # m2 falls short by at most the tail, a third of the tolerance)
+        flags = {"converged": set(), "l2_ok": set()}
+        for params, grid, policy in cases:
+            table = lemma_bounds_report(params, grid, policy)
+            rows = [one_point_row(params, x, policy) for x in grid]
+            assert list(rows[0]) == names
+            for name in names:
+                column = getattr(table, name)
+                want = np.array([row[name] for row in rows], dtype=column.dtype)
+                assert column.shape == (len(grid),)
+                assert column.tobytes() == want.tobytes(), name
+            for name, seen in flags.items():
+                seen.update(getattr(table, name).tolist())
+        # these flags are seen both ways, so the comparison covers both
+        assert all(seen == {False, True} for seen in flags.values())
 
     def test_default_grid(self):
         grid = default_moment_grid()

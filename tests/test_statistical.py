@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pqmkz import engine
-from pqmkz.engine import Function, TruncationPolicy, evaluate_grid
+from pqmkz.engine import Function, TruncationPolicy, evaluate_grid_values
 from pqmkz.expressions import parse_function
 from pqmkz.presets import IDENTITY, ONE, PAPER_CUBIC
 from pqmkz.statistical import (
@@ -132,7 +132,7 @@ class TestKorovkinCheck:
         scheme = SequenceScheme("tau=0.999", lambda n: (1.0, 0.999), n_min=378)
         policy = TruncationPolicy(1e-8, 1000)
         with pytest.raises(ValueError, match="underflows"):
-            evaluate_grid(scheme.params(380), [ONE], default_stat_grid(), policy)
+            evaluate_grid_values(scheme.params(380), [ONE], default_stat_grid(), policy)
         reports = st_korovkin_check(scheme, ONE, 0.5, [380], policy=policy)
         assert reports["1"].excluded_counts == [380]
 
@@ -187,10 +187,11 @@ class TestKorovkinCheck:
             st_korovkin_check(scheme_paper(), ONE, bad, [10])
 
     def test_csv_rows_shape(self):
-        reports = st_korovkin_check(scheme_paper(), ONE, 0.5, [5, 10])
-        rows = reports["1"].csv_rows()
-        assert len(rows) == 2
-        assert all(len(row) == len(DensityReport.CSV_COLUMNS) for row in rows)
+        # the CSV writes these columns, one row per N
+        r = st_korovkin_check(scheme_paper(), ONE, 0.5, [5, 10])["1"]
+        columns = [r.Ns, r.member_counts, r.densities, r.excluded_counts]
+        assert len(columns) == len(DensityReport.CSV_COLUMNS)
+        assert all(len(column) == 2 for column in columns)
 
 
 def test_default_stat_grid_shape():

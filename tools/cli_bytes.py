@@ -116,6 +116,11 @@ EDGE = [
     ["eval", *_SMALL, "--fn", "one", "--grid", "3", "--out", "missing/x.csv"],
     ["eval", *_SMALL, "--fn", "one", "--grid", "3", "--out", "."],
     ["figure", "--id", "1", "--out", "/dev/null/fig"],
+    # the moments table on every exit path: a row that does not converge
+    # (exit 1, rows written), an underflow (exit 2, no rows), one row
+    ["moments", *_SMALL, "--grid", "3:0:0.99", "--kmax", "2"],
+    ["moments", *_DEEP, "--grid", "4:0:0.99"],
+    ["moments", *_SMALL, "--grid", "1"],
 ]
 
 
