@@ -15,6 +15,7 @@ from .engine import (
     evaluate,
     evaluate_grid_values,
     evaluate_many,
+    evaluate_sweep_values,
     node,
     normalization_defect,
     normalization_defects,
@@ -53,6 +54,7 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "evaluate_grid_values",
+    "evaluate_sweep_values",
     "normalization_defect",
     "normalization_defects",
     "normalization_partial_sum",

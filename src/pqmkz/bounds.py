@@ -129,7 +129,9 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
 
     step_bound is the already-rooted bound on h (the convention that pairs
     with a squared width argument elsewhere); 0 < h <= step_bound, x+2h <= 1.
-    A difference too large for a double gives inf.
+    Where 2 f overflows on the lattice, the sums run on f/2 and f and are
+    doubled at the end, which halving by a power of two makes exact in the
+    normal range.  A difference too large for a double gives inf.
     """
     if not (0.0 < step_bound <= 0.5):
         raise ValueError("step bound must lie in (0, 1/2]")
@@ -138,9 +140,11 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
     best = 0.0
     rows = np.empty((_STEPS_PER_PASS, n))
     with np.errstate(over="ignore"):
-        # exact: doubling changes only the exponent, and overflows where the
-        # per-step product would
-        twice = 2.0 * fv
+        # exact: doubling changes only the exponent; where it overflows, the
+        # sums run on f/2 and f, and halving is exact in the normal range
+        outer, middle, scale = fv, 2.0 * fv, 1.0
+        if not np.isfinite(middle).all():
+            outer, middle, scale = 0.5 * fv, fv, 2.0
         for first in range(1, dmax + 1, _STEPS_PER_PASS):
             steps = range(first, min(first + _STEPS_PER_PASS, dmax + 1))
             width = n - 2 * first
@@ -148,8 +152,8 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
                 # f(x+2h) - 2 f(x+h) + f(x) in that order; a 0 past the
                 # row's end leaves best, which starts at 0, unchanged
                 m = n - 2 * d
-                np.subtract(fv[2 * d:], twice[d:-d], out=row[:m])
-                np.add(row[:m], fv[: -2 * d], out=row[:m])
+                np.subtract(outer[2 * d:], middle[d:-d], out=row[:m])
+                np.add(row[:m], outer[: -2 * d], out=row[:m])
                 row[m:width] = 0.0
             group = rows[: len(steps), :width]
             best = max(best, float(group.max()), -float(group.min()))
@@ -158,9 +162,13 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
         x0 = xs[mask]
         f1 = f.values(np.minimum(x0 + step_bound, 1.0))
         f2 = f.values(np.minimum(x0 + 2.0 * step_bound, 1.0))
+        # (f2 - 2 f1 + f) / scale; multiplying by 1 is exact, so scale 1
+        # runs f2 - 2 f1 + f bit for bit
+        inv = 1.0 / scale
         with np.errstate(over="ignore"):
-            best = max(best, float(np.max(np.abs(f2 - 2.0 * f1 + fv[mask]))))
-    return best
+            d2 = inv * f2 - (2.0 * inv) * f1 + outer[mask]
+            best = max(best, float(np.max(np.abs(d2))))
+    return best * scale
 
 
 def sup_error(

@@ -184,14 +184,20 @@ def _eval_columns(params, f, grid, policy):
     return columns, bool(res.converged.all())
 
 
+def _function_from_args(args) -> Function:
+    """--fn, with --sup-bound as its own sup bound when given."""
+    f = resolve_function(args.fn)
+    if args.sup_bound is not None:
+        f = dataclasses.replace(f, sup_hint=args.sup_bound)
+    return f
+
+
 def _cmd_eval(args) -> int:
     if args.x is not None and args.grid is not None:
         raise ValueError("eval takes --x or --grid, not both")
     params = _params_from_args(args)
     policy = _policy_from_args(args)
-    f = resolve_function(args.fn)
-    if args.sup_bound is not None:
-        f = dataclasses.replace(f, sup_hint=args.sup_bound)
+    f = _function_from_args(args)
     if args.x is not None:
         grid = [args.x]
     elif args.grid is not None:
@@ -232,7 +238,7 @@ def _cmd_bounds(args) -> int:
         raise ValueError("--alpha needs --lip-M")
     params = _params_from_args(args)
     policy = _policy_from_args(args)
-    f = resolve_function(args.fn)
+    f = _function_from_args(args)
     grid = (
         _parse_grid(args.grid) if args.grid is not None else _parse_grid("101:0:0.99")
     )
@@ -402,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=float, default=None, help="Lipschitz exponent (default 1)"
     )
     p_bounds.add_argument("--lip-M", dest="lip_M", type=float, default=None)
+    p_bounds.add_argument("--sup-bound", dest="sup_bound", type=float, default=None)
     p_bounds.set_defaults(handler=_cmd_bounds, format="json")
 
     p_id = sub.add_parser("identity", help="normalization defect over a grid")

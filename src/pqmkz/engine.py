@@ -10,6 +10,7 @@ and p^(n(n+1)/2) never appear on their own.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,6 +29,7 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "evaluate_grid_values",
+    "evaluate_sweep_values",
     "GridValues",
     "SupBoundError",
     "normalization_defect",
@@ -37,9 +39,11 @@ __all__ = [
 ]
 
 _BLOCK = 256
-# Grid rows run the recurrence together this many at a time, which bounds
-# the 2-D temporaries of one block.
-_ROWS = 64
+# Rows (plan, x) run the recurrence together this many at a time, which
+# bounds the 2-D temporaries of one block (about 1 MB each); a chunk's later
+# blocks cost calls whatever its number of rows, so larger chunks amortize
+# them.
+_ROWS = 512
 # Below this log-magnitude the leading weight underflows double precision and
 # the tau-form recurrence cannot recover; refuse rather than return garbage.
 _LOG_W0_FLOOR = -650.0
@@ -100,10 +104,18 @@ class GridValues:
     """Columns of a grid evaluation of fs: row i of a 2-D array is fs[i] and
     column j is grid[j].
 
-    tail_mass, terms_used and converged hold one entry per x; sup_bound and
-    heuristic_bound one per f (0.0 and False when the grid holds only x = 1,
-    which asks for no bound); error_bound[i, j] = tail_mass[j] * sup_bound[i]
-    below x = 1 and 0.0 at x = 1.
+    tail_mass, terms_used, converged and status hold one entry per x;
+    sup_bound and heuristic_bound one per f (0.0 and False when the grid
+    holds only x = 1, which asks for no bound); error_bound[i, j] =
+    tail_mass[j] * sup_bound[i] below x = 1 and 0.0 at x = 1.
+
+    status[j] is what grid[j] gives alone: "ok", "k_max" (not converged),
+    "underflow" (its leading weight underflows), "f_error" (an f raised) or
+    "range" (x outside [0, 1]).  A row that is neither "ok" nor "k_max"
+    holds nan values and error bounds, and its weights' tail, terms and
+    flag if it has weights (else nan, 0 and False); failure is then (j,
+    exc), the first such j and the exception it raises alone, which
+    evaluate_grid_values raises.
     """
 
     values: np.ndarray
@@ -113,6 +125,8 @@ class GridValues:
     sup_bound: np.ndarray
     heuristic_bound: np.ndarray
     error_bound: np.ndarray
+    status: np.ndarray
+    failure: tuple[int, Exception] | None = None
 
 
 class SupBoundError(ValueError):
@@ -169,91 +183,159 @@ class _Plan:
     The weight ratio is w_k / w_{k-1} = x * e1[k] / e2[k] and the node is
     e2[k] / e1[k], with e1[k] = expm1((n+k) log tau) and e2[k] = expm1(k log
     tau) (n + k and k in classical mode); neg_tau_s holds -tau^s, s = 0..n,
-    for log w_0.  A plan serves one call and grows on demand.
+    for log w_0.  A plan lives while its rows are in flight and grows on
+    demand.
     """
 
     def __init__(self, params: PQParams) -> None:
         self.params = params
-        self.e1 = self.e2 = self.nodes = np.empty(0)
+        self.e = self.e1 = self.e2 = self.nodes = np.empty(0)
         if not params.pq.classical_mode:
             s = np.arange(params.n + 1)
             self.neg_tau_s = -np.exp(s * params.pq.log_tau)
 
     def grow(self, count: int) -> None:
-        """Hold at least count entries of e1, e2 and nodes."""
-        if count <= len(self.nodes):
+        """Hold at least count entries of e1, e2 and nodes, and at least
+        twice as many as before (4 blocks at first): a growth costs more
+        calls than the extra entries do."""
+        held = len(self.nodes)
+        if count <= held:
             return
         n, pq = self.params.n, self.params.pq
-        ks = np.arange(max(count, 2 * len(self.nodes)))
-        if pq.classical_mode:
-            self.e1, self.e2 = (n + ks).astype(float), ks.astype(float)
-        else:
-            lt = pq.log_tau
-            self.e1, self.e2 = np.expm1((n + ks) * lt), np.expm1(ks * lt)
+        size = max(count, 2 * held, 4 * _BLOCK)
+        # e[j] = expm1(j log tau) (j in classical mode), so e1 = e[n:] and
+        # e2 = e[:size]; only the j not held yet are computed
+        js = np.arange(len(self.e), n + size)
+        new = js.astype(float) if pq.classical_mode else np.expm1(js * pq.log_tau)
+        e = self.e = np.concatenate([self.e, new])
         with np.errstate(invalid="ignore"):
-            self.nodes = self.e2 / self.e1
-        self.nodes[0] = 0.0
+            nodes = e[held:size] / e[n + held: n + size]
+        if not held:
+            nodes[0] = 0.0
+        self.e1, self.e2 = e[n:], e[:size]
+        self.nodes = np.concatenate([self.nodes, nodes])
 
     def leading_weights(self, xs: np.ndarray) -> np.ndarray:
         """w_0(x) = prod_{s=0..n} (1 - tau^s x) for each x of xs in [0, 1);
-        raises if any of them underflows double precision."""
+        nan where it underflows double precision."""
         if self.params.pq.classical_mode:
             n = self.params.n
-            log_w0 = np.array(
-                [(n + 1) * math.log1p(-x) if x > 0.0 else 0.0 for x in xs]
-            )
+            log_w0 = [(n + 1) * math.log1p(-x) if x > 0.0 else 0.0
+                      for x in xs.tolist()]
         else:
-            log_w0 = np.sum(np.log1p(np.multiply.outer(xs, self.neg_tau_s)), axis=1)
-        if np.any(log_w0 < _LOG_W0_FLOOR):
-            raise ValueError(_UNDERFLOW)
+            log_w0 = np.sum(
+                np.log1p(np.multiply.outer(xs, self.neg_tau_s)), axis=1).tolist()
         # math.exp, not np.exp: the two can differ in the last ulp
-        return np.array([math.exp(v) for v in log_w0])
+        return np.array([math.exp(v) if v >= _LOG_W0_FLOOR else math.nan
+                         for v in log_w0])
 
 
-def _weight_rows(
-    plan: _Plan, xs: np.ndarray, tail_tol: float, max_terms: int
-) -> list[tuple[np.ndarray, float, bool]]:
-    """(weights up to the stopping index, tail mass, flag) for each x of xs.
+def _plan_major(segments):
+    """Cut segments (key, plan, xs, w0) into chunks of at most _ROWS rows,
+    in order: lists of (key, plan, xs, w0, start), the rows start.. of one
+    segment."""
+    chunk, room = [], _ROWS
+    for key, plan, xs, w0 in segments:
+        start = 0
+        while start < len(xs):
+            take = min(room, len(xs) - start)
+            stop = start + take
+            chunk.append((key, plan, xs[start:stop], w0[start:stop], start))
+            start, room = stop, room - take
+            if not room:
+                yield chunk
+                chunk, room = [], _ROWS
+    if chunk:
+        yield chunk
 
-    Each x in [0, 1) runs the same recurrence: from k = 1, blocks of _BLOCK
-    ratios, each block a cumprod scaled by the last weight, until the running
-    sum reaches 1 - tail_tol or max_terms weights exist.  Every row keeps
-    those block boundaries and that order of operations, so rows that share
-    a block run as one 2-D array and still get the one-point arithmetic bit
-    for bit.  tail_tol may be 0 here (internal use: fixed-length partial
-    sums).
+
+def _ratios(pieces, bounds, xs, rows, block, out=None):
+    """x * e1[block] / e2[block] for the given rows of a chunk (sorted), each
+    row with the e1 and e2 of its own plan, into out if given; rows
+    bounds[i]:bounds[i+1] of the chunk belong to pieces[i]."""
+    if out is None:
+        out = np.empty((len(rows), block.stop - block.start))
+    cut = np.searchsorted(rows, bounds).tolist()
+    for piece, a, b in zip(pieces, cut, cut[1:]):
+        if a < b:
+            plan = piece[1]
+            plan.grow(block.stop)
+            np.multiply(xs[rows[a:b], None], plan.e1[block], out=out[a:b])
+            np.divide(out[a:b], plan.e2[block], out=out[a:b])
+    return out
+
+
+def _stops(cums: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of running sums: whether it reaches target, and the
+    first index where it does (its last index where it does not)."""
+    reached = cums >= target
+    stopped = reached.any(axis=1)
+    return stopped, np.where(stopped, reached.argmax(axis=1), cums.shape[1] - 1)
+
+
+def _weight_chunks(segments, tail_tol: float, max_terms: int):
+    """Weights of rows (plan, x), yielded one chunk of rows at a time.
+
+    segments yields (key, plan, xs, w0): rows of one plan with x in [0, 1)
+    and w_0 at each.  Rows go through plan-major in chunks of at most _ROWS,
+    and each chunk is yielded as (pieces, bounds, ws, total): rows
+    bounds[i]:bounds[i+1] of the chunk are pieces[i] = (key, plan, xs, w0,
+    start), ws[r] holds row r's weights up to its stopping index and total[r]
+    their running sum.
+
+    Each row runs the recurrence of its x alone: from k = 1, blocks of _BLOCK
+    ratios of its own plan, each block a cumprod scaled by the last weight,
+    until the running sum reaches 1 - tail_tol or max_terms weights exist.
+    Every row keeps those block boundaries and that order of operations, so
+    rows that share a block run as one 2-D array and still get the one-point
+    arithmetic bit for bit.  The first block is one array per chunk, [w_0 |
+    block 1]; only rows that run past it keep per-row pieces.  tail_tol may
+    be 0 here (internal use: fixed-length partial sums).
     """
     target = 1.0 - tail_tol
-    out: list[tuple[np.ndarray, float, bool]] = []
-    for start in range(0, len(xs), _ROWS):
-        xc = xs[start: start + _ROWS]
-        w0 = plan.leading_weights(xc)
-        parts = [[w0[i: i + 1]] for i in range(len(w0))]
-        total, last = w0.copy(), w0.copy()
+    m = min(_BLOCK, max_terms - 1)
+    for pieces in _plan_major(segments):
+        bounds = np.cumsum([0] + [len(p[2]) for p in pieces])
+        xs = np.concatenate([p[2] for p in pieces])
+        w0 = np.concatenate([p[3] for p in pieces])
+        rows = np.arange(len(xs))
+        head = np.empty((len(xs), 1 + m))
+        head[:, 0] = w0
+        total = w0.copy()
+        lens = np.ones(len(xs), dtype=int)
         active = np.flatnonzero(~(total >= target))
-        produced = 1
+        if active.size and m:
+            # every row of the chunk at once; rows that stopped at w_0 are
+            # computed and dropped
+            wb = _ratios(pieces, bounds, xs, rows, slice(1, 1 + m), head[:, 1:])
+            np.cumprod(wb, axis=1, out=wb)
+            wb *= w0[:, None]
+            cums = np.cumsum(wb, axis=1)
+            cums += total[:, None]
+            stopped, ends = _stops(cums, target)
+            total[active] = cums[rows, ends][active]
+            lens[active] = ends[active] + 2
+            active = active[~stopped[active]]
+        last = head[:, -1].copy()
+        parts = {r: [head[r]] for r in active.tolist()}
+        produced = 1 + m
         while active.size and produced < max_terms:
-            m = min(_BLOCK, max_terms - produced)
-            plan.grow(produced + m)
-            block = slice(produced, produced + m)
-            ratios = xc[active, None] * plan.e1[block] / plan.e2[block]
+            k = min(_BLOCK, max_terms - produced)
+            block = slice(produced, produced + k)
+            ratios = _ratios(pieces, bounds, xs, active, block)
             wb = last[active, None] * np.cumprod(ratios, axis=1)
             cums = total[active, None] + np.cumsum(wb, axis=1)
-            reached = cums >= target
-            stopped = reached.any(axis=1)
-            ends = np.where(stopped, reached.argmax(axis=1), m - 1)
+            stopped, ends = _stops(cums, target)
             at = (np.arange(active.size), ends)
-            for j, i in enumerate(active.tolist()):
-                parts[i].append(wb[j, : ends[j] + 1])
+            for j, (r, end) in enumerate(zip(active.tolist(), ends.tolist())):
+                parts[r].append(wb[j, : end + 1])
             total[active] = cums[at]
             last[active] = wb[at]
             active = active[~stopped]
-            produced += m
-        for chunks, t in zip(parts, total.tolist()):
-            tail = max(0.0, 1.0 - t)
-            w = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-            out.append((w, tail, tail <= tail_tol))
-    return out
+            produced += k
+        ws = [np.concatenate(parts[r]) if r in parts else head[r, :size]
+              for r, size in enumerate(lens.tolist())]
+        yield pieces, bounds.tolist(), ws, total
 
 
 def node(params: PQParams, k: int) -> float:
@@ -273,6 +355,8 @@ def weight(params: PQParams, k: int, x: float) -> float:
         raise ValueError("k must be nonnegative")
     plan = _Plan(params)
     w0 = float(plan.leading_weights(np.array([x], dtype=float))[0])
+    if math.isnan(w0):
+        raise ValueError(_UNDERFLOW)
     if k == 0:
         return w0
     plan.grow(k + 1)
@@ -315,24 +399,205 @@ def evaluate_many(
                                g.heuristic_bound.tolist())]
 
 
-def _first_failure(run: Callable[[list[float]], object], xs: list[float]):
-    """run(xs), the work of a whole grid.  If it raises, run each x of xs
-    alone, in grid order, so that the error raised is the one of the first x
-    that fails alone; if none does, the original error is raised.  Either
-    error carries, as its done attribute, the one-x results of the x before
-    the failing one (of every x when none fails alone)."""
-    try:
-        return run(xs)
-    except Exception as exc:
-        done = []
-        try:
-            for x in xs:
-                done.append(run([x]))
-        except Exception as first:
-            first.done = done
-            raise
-        exc.done = done
-        raise
+# the row statuses of GridValues, indexed by the codes a sweep keeps
+_STATUSES = np.array(["ok", "k_max", "underflow", "f_error", "range"])
+_ST_OK, _ST_K_MAX, _ST_UNDERFLOW, _ST_F_ERROR, _ST_RANGE = range(len(_STATUSES))
+
+
+class _PlanRows:
+    """The columns of one plan of a sweep, filled while its rows are in
+    flight; cols are the grid indices of its kernel rows, in order, of which
+    left are not taken yet."""
+
+    def __init__(self, template: dict, cols: np.ndarray) -> None:
+        for name, column in template.items():
+            setattr(self, name, column.copy())
+        self.cols = cols
+        self.left = len(cols)
+        self.f_error: Exception | None = None
+
+
+class _Sweep:
+    """The state one evaluate_sweep_values call shares across its plans: the
+    grid, f(1) for each f, and each f's sup bound once asked for."""
+
+    def __init__(self, fs: Sequence[Function], xs: np.ndarray,
+                 policy: TruncationPolicy) -> None:
+        self.fs, self.xs, self.policy = list(fs), xs, policy
+        self.sups: dict[int, tuple[float, bool] | Exception] = {}
+        nf, nx = len(self.fs), len(xs)
+        in_range = (xs >= 0.0) & (xs <= 1.0)
+        self.below = np.flatnonzero(in_range & (xs < 1.0))
+        self.at_one = np.flatnonzero(xs == 1.0)
+        # a row below x = 1 that reaches no kernel chunk underflows
+        self.template = t = {
+            "values": np.full((nf, nx), math.nan),
+            "tail_mass": np.full(nx, math.nan),
+            "terms_used": np.zeros(nx, dtype=int),
+            "converged": np.zeros(nx, dtype=bool),
+            "code": np.where(in_range, _ST_UNDERFLOW, _ST_RANGE),
+        }
+        self.one_error: Exception | None = None
+        if self.at_one.size:
+            # x = 1: f(1) for each f, until one raises
+            t["tail_mass"][self.at_one] = 0.0
+            t["terms_used"][self.at_one] = 1
+            t["converged"][self.at_one] = True
+            t["code"][self.at_one] = _ST_OK
+            for i, f in enumerate(self.fs):
+                try:
+                    t["values"][i, self.at_one] = float(f(1.0))
+                except Exception as exc:
+                    self.one_error = exc
+                    t["values"][:, self.at_one] = math.nan
+                    t["code"][self.at_one] = _ST_F_ERROR
+                    break
+
+    def sup(self, i: int) -> tuple[float, bool] | Exception:
+        """fs[i].sup_bound(), or what it raises, asked for once."""
+        if i not in self.sups:
+            try:
+                self.sups[i] = self.fs[i].sup_bound()
+            except Exception as exc:
+                self.sups[i] = exc
+        return self.sups[i]
+
+    def segments(self, params_seq: Sequence[PQParams], out: list):
+        """The kernel rows of each plan: its x below 1 whose leading weight
+        does not underflow; each plan's _PlanRows is appended to out."""
+        xs = self.xs[self.below]
+        for params in params_seq:
+            plan = _Plan(params)
+            w0 = plan.leading_weights(xs)
+            ok = ~np.isnan(w0)
+            rows = _PlanRows(self.template, self.below[ok])
+            out.append(rows)
+            yield rows, plan, xs[ok], w0[ok]
+
+    def take(self, pieces, bounds, ws, total) -> None:
+        """Values, tails, terms, flags and statuses of one chunk of rows."""
+        fs, nf = self.fs, len(self.fs)
+        lens = np.array([len(w) for w in ws])
+        needs = [int(lens[a:b].max()) for a, b in zip(bounds, bounds[1:])]
+        for piece, need in zip(pieces, needs):
+            piece[1].grow(need)
+        offs = np.cumsum([0] + needs).tolist()
+        row_off = np.repeat(offs[:-1], np.diff(bounds)).tolist()
+        nodes = np.concatenate([p[1].nodes[:need] for p, need in zip(pieces, needs)])
+        # fvals[i] holds fs[i] at each piece's node prefix; fail_at[r] is the
+        # first f that fails row r (nf for none), in the one-x order: for
+        # each f its values, then its sup bound
+        fvals = np.empty((nf, len(nodes)))
+        fail_at = np.full(len(ws), nf)
+        raised: dict[int, Exception] = {}
+        for i, f in enumerate(fs):
+            live = fail_at == nf
+            if not live.any():
+                break
+            try:
+                fvals[i] = f.values(nodes)
+            except Exception:
+                # f fails on some row's nodes: each live row's own node
+                # prefix says whether that x fails alone, and with what
+                for r in np.flatnonzero(live).tolist():
+                    o, k = row_off[r], lens[r]
+                    try:
+                        fvals[i, o: o + k] = f.values(nodes[o: o + k])
+                    except Exception as exc:
+                        fail_at[r], raised[r] = i, exc
+                live = fail_at == nf
+            if live.any() and isinstance(self.sup(i), Exception):
+                fail_at[live] = i
+        values = np.full((len(ws), nf), math.nan)
+        for r in np.flatnonzero(fail_at == nf).tolist():
+            # one BLAS dot per f, in one call per row
+            o, w = row_off[r], ws[r]
+            np.vecdot(fvals[:, o: o + len(w)], w, out=values[r])
+        tail = np.maximum(0.0, 1.0 - total)
+        flag = tail <= self.policy.tail_tol
+        failed = fail_at < nf
+        code = np.where(flag, _ST_OK, _ST_K_MAX)
+        code[failed] = _ST_F_ERROR
+        for (rows, _, _, _, start), a, b in zip(pieces, bounds, bounds[1:]):
+            cols = rows.cols[start: start + b - a]
+            rows.values[:, cols] = values[a:b].T
+            rows.tail_mass[cols] = tail[a:b]
+            rows.terms_used[cols] = lens[a:b]
+            rows.converged[cols] = flag[a:b]
+            rows.code[cols] = code[a:b]
+            rows.left -= b - a
+            if rows.f_error is None and failed[a:b].any():
+                # the plan's first row to fail on f: what that x raises alone
+                r = a + int(np.argmax(failed[a:b]))
+                rows.f_error = raised[r] if r in raised else self.sup(int(fail_at[r]))
+
+    def result(self, rows: _PlanRows) -> GridValues:
+        nf = len(self.fs)
+        bound = np.zeros(nf)
+        heuristic = np.zeros(nf, dtype=bool)
+        if rows.cols.size:
+            for i in range(nf):
+                sup = self.sups.get(i)
+                if isinstance(sup, tuple):
+                    bound[i], heuristic[i] = sup
+        valued = rows.code <= _ST_K_MAX
+        error = np.multiply.outer(bound, rows.tail_mass)
+        error[:, self.at_one] = 0.0
+        error[:, ~valued] = math.nan
+        failure = None
+        if not valued.all():
+            j = int(np.argmin(valued))
+            code = rows.code[j]
+            if code == _ST_RANGE:
+                exc = ValueError("x must lie in [0, 1]")
+            elif code == _ST_UNDERFLOW:
+                exc = ValueError(_UNDERFLOW)
+            else:
+                exc = self.one_error if self.xs[j] == 1.0 else rows.f_error
+            failure = (j, exc)
+        return GridValues(rows.values, rows.tail_mass, rows.terms_used,
+                          rows.converged, bound, heuristic, error,
+                          _STATUSES[rows.code], failure)
+
+
+def evaluate_sweep_values(
+    params_seq: Sequence[PQParams],
+    fs: Sequence[Function],
+    grid: Sequence[float],
+    policy: TruncationPolicy = TruncationPolicy(),
+    stop: Callable[[GridValues], bool] | None = None,
+) -> list[GridValues]:
+    """The grid columns of several PQParams at once, one GridValues per
+    element of params_seq, in order.
+
+    Rows (params, x) of every plan go through one row kernel, a chunk at a
+    time, and each f is evaluated once per chunk.  Nothing raises for a
+    failing row: its status says why it failed, and element i is bit for
+    bit evaluate_grid_values(params_seq[i], fs, grid, policy) whenever that
+    returns; when that raises, element i's failure holds the index of the
+    first failing x and what that call raises.
+
+    stop, if given, sees each element as soon as its plan's rows are done;
+    once it returns true the sweep ends, and the list ends with that
+    element.
+    """
+    xs = np.array([float(x) for x in grid], dtype=float)
+    if len(xs) == 0:
+        raise ValueError("grid must be nonempty")
+    sweep = _Sweep(fs, xs, policy)
+    plans: list[_PlanRows] = []
+    out: list[GridValues] = []
+    chunks = _weight_chunks(sweep.segments(params_seq, plans),
+                            policy.tail_tol, policy.k_max)
+    for chunk in itertools.chain(chunks, [None]):
+        if chunk is not None:
+            sweep.take(*chunk)
+        # chunks are plan-major, so only the plan in flight has rows left
+        while len(out) < len(plans) and not plans[len(out)].left:
+            out.append(sweep.result(plans[len(out)]))
+            if stop is not None and stop(out[-1]):
+                return out
+    return out
 
 
 def evaluate_grid_values(
@@ -344,64 +609,32 @@ def evaluate_grid_values(
     """Evaluate several functions at every x of a grid, as columns.
 
     Every x gets its own weights and truncation, as if evaluated alone; the
-    x-free part of the series is built once, and each f is evaluated once,
-    on the nodes of the longest row.  x = 1 is the interpolation branch:
-    value f(1), tail 0, one term.  A failure raises the error that the first
-    failing x, taken in grid order, raises.
+    x-free part of the series is built once, and each f is evaluated once
+    per chunk of rows, on the nodes of its longest row.  x = 1 is the
+    interpolation branch: value f(1), tail 0, one term.  A failure raises
+    the error that the first failing x, taken in grid order, raises alone.
     """
-    if len(grid) == 0:
-        raise ValueError("grid must be nonempty")
-    plan = _Plan(params)
-
-    def run(xs: list[float]) -> GridValues:
-        if not all(0.0 <= x <= 1.0 for x in xs):
-            raise ValueError("x must lie in [0, 1]")
-        below = [j for j, x in enumerate(xs) if x < 1.0]
-        rows = _weight_rows(
-            plan, np.array([xs[j] for j in below], dtype=float),
-            policy.tail_tol, policy.k_max,
-        )
-        ws = [w for w, _, _ in rows]
-        size = max(map(len, ws), default=0)
-        plan.grow(size)
-        values = np.empty((len(fs), len(xs)))
-        bound = np.zeros(len(fs))
-        heuristic = np.zeros(len(fs), dtype=bool)
-        if rows:
-            # for each f: its values, then its sup bound
-            for i, f in enumerate(fs):
-                fv = f.values(plan.nodes[:size])
-                values[i, below] = [w.dot(fv[: len(w)]) for w in ws]
-                bound[i], heuristic[i] = f.sup_bound()
-        tail = np.zeros(len(xs))
-        terms = np.ones(len(xs), dtype=int)
-        converged = np.ones(len(xs), dtype=bool)
-        tail[below] = [t for _, t, _ in rows]
-        terms[below] = list(map(len, ws))
-        converged[below] = [c for _, _, c in rows]
-        error = np.multiply.outer(bound, tail)
-        if len(below) < len(xs):
-            at_one = [j for j, x in enumerate(xs) if x == 1.0]
-            values[:, at_one] = np.array([float(f(1.0)) for f in fs])[:, None]
-            error[:, at_one] = 0.0
-        return GridValues(values, tail, terms, converged, bound, heuristic, error)
-
-    return _first_failure(run, [float(x) for x in grid])
+    [res] = evaluate_sweep_values([params], fs, grid, policy)
+    if res.failure is not None:
+        raise res.failure[1]
+    return res
 
 
 def _prefix_sums(
     params: PQParams, grid: Sequence[float], tail_tol: float, max_terms: int
 ) -> list[float]:
-    """Sum of the truncated weights at every x of a grid, in grid order."""
+    """Sum of the truncated weights at every x of a grid, in grid order; the
+    first failing x raises."""
+    xs = np.array([float(x) for x in grid], dtype=float)
+    inside = (xs >= 0.0) & (xs < 1.0)
     plan = _Plan(params)
-
-    def run(xs: list[float]) -> list[float]:
-        if not all(0.0 <= x < 1.0 for x in xs):
-            raise ValueError("x must lie in [0, 1)")
-        rows = _weight_rows(plan, np.array(xs, dtype=float), tail_tol, max_terms)
-        return [float(np.sum(w)) for w, _, _ in rows]
-
-    return _first_failure(run, [float(x) for x in grid])
+    w0 = np.full(len(xs), math.nan)
+    w0[inside] = plan.leading_weights(xs[inside])
+    bad = np.flatnonzero(np.isnan(w0))
+    if bad.size:
+        raise ValueError(_UNDERFLOW if inside[bad[0]] else "x must lie in [0, 1)")
+    chunks = _weight_chunks([(None, plan, xs, w0)], tail_tol, max_terms)
+    return [float(np.sum(w)) for _, _, ws, _ in chunks for w in ws]
 
 
 def normalization_partial_sums(

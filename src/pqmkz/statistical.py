@@ -18,7 +18,7 @@ from .engine import (
     Function,
     PQParams,
     TruncationPolicy,
-    evaluate_grid_values,
+    evaluate_sweep_values,
 )
 from .moments import delta_n_sq
 from .pqcore import PQPair, pq_int
@@ -148,24 +148,37 @@ def st_korovkin_check(
     errors: dict[str, dict[int, float]] = {lab: {} for lab in labels}
     excluded: set[int] = set(range(1, scheme.n_min))
 
+    def fatal(res) -> bool:
+        # an x failed; the scan over x stops at the first x that does not
+        # converge, so the failure counts only if no such x precedes it
+        if res.failure is None:
+            return False
+        j, exc = res.failure
+        return not isinstance(exc, ValueError) or res.converged[:j].all()
+
+    # every n in one engine call, which ends at the first fatal failure; a
+    # scheme that fails at some n fails the sweep there, after the n before it
+    params_seq, late = [], None
     for n in range(scheme.n_min, max(Ns) + 1):
-        params = scheme.params(n)
         try:
-            res = evaluate_grid_values(params, gs, xs, policy)
-        except ValueError as exc:
-            # an x failed; the scan over x stops at the first x that does not
-            # converge, so the failure counts only if no such x precedes it
-            if all(done.converged.all() for done in exc.done):
-                raise
-            excluded.add(n)
-            continue
+            params_seq.append(scheme.params(n))
+        except Exception as exc:
+            late = exc
+            break
+    for params, res in zip(params_seq, evaluate_sweep_values(
+            params_seq, gs, xs, policy, stop=fatal)):
+        if fatal(res):
+            raise res.failure[1]
         if not res.converged.all():
-            excluded.add(n)
+            # a failure that is not fatal follows a non-converged x
+            excluded.add(params.n)
             continue
         # fmax from 0, like a running max(), passes over nan
         worst = np.fmax.reduce(np.abs(res.values - g_at), axis=1, initial=0.0)
         for lab, e in zip(labels, worst.tolist()):
-            errors[lab][n] = e
+            errors[lab][params.n] = e
+    if late is not None:
+        raise late
 
     reports = {}
     for lab in labels:

@@ -214,11 +214,37 @@ class TestOverflowAndNonFinite:
             bound_report(Q_CASE, f, [0.0, 0.5, 1.0], resolution=257)
 
     def test_bound_report_rejects_infinite_omega2(self):
-        # 2 f overflows, as the per-step product did, so the second modulus
-        # is inf while thm33_bound is 0
-        f = Function(lambda x: np.full_like(x, 1e308), sup_hint=1e308)
-        with pytest.raises(ValueError, match="omega2_sup is inf"):
+        # lattice values of alternating sign near 1.7e308: the second
+        # differences, about 6.8e308, overflow even with f halved; a second
+        # difference at a step within the decay width is at most twice the
+        # modulus, so the report meets the overflow at thm33_bound first
+        f = Function(lambda x: np.where(np.arange(len(x)) % 2, -1.7e308, 1.7e308),
+                     sup_hint=1.7e308)
+        assert second_modulus(f, 0.1, 257) == math.inf
+        with pytest.raises(ValueError, match="is inf: the moduli of f overflow"):
             bound_report(Q_CASE, f, [0.25, 0.5], resolution=257)
+
+    def test_huge_constant_has_second_modulus_zero(self):
+        # 2 f overflows, but every second difference is 0: the sums run on
+        # f/2 and f
+        f = Function(lambda x: np.full_like(x, 1e308), sup_hint=1e308)
+        assert second_modulus(f, 0.1, 257) == 0.0
+        report = bound_report(Q_CASE, f, [0.25, 0.5], resolution=257)
+        assert report.omega2_sup == 0.0 and report.thm33_bound == 0.0
+
+    @pytest.mark.parametrize("spec", ["1.5e308*sin(3*x)", "1e308*x^2", "1.7e308*x"])
+    def test_second_modulus_of_f_with_2f_overflowing_is_twice_that_of_half(
+            self, spec):
+        # on f/2 the sums run as for any f; on f they run on the same f/2
+        # and f, then double: bit for bit twice the result of f/2
+        f = resolve_function(spec)
+        half = Function(lambda x: 0.5 * f.values(x))
+        for step, resolution in ((0.1, 257), (0.37, 1025), (0.5, 129)):
+            with np.errstate(over="ignore"):
+                twice = 2.0 * f.values(np.linspace(0.0, 1.0, resolution))
+            assert not np.isfinite(twice).all()
+            assert second_modulus(f, step, resolution) == 2.0 * second_modulus(
+                half, step, resolution)
 
 
 class TestModulus:

@@ -118,6 +118,42 @@ class TestSupBound:
         row = dict(line.split("=") for line in out.splitlines())
         assert float(row["error_bound"]) == float(row["tail_mass"]) * 0.5
 
+    def test_bounds_sup_bound_replaces_the_preset_bound(self, capsys):
+        # as in eval: f's own bound, in the csv rows and in the JSON report
+        common = ["bounds", "--n", "3", "--p", "0.95", "--q", "0.9", "--fn", "one",
+                  "--grid", "5:0:0.9", "--sup-bound", "0.5"]
+        code, out, _ = run(capsys, *common, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 5
+        tails = [float(row["tail_mass"]) for row in rows]
+        assert [float(row["error_bound"]) for row in rows] == [t * 0.5 for t in tails]
+        code, out, _ = run(capsys, *common)
+        assert code == 0
+        assert json.loads(out)["max_truncation_bound"] == max(t * 0.5 for t in tails)
+
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_bounds_rejects_sup_bound_as_eval_does(self, capsys, bad):
+        common = ["--n", "3", "--p", "0.95", "--q", "0.9", "--fn", "one",
+                  "--grid", "3:0:0.9", "--sup-bound", bad]
+        results = [run(capsys, command, *common) for command in ("eval", "bounds")]
+        assert results[0] == results[1]
+        code, out, err = results[1]
+        assert code == 2 and out == ""
+        assert err.startswith("error: sup_hint must be finite and >= 0, got ")
+        assert len(err.splitlines()) == 1
+
+    def test_bounds_huge_constant_with_sup_bound(self, capsys):
+        # 2 f overflows on the modulus lattice, yet its second differences
+        # are 0
+        code, out, err = run(
+            capsys, "bounds", "--n", "3", "--p", "0.95", "--q", "0.9",
+            "--fn", "1e308", "--sup-bound", "1e308", "--grid", "5:0:1",
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["omega2_sup"] == 0.0 and report["thm33_bound"] == 0.0
+
     def test_parsed_function_is_freed_after_main(self, capsys, monkeypatch):
         # the heuristic sup bound is stored on f, so nothing keeps f alive
         refs = []

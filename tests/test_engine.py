@@ -15,9 +15,10 @@ from pqmkz.engine import (
     TruncationPolicy,
     _UNDERFLOW,
     _Plan,
-    _weight_rows,
+    _weight_chunks,
     evaluate,
     evaluate_grid_values,
+    evaluate_sweep_values,
     evaluate_many,
     node,
     normalization_defect,
@@ -33,6 +34,21 @@ from qmkz_reference import q_mkz
 
 PARAMS = PQParams(3, PQPair(0.95, 0.9))
 CLASSICAL3 = PQParams(3, PQPair.classical())
+
+
+def kernel_rows(cases, tail_tol, max_terms):
+    """(weights, tail, flag) of each row of one _weight_chunks call over
+    cases, a list of (plan, xs) whose leading weights do not underflow."""
+    segments = []
+    for plan, xs in cases:
+        xs = np.asarray(xs, dtype=float)
+        segments.append((None, plan, xs, plan.leading_weights(xs)))
+    out = []
+    for _, _, ws, total in _weight_chunks(segments, tail_tol, max_terms):
+        for w, t in zip(ws, total.tolist()):
+            tail = max(0.0, 1.0 - t)
+            out.append((w, tail, tail <= tail_tol))
+    return out
 
 
 def test_package_exports_every_engine_name():
@@ -94,7 +110,7 @@ class TestNode:
 
     def test_matches_kernel_nodes(self):
         plan = _Plan(PARAMS)
-        [(w, _, _)] = _weight_rows(plan, np.array([0.5]), 0.0, 300)
+        [(w, _, _)] = kernel_rows([(plan, [0.5])], 0.0, 300)
         nodes = plan.nodes[: len(w)]
         for k in range(300):
             assert nodes[k] == node(PARAMS, k)
@@ -130,7 +146,7 @@ class TestWeightStream:
 
     @staticmethod
     def kernel(x, count):
-        [(w, _, _)] = _weight_rows(_Plan(PARAMS), np.array([x]), 0.0, count)
+        [(w, _, _)] = kernel_rows([(_Plan(PARAMS), [x])], 0.0, count)
         assert len(w) == count
         return w
 
@@ -371,25 +387,48 @@ def assert_outcomes_are_columns(params, fs, grid, policy, cols):
 class TestRowKernelEqualsPerX:
     """The row kernel and its grid path against the per-x reference copy."""
 
+    @staticmethod
+    def assert_rows_are_ref(plans_xs, tol, k_max):
+        """One kernel call over (plan, xs) pairs: the x whose leading weight
+        underflows are those the reference refuses, and every other x's
+        weights, tail, flag and nodes are the reference's bit for bit."""
+        cases, refs = [], []
+        for plan, xs in plans_xs:
+            w0 = plan.leading_weights(np.asarray(xs, dtype=float))
+            ok = []
+            for x, v in zip(xs, w0.tolist()):
+                [ref] = ref_rows(plan.params, [float(x)], tol, k_max) or [None]
+                assert math.isnan(v) == (ref is None)
+                if ref is not None:
+                    ok.append(float(x))
+                    refs.append((plan, ref))
+            cases.append((plan, ok))
+        rows = kernel_rows(cases, tol, k_max)
+        assert len(rows) == len(refs)
+        for (w, tail, flag), (plan, (w_ref, nodes_ref, tail_ref, flag_ref)) in zip(
+            rows, refs
+        ):
+            assert w.tobytes() == w_ref.tobytes()
+            assert tail == tail_ref and flag == flag_ref
+            plan.grow(len(w))
+            assert plan.nodes[: len(w)].tobytes() == nodes_ref.tobytes()
+
     @pytest.mark.parametrize("degree", REF_DEGREES)
     def test_weights_tail_flag_bitwise(self, degree):
         for params, tol, k_max, xs in ref_cases(degree):
-            plan = _Plan(params)
-            ref = ref_rows(params, [float(x) for x in xs], tol, k_max)
-            if len(ref) < len(xs):
-                with pytest.raises(ValueError, match="underflows"):
-                    _weight_rows(plan, xs, tol, k_max)
-                rows = _weight_rows(plan, xs[: len(ref)], tol, k_max)
-            else:
-                rows = _weight_rows(plan, xs, tol, k_max)
-            assert len(rows) == len(ref)
-            for (w, tail, flag), (w_ref, nodes_ref, tail_ref, flag_ref) in zip(
-                rows, ref
-            ):
-                assert w.tobytes() == w_ref.tobytes()
-                assert tail == tail_ref and flag == flag_ref
-                plan.grow(len(w))
-                assert plan.nodes[: len(w)].tobytes() == nodes_ref.tobytes()
+            self.assert_rows_are_ref([(_Plan(params), xs)], tol, k_max)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-8, 1e-12])
+    @pytest.mark.parametrize("k_max", REF_KMAX)
+    def test_rows_of_several_plans_in_one_call(self, tol, k_max):
+        # the cases of every degree with this tol and k_max, their plans'
+        # rows side by side in chunks of one kernel call
+        plans_xs = [(_Plan(params), xs)
+                    for degree in REF_DEGREES
+                    for params, t, k, xs in ref_cases(degree)
+                    if (t, k) == (tol, k_max)]
+        assert len(plans_xs) > 20
+        self.assert_rows_are_ref(plans_xs, tol, k_max)
 
     @pytest.mark.parametrize("degree", REF_DEGREES)
     def test_grid_values_bitwise(self, degree):
@@ -655,6 +694,154 @@ class TestFailureRule:
             want = _outcome(lambda: expected_sums(params, grid, 0.0, k))
             assert _outcome(lambda: normalization_partial_sums(params, grid, k)) == want
         assert errors >= 50 and late >= 10
+
+
+SWEEP_PARAMS = [PQParams(n, pq) for n in (1, 2, 5, 9, 30)
+                for pq in (PQPair(0.95, 0.9), PQPair(1.0, 0.9), PQPair.classical())]
+GRID_COLUMNS = [field.name for field in dataclasses.fields(engine.GridValues)
+                if field.name != "failure"]
+
+
+def assert_same_columns(got, want):
+    for name in GRID_COLUMNS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def alone_status(params, fs, x, policy):
+    """The status of x from the per-x reference: its error, or its flag."""
+    out = _outcome(lambda: expected_grid(params, fs, [x], policy))
+    if not isinstance(out, tuple):
+        return "ok" if out[0][0][3] else "k_max"
+    if not 0.0 <= x <= 1.0:
+        return "range"
+    return "underflow" if out == (ValueError, _UNDERFLOW) else "f_error"
+
+
+class TestSweep:
+    """evaluate_sweep_values: every plan's rows in one kernel call."""
+
+    @pytest.mark.parametrize("rows", [7, 64, None])
+    def test_elements_are_grid_values_bitwise(self, monkeypatch, rows):
+        # p < 1, p = 1 and the classical pair at five degrees; the kernel
+        # rows of the default chunk size fill more than two chunks, and
+        # small chunks split plans across chunks
+        if rows is not None:
+            monkeypatch.setattr(engine, "_ROWS", rows)
+        fs = [ONE, PAPER_CUBIC, resolve_function("sin(40*x)*exp(0-x)")]
+        grid = np.linspace(0.0, 0.999, 101).tolist() + [1.0]
+        grid[50] = 1.0
+        below = sum(x < 1.0 for x in grid)
+        assert len(SWEEP_PARAMS) * below > 2 * engine._ROWS
+        policy = TruncationPolicy(1e-10, 3000)
+        sweep = evaluate_sweep_values(SWEEP_PARAMS, fs, grid, policy)
+        assert len(sweep) == len(SWEEP_PARAMS)
+        statuses = set()
+        for params, got in zip(SWEEP_PARAMS, sweep):
+            assert got.failure is None
+            assert_same_columns(got, evaluate_grid_values(params, fs, grid, policy))
+            statuses.update(got.status.tolist())
+        assert statuses == {"ok", "k_max"}
+
+    def test_empty_sequence_and_grid(self):
+        assert evaluate_sweep_values([], [ONE], [0.5]) == []
+        with pytest.raises(ValueError, match="grid must be nonempty"):
+            evaluate_sweep_values(SWEEP_PARAMS, [ONE], [])
+
+    @pytest.mark.parametrize("rows", [5, None])
+    def test_failures_are_data(self, monkeypatch, rows):
+        # each element is evaluate_grid_values of its params: the same
+        # columns, or, as its failure, the same error at the index of the
+        # first x that fails alone; every x's status is that of x alone
+        if rows is not None:
+            monkeypatch.setattr(engine, "_ROWS", rows)
+        failures = 0
+        seen = set()
+        for i, (params, fs, policy, grid) in enumerate(failure_cases(24)):
+            seq = [params, PARAMS, DEEP, CLASSICAL3]
+            sweep = evaluate_sweep_values(seq, fs, grid, policy)
+            for p, got in zip(seq, sweep):
+                seen.update(got.status.tolist())
+                want = _outcome(lambda: evaluate_grid_values(p, fs, grid, policy))
+                if not isinstance(want, tuple):
+                    assert got.failure is None
+                    assert_same_columns(got, want)
+                    continue
+                failures += 1
+                j, exc = got.failure
+                assert (type(exc), str(exc)) == want
+                valued = [s in ("ok", "k_max") for s in got.status.tolist()]
+                assert j == valued.index(False)
+                assert np.isnan(got.values[:, j]).all()
+            if i % 4 == 0:
+                want = [alone_status(params, fs, x, policy) for x in grid]
+                assert sweep[0].status.tolist() == want
+        assert failures >= 30
+        assert seen == {"ok", "k_max", "underflow", "f_error", "range"}
+
+    @pytest.mark.parametrize("rows", [7, None])
+    def test_stop_ends_the_sweep_with_that_element(self, monkeypatch, rows):
+        # stop sees the elements in order, each once its rows are done; the
+        # list ends with the first it accepts and is that prefix of the full
+        # sweep.  21 rows per plan fill 3 chunks of 7 exactly, so no plan
+        # past the 4th starts; one default chunk holds every plan
+        if rows is not None:
+            monkeypatch.setattr(engine, "_ROWS", rows)
+        fs = [ONE, PAPER_CUBIC]
+        grid = np.linspace(0.0, 0.99, 21).tolist()
+        policy = TruncationPolicy(1e-10, 3000)
+        full = evaluate_sweep_values(SWEEP_PARAMS, fs, grid, policy)
+        started = []
+        plan_init = engine._Plan.__init__
+
+        def recorded(plan, params):
+            started.append(params)
+            plan_init(plan, params)
+
+        monkeypatch.setattr(engine._Plan, "__init__", recorded)
+        seen = []
+        part = evaluate_sweep_values(
+            SWEEP_PARAMS, fs, grid, policy,
+            stop=lambda res: seen.append(res) or len(seen) == 4)
+        assert len(part) == 4 and seen == part
+        for got, want in zip(part, full):
+            assert_same_columns(got, want)
+        assert started == SWEEP_PARAMS[: 4 if rows else len(SWEEP_PARAMS)]
+
+    @pytest.mark.parametrize("k", [1, 2, 255, 256, 257, 300])
+    def test_a_row_fails_once_it_holds_the_first_failing_node(self, k):
+        # f fails at node k and past it; nodes increase, so a row of k + 1
+        # terms holds node k and a row of k terms does not
+        edge = node(PARAMS, k)
+
+        def values(ts):
+            if np.any(ts >= edge):
+                raise ArithmeticError(f"past node {k}")
+            return np.ones_like(ts)
+
+        f = Function(values, "edge", 1.0)
+        grid = [0.0, 0.99, 0.995]
+        for k_max, status in ((k, "k_max"), (k + 1, "f_error")):
+            policy = TruncationPolicy(1e-12, k_max)
+            [res] = evaluate_sweep_values([PARAMS, CLASSICAL3], [ONE, f], grid,
+                                          policy)[:1]
+            assert res.status.tolist() == ["ok", status, status]
+            assert res.terms_used.tolist() == [1, k_max, k_max]
+        assert res.failure[0] == 1
+        with pytest.raises(ArithmeticError, match=f"past node {k}$"):
+            evaluate_grid_values(PARAMS, [ONE, f], grid, policy)
+
+    def test_underflow_after_a_nonconverged_x(self):
+        # n = 380: x index 26 does not converge within k_max, x index 32
+        # underflows; the plan's failure is index 32
+        params = PQParams(380, PQPair(1.0, 0.999))
+        policy = TruncationPolicy(1e-8, 1000)
+        grid = np.linspace(0.0, 0.96, 33)
+        [res] = evaluate_sweep_values([params], [ONE], grid, policy)
+        j, exc = res.failure
+        assert j == 32 and str(exc) == _UNDERFLOW
+        assert res.status[26] == "k_max" and res.status[32] == "underflow"
+        assert not res.converged[:j].all()
+        assert res.error_bound[0, 32] != res.error_bound[0, 32]
 
 
 class TestQMKZReduction:

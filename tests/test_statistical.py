@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from pqmkz import engine
-from pqmkz.engine import Function, TruncationPolicy, evaluate_grid_values
+from pqmkz import engine, statistical
+from pqmkz.cli import resolve_function
+from pqmkz.engine import (
+    Function,
+    SupBoundError,
+    TruncationPolicy,
+    evaluate_grid_values,
+    evaluate_sweep_values,
+)
+from pqmkz.expressions import EvalError
 from pqmkz.expressions import parse_function
-from pqmkz.presets import IDENTITY, ONE, PAPER_CUBIC
+from pqmkz.presets import IDENTITY, ONE, PAPER_CUBIC, SQUARE
 from pqmkz.statistical import (
     DensityReport,
     SequenceScheme,
@@ -136,28 +144,107 @@ class TestKorovkinCheck:
         reports = st_korovkin_check(scheme, ONE, 0.5, [380], policy=policy)
         assert reports["1"].excluded_counts == [380]
 
-    def test_failing_n_runs_each_x_alone_at_most_once(self, monkeypatch):
+    def test_underflow_after_converged_rows_raises(self):
+        # the paper scheme's first leading weight to underflow is at n = 420,
+        # after every x before it converged: the sweep raises it
+        with pytest.raises(ValueError, match="underflows"):
+            st_korovkin_check(scheme_paper(), PAPER_CUBIC, 0.2, [420])
+
+    def test_f_error_first_at_a_later_n_raises_it(self):
+        # f is not defined on (0.3001, 0.3007), which the stat grid and the
+        # 1025-point sup grid miss; the nodes of n = 16 are the first to
+        # reach it, from the second x on, after a converged x
+        f = resolve_function("sqrt(abs(x-0.3004)-0.0003)")
+        scheme = scheme_paper()
+        policy = TruncationPolicy(1e-8, 5000)
+        grid = default_stat_grid()
+        assert st_korovkin_check(scheme, f, 0.2, [15])["1"].excluded_counts == [1]
+        [res] = evaluate_sweep_values(
+            [scheme.params(16)], [ONE, IDENTITY, SQUARE, f], grid, policy)
+        assert res.failure[0] == 1 and res.status.tolist()[:2] == ["ok", "f_error"]
+        message = "invalid value encountered in sqrt"
+        with pytest.raises(EvalError, match=message):
+            evaluate_grid_values(scheme.params(16), [f], grid, policy)
+        with pytest.raises(EvalError, match=message):
+            st_korovkin_check(scheme, f, 0.2, [20])
+
+    def test_fatal_failure_ends_the_sweep(self, monkeypatch):
+        # f first fails at n = 16 (above); a sweep to n = 400 ends with the
+        # chunk of rows that holds n = 16, so no plan past that chunk starts
+        started = []
+        plan_init = engine._Plan.__init__
+
+        def recorded(plan, params):
+            started.append(params.n)
+            plan_init(plan, params)
+
+        monkeypatch.setattr(engine._Plan, "__init__", recorded)
+        f = resolve_function("sqrt(abs(x-0.3004)-0.0003)")
+        with pytest.raises(EvalError, match="invalid value encountered in sqrt"):
+            st_korovkin_check(scheme_paper(), f, 0.2, [400])
+        assert started == list(range(2, 2 + len(started)))
+        assert 16 <= max(started) <= 16 + engine._ROWS // 33
+
+    def test_scheme_failure_is_raised_after_the_n_before_it(self):
+        # q_n reaches p_n at n = 50: the sweep raises the scheme's error,
+        # unless an n before it raises first (f fails from n = 16 on)
+        paper = scheme_paper()
+
+        def rule(n):
+            return paper.rule(n) if n < 50 else (0.9, 0.95)
+
+        scheme = SequenceScheme("late", rule, n_min=2)
+        with pytest.raises(ValueError, match="violates 0 < q < p <= 1 at n=50"):
+            st_korovkin_check(scheme, ONE, 0.2, [60])
+        f = resolve_function("sqrt(abs(x-0.3004)-0.0003)")
+        with pytest.raises(EvalError, match="invalid value encountered in sqrt"):
+            st_korovkin_check(scheme, f, 0.2, [60])
+
+    def test_sup_bound_error_of_a_parsed_f_raises(self):
+        f = resolve_function("1.7976931348623157e308")
+        with pytest.raises(SupBoundError, match="heuristic sup bound"):
+            st_korovkin_check(scheme_paper(), f, 0.2, [5])
+
+    def test_sweep_is_one_engine_call(self, monkeypatch):
         # at n = 373..380 the x at index 26 does not converge and the x at
-        # index 32 underflows: one grid run, then x alone up to index 32;
-        # most smaller n do not converge either, but raise nothing
+        # index 32 underflows; most smaller n do not converge either, but
+        # raise nothing.  The whole sweep is one engine call and one kernel
+        # call, no x runs alone, and each plan's leading weights are
+        # computed once, for every x of the grid together
         calls = []
-        kernel = engine._weight_rows
 
-        def counted(*args):
-            calls.append(len(args[1]))
-            return kernel(*args)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(engine, "_weight_rows", counted)
+        leading = []
+        plan_w0 = engine._Plan.leading_weights
+
+        def recorded(plan, xs):
+            leading.append(len(xs))
+            return plan_w0(plan, xs)
+
+        monkeypatch.setattr(statistical, "evaluate_sweep_values", counted(
+            "sweep", statistical.evaluate_sweep_values))
+        monkeypatch.setattr(engine, "_weight_chunks", counted(
+            "kernel", engine._weight_chunks))
+        monkeypatch.setattr(engine, "evaluate_grid_values", counted(
+            "grid", engine.evaluate_grid_values))
+        monkeypatch.setattr(engine._Plan, "leading_weights", recorded)
         policy = TruncationPolicy(1e-8, 1000)
         reports = st_korovkin_check(
             scheme_constant(1.0, 0.999), ONE, 0.2, [380], policy=policy)
         assert reports["1"].excluded_counts == [367]
-        assert len(calls) == 372 + 8 * (1 + 33)
-        assert calls.count(33) == 380
+        assert calls == ["sweep", "kernel"]
+        assert leading == [33] * 380
 
     def test_parsed_f_heuristic_sup_computed_once(self):
-        # the sweep asks for f's sup bound at every n; the 1025-point
-        # heuristic (the only call whose points end at x = 1) runs once
+        # each sweep evaluates f once on the grid and once per chunk of
+        # rows (n = 2..40, 33 x each), and asks for its sup bound; the
+        # 1025-point heuristic (the only call whose points end at x = 1)
+        # runs once over two sweeps
         expr = parse_function("sin(3*x)")
         calls = []
 
@@ -166,8 +253,11 @@ class TestKorovkinCheck:
             return expr.evaluate_array(ts)
 
         f = Function(values, "sin(3*x)")
+        chunks = -(-39 * 33 // engine._ROWS)
         st_korovkin_check(scheme_paper(), f, 0.2, [40])
-        assert len(calls) > 40 and calls.count(True) == 1
+        assert calls.count(False) == 1 + chunks and calls.count(True) == 1
+        st_korovkin_check(scheme_paper(), f, 0.2, [40])
+        assert calls.count(False) == 2 + 2 * chunks and calls.count(True) == 1
         bound, heuristic = f.sup_bound()
         xs = np.linspace(0.0, 1.0, 1025)
         assert heuristic and bound == 2.0 * np.max(np.abs(np.sin(3 * xs)))

@@ -66,7 +66,7 @@ EDGE = [
     ["stat", "--scheme", "constant:1:0.999", "--kmax", "1000", "--Ns", "380",
      "--fn", "one"],
     ["figure", "--id", "1", "--out", "fig"],
-    # the first x to underflow is index 68, in the second chunk of 64 rows
+    # the first x to underflow is index 68, past the first 64 rows
     ["identity", *_DEEP, "--grid", "70:0:0.9"],
     ["eval", *_DEEP, "--fn", "one", "--grid", "70:0:0.9"],
     ["figure", "--id", "1", *_DEEP, "--out", "fig"],
@@ -121,6 +121,19 @@ EDGE = [
     ["moments", *_SMALL, "--grid", "3:0:0.99", "--kmax", "2"],
     ["moments", *_DEEP, "--grid", "4:0:0.99"],
     ["moments", *_SMALL, "--grid", "1"],
+    # a sweep that underflows at n = 420 after every x before it converged,
+    # and one whose f first fails at n = 16, past the scheme's first n
+    ["stat", "--scheme", "paper", "--Ns", "420"],
+    ["stat", "--scheme", "paper", "--fn", "sqrt(abs(x-0.3004)-0.0003)", "--Ns", "20"],
+    # a scheme that breaks 0 < q < p at n = 50, after the n before it
+    ["stat", "--scheme", "expr:1;0.5+0.01*n", "--Ns", "60"],
+    # bounds --sup-bound: f's own bound in the report and in the rows, an
+    # invalid one, and a huge constant whose 2 f overflows on the lattice
+    ["bounds", *_SMALL, "--fn", "one", "--grid", "5:0:0.9", "--sup-bound", "0.5"],
+    ["bounds", *_SMALL, "--fn", "one", "--grid", "5:0:0.9", "--sup-bound", "0.5",
+     "--format", "csv"],
+    ["bounds", *_SMALL, "--fn", "one", "--grid", "5:0:0.9", "--sup-bound", "-1"],
+    ["bounds", *_SMALL, "--fn", "1e308", "--sup-bound", "1e308", "--grid", "5:0:1"],
 ]
 
 
