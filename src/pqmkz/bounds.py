@@ -124,6 +124,11 @@ def modulus(f: Function, delta: float, resolution: int) -> float:
     return best
 
 
+def _up(x: float) -> float:
+    """The double after x: at least the real value that rounded to x."""
+    return math.nextafter(x, math.inf)
+
+
 def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
     """Second-order modulus: grid sup of |f(x+2h) - 2f(x+h) + f(x)|.
 
@@ -132,31 +137,43 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
     Where 2 f overflows on the lattice, the sums run on f/2 and f and are
     doubled at the end, which halving by a power of two makes exact in the
     normal range.  A difference too large for a double gives inf.
+
+    The off-lattice step h = step_bound runs first and seeds the max.  The
+    lattice steps d = 1..dmax then run in groups from the largest d down,
+    and the walk stops at the first group whose largest step d has a bound
+    B(d) <= max, so the steps it skips cannot raise the max.
+
+    Proof.  Let g and m be the lattice values the sums run on (g = f and
+    m = 2 f, or g = f/2 and m = f), and r = m - 2 g: r = 0, or |r| <= rho,
+    the smallest subnormal, where f/2 is rounded.  Step d computes
+    c = fl(fl(a - b) + g(x)) with a = g(x + 2d) and b = m(x + d), and its
+    exact value is e = D2_d g(x) - r(x + d).  Since
+    D2_d g(x) = sum_{i,j<d} D2_1 g(x + i + j) = D_d g(x + d) - D_d g(x),
+    |D2_d g| <= min(d^2 M, 2 d L), with M = max |D2_1 g| and L = max |D_1 g|.
+    A computed difference w = fl(z) has |z - w| <= u |w|, u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, (2.5)).  With
+    l = fl(D_1 g) and k = fl(D_1 l), that gives L <= (1 + u) max |l| and
+    M <= (1 + u) max |k| + 2u max |l|.  With S the larger of max g - min m
+    and max m - min g, |a - b| <= S; if fl(S) is finite, fl(a - b) does not
+    overflow and equals (a - b)(1 + t), |t| <= u, so
+        |fl(a - b) + g(x)| <= |e| + u S <= min(d^2 M, 2 d L) + rho + u S.
+    That is B(d).  It grows with d, and rounding is monotone, so
+    B(d) <= max gives |c| <= max at every step up to d.  Each operation
+    that evaluates B is rounded up by one ulp (_up), so the float B is at
+    least the real one.  An overflow makes B inf, and an inf first
+    difference makes it inf or nan; neither ever stops the walk.
     """
     if not (0.0 < step_bound <= 0.5):
         raise ValueError("step bound must lie in (0, 1/2]")
     xs, fv, dmax = _lattice(f, step_bound, resolution)
     n = len(fv)
-    best = 0.0
-    rows = np.empty((_STEPS_PER_PASS, n))
     with np.errstate(over="ignore"):
         # exact: doubling changes only the exponent; where it overflows, the
         # sums run on f/2 and f, and halving is exact in the normal range
-        outer, middle, scale = fv, 2.0 * fv, 1.0
+        outer, middle, scale, rho = fv, 2.0 * fv, 1.0, 0.0
         if not np.isfinite(middle).all():
-            outer, middle, scale = 0.5 * fv, fv, 2.0
-        for first in range(1, dmax + 1, _STEPS_PER_PASS):
-            steps = range(first, min(first + _STEPS_PER_PASS, dmax + 1))
-            width = n - 2 * first
-            for row, d in zip(rows, steps):
-                # f(x+2h) - 2 f(x+h) + f(x) in that order; a 0 past the
-                # row's end leaves best, which starts at 0, unchanged
-                m = n - 2 * d
-                np.subtract(outer[2 * d:], middle[d:-d], out=row[:m])
-                np.add(row[:m], outer[: -2 * d], out=row[:m])
-                row[m:width] = 0.0
-            group = rows[: len(steps), :width]
-            best = max(best, float(group.max()), -float(group.min()))
+            outer, middle, scale, rho = 0.5 * fv, fv, 2.0, 2.0**-1074
+    best = 0.0
     mask = xs + 2.0 * step_bound <= 1.0 + 1e-12
     if np.any(mask):
         x0 = xs[mask]
@@ -168,6 +185,36 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
         with np.errstate(over="ignore"):
             d2 = inv * f2 - (2.0 * inv) * f1 + outer[mask]
             best = max(best, float(np.max(np.abs(d2))))
+    # B(d) = min(d^2 curv, d slope) + slack with curv >= M, slope >= 2 L and
+    # slack >= rho + u S, each rounded up; 1 + 2u is a double above 1 + u
+    u = 2.0**-53
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = np.diff(outer)
+        l_max = float(np.max(np.abs(unit), initial=0.0))
+        k_max = float(np.max(np.abs(np.diff(unit)), initial=0.0))
+    spread = _up(max(float(outer.max()) - float(middle.min()),
+                     float(middle.max()) - float(outer.min())))
+    curv = _up(_up(k_max * (1.0 + 2.0 * u)) + _up(2.0 * u * l_max))
+    slope = _up(2.0 * _up(l_max * (1.0 + 2.0 * u)))
+    slack = _up(_up(u * spread) + rho)
+    rows = np.empty((_STEPS_PER_PASS, n))
+    with np.errstate(over="ignore"):
+        for first in reversed(range(1, dmax + 1, _STEPS_PER_PASS)):
+            steps = range(first, min(first + _STEPS_PER_PASS, dmax + 1))
+            top = steps[-1]
+            bound = _up(min(_up(_up(top * top) * curv), _up(top * slope)) + slack)
+            if math.isfinite(bound) and bound <= best:
+                break
+            width = n - 2 * first
+            for row, d in zip(rows, steps):
+                # f(x+2h) - 2 f(x+h) + f(x) in that order; a 0 past the
+                # row's end leaves best, which starts at 0, unchanged
+                m = n - 2 * d
+                np.subtract(outer[2 * d:], middle[d:-d], out=row[:m])
+                np.add(row[:m], outer[: -2 * d], out=row[:m])
+                row[m:width] = 0.0
+            group = rows[: len(steps), :width]
+            best = max(best, float(group.max()), -float(group.min()))
     return best * scale
 
 

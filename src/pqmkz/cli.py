@@ -204,10 +204,7 @@ def _cmd_eval(args) -> int:
         grid = _parse_grid(args.grid)
     else:
         raise ValueError("eval needs --x or --grid")
-    try:
-        columns, ok = _eval_columns(params, f, grid, policy)
-    except SupBoundError as exc:
-        raise ValueError(f"{exc}; give a finite one with --sup-bound") from exc
+    columns, ok = _eval_columns(params, f, grid, policy)
     if args.x is not None and args.out is None and args.format == "csv":
         for name, col in zip(EVAL_COLUMNS, columns):
             print(f"{name}={_fmt(col[0])}")
@@ -459,7 +456,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, ParseError, EvalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an f with no finite sup bound: name the option that gives one
+        hint = ""
+        if isinstance(exc, SupBoundError) and hasattr(args, "sup_bound"):
+            hint = "; give a finite one with --sup-bound"
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
 
 

@@ -130,17 +130,20 @@ class TestModulusLargeResolution:
         assert got == step_loop_moduli(f, deltas, resolution)
 
 
-def step_loop_second_moduli(f, step_bounds, resolution):
+def step_loop_second_moduli(f, step_bounds, resolution, halve=False):
     """The allocating per-step form of second_modulus at each step bound:
     max over d = 1..dmax of max |f(x+2dh) - 2 f(x+dh) + f(x)|, plus the
-    off-lattice step.  One pass over d keeps the running max after each d."""
+    off-lattice step.  One pass over d keeps the running max after each d.
+    With halve, the sums run on f/2 and f and the result is doubled, as
+    second_modulus runs them where 2 f overflows on the lattice."""
     xs = np.linspace(0.0, 1.0, resolution)
     fv = f.values(xs)
+    outer, middle, scale = (0.5 * fv, fv, 2.0) if halve else (fv, 2.0 * fv, 1.0)
     step = 1.0 / (resolution - 1)
     dmaxes = [int(math.floor(b / step + 1e-9)) for b in step_bounds]
     running = [0.0]
     for d in range(1, max(dmaxes) + 1):
-        diff = fv[2 * d:] - 2.0 * fv[d:-d] + fv[: -2 * d]
+        diff = outer[2 * d:] - middle[d:-d] + outer[: -2 * d]
         running.append(max(running[-1], float(np.max(np.abs(diff)))))
     out = []
     for bound, dmax in zip(step_bounds, dmaxes):
@@ -150,18 +153,32 @@ def step_loop_second_moduli(f, step_bounds, resolution):
             x0 = xs[mask]
             f1 = f.values(np.minimum(x0 + bound, 1.0))
             f2 = f.values(np.minimum(x0 + 2.0 * bound, 1.0))
-            best = max(best, float(np.max(np.abs(f2 - 2.0 * f1 + fv[mask]))))
-        out.append(best)
+            diff = f2 / scale - (2.0 / scale) * f1 + outer[mask]
+            best = max(best, float(np.max(np.abs(diff))))
+        out.append(best * scale)
     return out
 
 
+def reference_second_moduli(f, step_bounds, resolution):
+    """step_loop_second_moduli, on f/2 and f where 2 f overflows on the
+    lattice; a difference that overflows gives inf."""
+    with np.errstate(over="ignore"):
+        doubled = 2.0 * f.values(np.linspace(0.0, 1.0, resolution))
+        halve = not np.isfinite(doubled).all()
+        return step_loop_second_moduli(f, step_bounds, resolution, halve)
+
+
 class TestSecondModulusLargeResolution:
-    """The one-buffer second modulus equals the allocating loop bit for bit."""
+    """The pruned one-buffer second modulus equals the allocating loop over
+    every step bit for bit."""
 
     @pytest.mark.parametrize("resolution", [2, 3, 5, 1025, 4097, 16385])
     @pytest.mark.parametrize(
         "spec",
-        ["paper_cubic", "sin(40*x)*exp(0-x)", "abs(x-0.5)", "x^2", "1/(1+x)"],
+        ["paper_cubic", "sin(40*x)*exp(0-x)", "abs(x-0.5)", "x^2", "1/(1+x)",
+         # the max at small steps, so that almost no step is skipped; tiny
+         # and subnormal differences; 2 f overflowing, so the sums run on f/2
+         "sin(400*x)", "1e-300*x^2", "1.5e308*x^2"],
     )
     def test_equals_step_loop(self, spec, resolution):
         f = resolve_function(spec)
@@ -172,7 +189,90 @@ class TestSecondModulusLargeResolution:
                   0.05, 0.2, 0.5]
         bounds = [b for b in bounds if b <= 0.5]
         got = [second_modulus(f, b, resolution) for b in bounds]
-        assert got == step_loop_second_moduli(f, bounds, resolution)
+        assert got == reference_second_moduli(f, bounds, resolution)
+
+    def test_steps_are_skipped(self, monkeypatch):
+        # each lattice step forms its row with one np.subtract(..., out=row)
+        formed = []
+        subtract = np.subtract
+
+        def counting(*args, **kwargs):
+            if "out" in kwargs:
+                formed.append(args)
+            return subtract(*args, **kwargs)
+
+        monkeypatch.setattr(np, "subtract", counting)
+        # 3276 lattice steps: the largest second difference of x^2 is at the
+        # largest step, so a bound at the top cannot beat the max
+        assert second_modulus(SQUARE, 0.2, 16385) == step_loop_second_moduli(
+            SQUARE, [0.2], 16385)[0]
+        assert len(formed) <= 4
+        # sin(400 x) has its max near step 129: the steps above about 82
+        # could still raise it, so nearly every step is formed
+        formed.clear()
+        f = resolve_function("sin(400*x)")
+        assert second_modulus(f, 0.2, 16385) == step_loop_second_moduli(
+            f, [0.2], 16385)[0]
+        assert len(formed) > 3000
+
+
+_MAX = float(np.finfo(float).max)
+# lattice values: one of the shapes times a magnitude (1.0 in a quarter of
+# the cases), then runs and spikes of values relative to it, of _SPECIAL
+# values, or of any finite double
+_SHAPES = {
+    "square": lambda x: x * x,
+    "cubic": lambda x: x * (x - 0.5) * (x - 1.0),
+    "kink": lambda x: np.abs(x - 0.3),
+    "constant": np.ones_like,
+}
+_MAGNITUDES = [1.0, 1e-300, 1e-310, 5e-324, 1.0, 1e308, 1.5e308, _MAX]
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 9e307, 1.7e308,
+            -1.7e308, _MAX]
+
+
+@st.composite
+def lattice_cases(draw):
+    """(f, resolution, step bound), f the piecewise-linear interpolant of
+    drawn lattice values, clipped to the doubles so that it is finite
+    between lattice points too."""
+    # large resolutions often enough that many groups of steps are walked
+    resolution = draw(st.integers(2, 600) | st.integers(100, 600))
+    xs = np.linspace(0.0, 1.0, resolution)
+    shape = draw(st.sampled_from([*_SHAPES, "sine", "noise"]))
+    if shape == "noise":
+        unit = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=resolution,
+                                      max_size=resolution)))
+    elif shape == "sine":
+        unit = np.sin(draw(st.floats(0.5, 60.0)) * xs)
+    else:
+        unit = _SHAPES[shape](xs)
+    magnitude = draw(st.sampled_from(_MAGNITUDES)) * draw(st.sampled_from([1, -1]))
+    data = magnitude * unit
+    # constant runs, and spikes (runs of one); none in half the cases, so
+    # that smooth lattices, on which steps are skipped, stay common
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        start = draw(st.integers(0, resolution - 1))
+        length = draw(st.sampled_from([1, draw(st.integers(1, resolution))]))
+        data[start:start + length] = draw(
+            st.sampled_from([0.0, 0.5, -1.0]).map(lambda c: c * magnitude)
+            | st.sampled_from(_SPECIAL) | st.floats(-_MAX, _MAX))
+    step = 1.0 / (resolution - 1)
+    bound = draw(st.floats(0.0, 0.5, exclude_min=True)
+                 | st.integers(1, 300).map(lambda k: min(k * step, 0.5))
+                 | st.floats(1.0, 300.0).map(lambda t: min(t * step, 0.5)))
+    f = Function(lambda x: np.clip(np.interp(x, xs, data), -_MAX, _MAX))
+    return f, resolution, bound
+
+
+class TestSecondModulusProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_cases())
+    def test_equals_step_loop(self, case):
+        f, resolution, bound = case
+        got = second_modulus(f, bound, resolution)
+        want = reference_second_moduli(f, [bound], resolution)[0]
+        assert got.hex() == want.hex()
 
 
 _ENTRIES = st.one_of(

@@ -35,6 +35,7 @@ _BOUNDS = ["bounds", "--n", "3", "--p", "0.95", "--q", "0.9", "--grid", "5:0:0.9
            "--resolution", "257"]
 _DEEP = ["--n", "300", "--p", "1", "--q", "0.99999999"]
 _SMALL = ["--n", "3", "--p", "0.95", "--q", "0.9"]
+_FINE = ["bounds", "--n", "30", "--p", "0.97", "--q", "0.88", "--grid", "6:0:0.9"]
 
 EDGE = [
     _BOUNDS + ["--alpha", "2"],
@@ -134,6 +135,13 @@ EDGE = [
      "--format", "csv"],
     ["bounds", *_SMALL, "--fn", "one", "--grid", "5:0:0.9", "--sup-bound", "-1"],
     ["bounds", *_SMALL, "--fn", "1e308", "--sup-bound", "1e308", "--grid", "5:0:1"],
+    # the second modulus at the finest benchmark resolution: the benchmark's
+    # functions, one whose largest second difference is at small steps, and
+    # a kink off the lattice
+    *[_FINE + ["--fn", fn, "--resolution", "16385"]
+      for fn in ("paper_cubic", "sin(40*x)*exp(0-x)", "abs(x-0.5)", "x^2",
+                 "1/(1+x)", "sin(400*x)")],
+    _FINE + ["--fn", "abs(x-0.5)", "--resolution", "16384"],
 ]
 
 
