@@ -41,33 +41,36 @@ from .pqcore import PQPair
 from .presets import builtin
 
 FIGURE2_PAIRS = [(0.9, 0.85), (0.95, 0.9), (0.999, 0.995)]
-
-
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+# the truncation without --tol and --kmax, and the bounds and identity grid
+DEFAULT_POLICY = TruncationPolicy()
+DEFAULT_GRID = "101:0:0.99"
 
 
 def _csv_column(col) -> list[str]:
-    """The CSV fields of one column: "%.17g" (the text of format(v, ".17g"))
-    when every value is a float, else _fmt of each value."""
-    if all(isinstance(v, float) for v in col):
-        return list(map("%.17g".__mod__, col))
-    return list(map(_fmt, col))
+    """The CSV fields of one column, by its numpy dtype: floats as "%.17g"
+    (the text of format(v, ".17g")), bools as true/false, ints and str as
+    str."""
+    col = np.asarray(col)
+    kind = col.dtype.kind
+    if kind == "f":
+        return list(map("%.17g".__mod__, col.tolist()))
+    if kind == "b":
+        return np.where(col, "true", "false").tolist()
+    if kind in "iuU":
+        return list(map(str, col.tolist()))
+    raise TypeError(f"no CSV column of dtype {col.dtype}")
 
 
 def _json_column(col) -> list[str]:
-    """The JSON tokens of one column, as json.dumps(..., indent=2) writes
-    them.  Without str values, one C-encoder call: its float, int, bool and
-    None tokens are those of the indenting encoder and hold no comma."""
-    if any(isinstance(v, str) for v in col):
-        return list(map(json.dumps, col))
-    return json.dumps(col, separators=(",", ":"))[1:-1].split(",") if col else []
+    """The JSON tokens of one numeric or bool column, as json.dumps(...,
+    indent=2) writes them: one C-encoder call, whose float, int and bool
+    tokens are those of the indenting encoder and hold no comma."""
+    col = np.asarray(col)
+    if col.dtype.kind not in "fbiu":
+        raise TypeError(f"no JSON column of dtype {col.dtype}")
+    if not col.size:
+        return []
+    return json.dumps(col.tolist(), separators=(",", ":"))[1:-1].split(",")
 
 
 def _write_text(path, text: str) -> None:
@@ -118,7 +121,7 @@ def resolve_function(spec: str) -> Function:
     return Function(parse_function(spec).evaluate_array, spec)
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) == 1:
         count, lo, hi = int(parts[0]), 0.0, 1.0
@@ -130,14 +133,11 @@ def _parse_grid(spec: str) -> list[float]:
         raise ValueError("grid needs at least one point")
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError("grid range must satisfy 0 <= lo <= hi <= 1")
-    if count == 1:
-        return [lo]
-    return [float(v) for v in np.linspace(lo, hi, count)]
+    return np.linspace(lo, hi, count)
 
 
 def _params_from_args(args) -> PQParams:
-    pq = PQPair(args.p, args.q)
-    return PQParams(args.n, pq)
+    return PQParams(args.n, PQPair(args.p, args.q))
 
 
 def _policy_from_args(args) -> TruncationPolicy:
@@ -154,8 +154,10 @@ def _add_common(parser, with_function=True):
             default="paper_cubic",
             help="expression over x, or a preset name",
         )
-    parser.add_argument("--tol", type=float, default=1e-12, help="tail mass target")
-    parser.add_argument("--kmax", type=int, default=100_000, help="term cap")
+    parser.add_argument("--tol", type=float, default=DEFAULT_POLICY.tail_tol,
+                        help="tail mass target")
+    parser.add_argument("--kmax", type=int, default=DEFAULT_POLICY.k_max,
+                        help="term cap")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -177,10 +179,8 @@ def _eval_columns(params, f, grid, policy):
     res = evaluate_grid_values(params, [f], grid, policy)
     value = res.values[0]
     fx = f.values(np.array(grid, dtype=float))
-    # Python scalars, so that _fmt and json see floats, ints and bools
-    columns = [grid, value.tolist(), fx.tolist(), np.abs(value - fx).tolist(),
-               res.tail_mass.tolist(), res.terms_used.tolist(),
-               res.error_bound[0].tolist(), res.converged.tolist()]
+    columns = [grid, value, fx, np.abs(value - fx), res.tail_mass, res.terms_used,
+               res.error_bound[0], res.converged]
     return columns, bool(res.converged.all())
 
 
@@ -207,7 +207,7 @@ def _cmd_eval(args) -> int:
     columns, ok = _eval_columns(params, f, grid, policy)
     if args.x is not None and args.out is None and args.format == "csv":
         for name, col in zip(EVAL_COLUMNS, columns):
-            print(f"{name}={_fmt(col[0])}")
+            print(f"{name}={_csv_column(col)[0]}")
     else:
         _write_rows(args, "results", EVAL_COLUMNS, columns)
     return 0 if ok else 1
@@ -216,15 +216,11 @@ def _cmd_eval(args) -> int:
 def _cmd_moments(args) -> int:
     params = _params_from_args(args)
     policy = _policy_from_args(args)
-    grid = (
-        _parse_grid(args.grid)
-        if args.grid is not None
-        else moments_mod.default_moment_grid()
-    )
+    grid = (moments_mod.default_moment_grid() if args.grid is None
+            else _parse_grid(args.grid))
     table = moments_mod.lemma_bounds_report(params, grid, policy)
     header = moments_mod.MOMENT_CSV_COLUMNS
-    # Python floats, so that _fmt and json see floats
-    _write_rows(args, "rows", header, [getattr(table, c).tolist() for c in header])
+    _write_rows(args, "rows", header, [getattr(table, c) for c in header])
     return 0 if table.converged.all() else 1
 
 
@@ -236,9 +232,7 @@ def _cmd_bounds(args) -> int:
     params = _params_from_args(args)
     policy = _policy_from_args(args)
     f = _function_from_args(args)
-    grid = (
-        _parse_grid(args.grid) if args.grid is not None else _parse_grid("101:0:0.99")
-    )
+    grid = _parse_grid(args.grid)
     if args.format == "csv":
         columns, ok = _eval_columns(params, f, grid, policy)
         _write_csv(args.out, EVAL_COLUMNS, columns)
@@ -256,13 +250,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_identity(args) -> int:
     params = _params_from_args(args)
     policy = _policy_from_args(args)
-    grid = (
-        _parse_grid(args.grid) if args.grid is not None else _parse_grid("101:0:0.99")
-    )
-    defects = normalization_defects(params, grid, policy)
-    converged = [d <= policy.tail_tol for d in defects]
+    grid = _parse_grid(args.grid)
+    defects = np.array(normalization_defects(params, grid, policy))
+    converged = defects <= policy.tail_tol
     _write_rows(args, "rows", ["x", "defect", "converged"], [grid, defects, converged])
-    return 0 if all(converged) else 1
+    return 0 if converged.all() else 1
 
 
 def _write_figure_csv(path: Path, header: Sequence[str], columns) -> None:
@@ -278,13 +270,12 @@ def _figure1(args, outdir: Path) -> int:
     q = args.q if args.q is not None else 0.9
     params = PQParams(n, PQPair(p, q))
     grid = np.linspace(0.0, 0.99, 201)
-    s100 = normalization_partial_sums(params, grid, 101)
-    s500 = normalization_partial_sums(params, grid, 501)
+    s100 = np.array(normalization_partial_sums(params, grid, 101))
+    s500 = np.array(normalization_partial_sums(params, grid, 501))
     _write_figure_csv(
         outdir / "figure1.csv",
         ["x", "s_k100", "s_k500", "defect_k100", "defect_k500"],
-        [grid.tolist(), s100, s500,
-         [abs(1.0 - a) for a in s100], [abs(1.0 - b) for b in s500]],
+        [grid, s100, s500, np.abs(1.0 - s100), np.abs(1.0 - s500)],
     )
     return 0
 
@@ -292,9 +283,11 @@ def _figure1(args, outdir: Path) -> int:
 def _figure2(args, outdir: Path) -> int:
     n = args.n if args.n is not None else 10
     f = resolve_function(args.fn if args.fn is not None else "paper_cubic")
-    policy = TruncationPolicy(1e-12 if args.tol is None else args.tol,
-                              100_000 if args.kmax is None else args.kmax)
-    grid = [float(v) for v in np.linspace(0.0, 0.99, 201)]
+    policy = TruncationPolicy(
+        DEFAULT_POLICY.tail_tol if args.tol is None else args.tol,
+        DEFAULT_POLICY.k_max if args.kmax is None else args.kmax,
+    )
+    grid = np.linspace(0.0, 0.99, 201)
     header = ["x", "value", "f_x", "abs_error", "tail_mass", "converged"]
     summary = []
     status = 0
@@ -309,7 +302,7 @@ def _figure2(args, outdir: Path) -> int:
             header,
             [table[name] for name in header],
         )
-        summary.append([p, q, max(table["abs_error"])])
+        summary.append([p, q, float(table["abs_error"].max())])
     _write_figure_csv(outdir / "figure2_supgap.csv", ["p", "q", "sup_gap"],
                       list(zip(*summary)))
     return status
@@ -351,7 +344,7 @@ def _cmd_stat(args) -> int:
     scheme = _resolve_scheme(args.scheme)
     f = resolve_function(args.fn)
     Ns = [int(s) for s in args.Ns.split(",")]
-    policy = TruncationPolicy(tail_tol=args.tol, k_max=args.kmax)
+    policy = _policy_from_args(args)
     reports = stat_mod.st_korovkin_check(scheme, f, args.eps, Ns, policy=policy)
     if args.format == "csv":
         labels = [label for label, r in reports.items() for _ in r.Ns]
@@ -399,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="error bounds vs empirical error")
     _add_common(p_bounds)
-    p_bounds.add_argument("--grid", default=None, help="COUNT or COUNT:LO:HI")
+    p_bounds.add_argument("--grid", default=DEFAULT_GRID, help="COUNT or COUNT:LO:HI")
     p_bounds.add_argument("--resolution", type=int, default=1025)
     p_bounds.add_argument(
         "--alpha", type=float, default=None, help="Lipschitz exponent (default 1)"
@@ -410,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_id = sub.add_parser("identity", help="normalization defect over a grid")
     _add_common(p_id, with_function=False)
-    p_id.add_argument("--grid", default=None, help="COUNT or COUNT:LO:HI")
+    p_id.add_argument("--grid", default=DEFAULT_GRID, help="COUNT or COUNT:LO:HI")
     p_id.set_defaults(handler=_cmd_identity)
 
     p_fig = sub.add_parser("figure", help="emit plot-ready data files")
@@ -429,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stat.add_argument("--fn", default="paper_cubic")
     p_stat.add_argument("--eps", type=float, default=0.2)
     p_stat.add_argument("--Ns", default="50,100,200")
-    p_stat.add_argument("--tol", type=float, default=1e-8)
-    p_stat.add_argument("--kmax", type=int, default=5000)
+    p_stat.add_argument("--tol", type=float, default=stat_mod.STAT_POLICY.tail_tol)
+    p_stat.add_argument("--kmax", type=int, default=stat_mod.STAT_POLICY.k_max)
     p_stat.add_argument("--out", default=None)
     p_stat.add_argument("--format", choices=["csv", "json"], default="csv")
     p_stat.set_defaults(handler=_cmd_stat)

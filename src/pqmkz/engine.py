@@ -290,7 +290,8 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
     rows that share a block run as one 2-D array and still get the one-point
     arithmetic bit for bit.  The first block is one array per chunk, [w_0 |
     block 1]; only rows that run past it keep per-row pieces.  tail_tol may
-    be 0 here (internal use: fixed-length partial sums).
+    be -inf here (internal use: fixed-length partial sums): no running sum
+    reaches 1 - tail_tol = inf, so every row holds max_terms weights.
     """
     target = 1.0 - tail_tol
     m = min(_BLOCK, max_terms - 1)
@@ -644,7 +645,7 @@ def normalization_partial_sums(
     of a grid, in grid order; the first failing x raises."""
     if k_terms < 1:
         raise ValueError("k_terms must be >= 1")
-    return _prefix_sums(params, grid, 0.0, k_terms)
+    return _prefix_sums(params, grid, -math.inf, k_terms)
 
 
 def normalization_partial_sum(params: PQParams, x: float, k_terms: int) -> float:

@@ -34,7 +34,11 @@ __all__ = [
     "stat_rate_bound",
     "default_stat_grid",
     "inverse_pq_int",
+    "STAT_POLICY",
 ]
+
+# the truncation of a density sweep unless the caller gives one
+STAT_POLICY = TruncationPolicy(tail_tol=1e-8, k_max=5000)
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ def st_korovkin_check(
     epsilon: float,
     Ns: Sequence[int],
     grid: Sequence[float] | None = None,
-    policy: TruncationPolicy | None = None,
+    policy: TruncationPolicy = STAT_POLICY,
 ) -> dict[str, DensityReport]:
     """Density tables of {n <= N : e_n >= epsilon} for g in {1, t, t^2, f}.
 
@@ -135,8 +139,6 @@ def st_korovkin_check(
         raise ValueError("Ns must be strictly increasing positive integers")
     if grid is None:
         grid = default_stat_grid()
-    if policy is None:
-        policy = TruncationPolicy(tail_tol=1e-8, k_max=5000)
 
     gs = [ONE, IDENTITY, SQUARE, f]
     labels = ["1", "t", "t^2", f.label or "f"]

@@ -571,53 +571,53 @@ _FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
                      5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3]),
-    st.floats().map(np.float64),
 )
-_INTS = st.one_of(st.integers(), st.integers(2**63 - 2, 2**64 + 2),
-                  st.integers(-2**200, 2**200))
+_INTS = st.one_of(st.integers(-2**63, 2**63 - 1),
+                  st.sampled_from([-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 1]))
+_FLAGS = st.booleans()
 _TEXT = st.text(st.sampled_from(list('ab ,"\'\n\r%{}:\\\té\u2028')), max_size=6)
 
-
-def _column_values(with_none: bool):
-    flags = st.sampled_from([True, False, None] if with_none else [True, False])
-    return st.sampled_from([
-        _FLOATS, _INTS, flags, _TEXT,
-        st.one_of(_FLOATS, _INTS), st.one_of(_FLOATS, _TEXT, flags),
-    ])
+# a numpy dtype per value strategy; str columns are CSV only
+_JSON_KINDS = [(_FLOATS, np.float64), (_INTS, np.int64), (_FLAGS, np.bool_)]
+_CSV_KINDS = [*_JSON_KINDS, (_TEXT, np.str_)]
 
 
 @st.composite
-def _table(draw, with_none):
+def _table(draw, kinds):
+    """(header, columns, values): typed numpy columns, each passed as an
+    array, a list or a tuple of its values, and the Python values of each."""
     rows = draw(st.integers(1, 300))
     header = draw(st.lists(st.text(st.sampled_from(list('ab_%"\\ ,')), min_size=1,
                                    max_size=4), min_size=1, max_size=6, unique=True))
-    columns = []
+    columns, values = [], []
     for _ in header:
+        strategy, dtype = draw(st.sampled_from(kinds))
         # a drawn pool of values repeated to the row count: drawing every
         # value of 300 rows makes each example slow
-        pool = draw(st.lists(draw(_column_values(with_none)), min_size=1,
-                             max_size=40))
+        pool = draw(st.lists(strategy, min_size=1, max_size=40))
         column = (pool * rows)[:rows]
-        columns.append(column if draw(st.booleans()) else tuple(column))
-    return header, columns
+        values.append(column)
+        columns.append(draw(st.sampled_from([np.array(column, dtype=dtype),
+                                             column, tuple(column)])))
+    return header, columns, values
 
 
 class TestColumnarWriter:
     """The columnar writers give the bytes of the row-at-a-time ones."""
 
-    @given(table=_table(with_none=False))
+    @given(table=_table(_CSV_KINDS))
     @settings(max_examples=150, deadline=None)
     def test_csv_equals_row_writer(self, table):
-        header, columns = table
+        header, columns, values = table
         assert _stdout_lines(cli._write_csv, header, columns) == (
-            _reference_csv(header, columns).split("\n"))
+            _reference_csv(header, values).split("\n"))
 
-    @given(table=_table(with_none=True), key=st.sampled_from(["rows", "results"]))
+    @given(table=_table(_JSON_KINDS), key=st.sampled_from(["rows", "results"]))
     @settings(max_examples=150, deadline=None)
     def test_json_equals_indented_dumps(self, table, key):
-        header, columns = table
+        header, columns, values = table
         assert _stdout_lines(cli._write_json_rows, key, header, columns) == (
-            _reference_json(key, header, columns).split("\n"))
+            _reference_json(key, header, values).split("\n"))
 
     @pytest.mark.parametrize("key", ["rows", "results"])
     def test_empty_table(self, key):
@@ -625,6 +625,16 @@ class TestColumnarWriter:
         assert _stdout_lines(cli._write_csv, header, columns) == ["x,y", ""]
         assert _stdout_lines(cli._write_json_rows, key, header, columns) == (
             _reference_json(key, header, columns).split("\n"))
+
+    @pytest.mark.parametrize("column", [["a,b"], np.array(["a"]), [None], [2**64]])
+    def test_json_rejects_columns_that_are_not_numbers_or_bools(self, column):
+        with pytest.raises(TypeError, match="no JSON column"):
+            _stdout_lines(cli._write_json_rows, "rows", ["s"], [column])
+
+    @pytest.mark.parametrize("column", [[None], [2**64], [b"a"]])
+    def test_csv_rejects_columns_of_no_table_dtype(self, column):
+        with pytest.raises(TypeError, match="no CSV column"):
+            _stdout_lines(cli._write_csv, ["s"], [column])
 
 
 class TestDeterminism:

@@ -556,7 +556,7 @@ class TestPartialSums:
             for k in (1, 101, 256, 257, 501):
                 sums = normalization_partial_sums(params, grid, k)
                 assert sums == [
-                    float(np.sum(ref_weights_nodes(params, float(x), 0.0, k)[0]))
+                    float(np.sum(ref_weights_nodes(params, float(x), -math.inf, k)[0]))
                     for x in grid
                 ]
                 assert normalization_partial_sum(params, float(grid[-1]), k) == sums[-1]
@@ -569,9 +569,17 @@ class TestPartialSums:
         assert grid == [float(x) for x in np.linspace(0.0, 0.99, 201)]
         for column, k in (("s_k100", 101), ("s_k500", 501)):
             want = [
-                float(np.sum(ref_weights_nodes(PARAMS, x, 0.0, k)[0])) for x in grid
+                float(np.sum(ref_weights_nodes(PARAMS, x, -math.inf, k)[0]))
+                for x in grid
             ]
             assert [float(row[column]) for row in rows] == want
+
+    def test_sums_hold_exactly_k_weights(self):
+        # figure 1's fifth x, where the running sum reaches 1.0 at 12 weights
+        x, k = float(np.linspace(0.0, 0.99, 201)[4]), 101
+        w = np.array([weight(PARAMS, j, x) for j in range(k)])
+        assert np.cumsum(w)[11] >= 1.0
+        assert normalization_partial_sum(PARAMS, x, k) == float(np.sum(w))
 
     def test_rejects(self):
         with pytest.raises(ValueError, match="k_terms"):
@@ -691,7 +699,7 @@ class TestFailureRule:
             ])
             assert _outcome(lambda: normalization_defects(params, grid, policy)) == want
             k = policy.k_max
-            want = _outcome(lambda: expected_sums(params, grid, 0.0, k))
+            want = _outcome(lambda: expected_sums(params, grid, -math.inf, k))
             assert _outcome(lambda: normalization_partial_sums(params, grid, k)) == want
         assert errors >= 50 and late >= 10
 

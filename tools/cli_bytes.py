@@ -2,11 +2,12 @@
 
 Usage, from the checkout root:
 
-    mkdir PARENT_DIR && git archive HEAD~1 | tar -x -C PARENT_DIR
-    python3 tools/cli_bytes.py PARENT_DIR
+    python3 tools/cli_bytes.py PARENT
 
-Every argv of a fixed corpus runs through ``pqmkz.cli.main`` of this checkout
-and of PARENT_DIR, one subprocess per tree, each argv in its own empty working
+PARENT is a source tree, or a git revision of this checkout (such as
+``HEAD~1``), which is archived into a temporary directory first.  Every argv
+of a fixed corpus runs through ``pqmkz.cli.main`` of this checkout and of
+PARENT, one subprocess per tree, each argv in its own empty working
 directory.  The exit code, stdout, stderr and every file the argv writes are
 compared byte for byte.  The corpus holds the ``pqmkz`` lines of README.md,
 the edge and error argvs below, and two cycles of seeds 1-3 of every
@@ -58,6 +59,10 @@ EDGE = [
     ["eval", "--n", "3", "--p", "1", "--q", "1", "--fn", "one", "--x", "0.5"],
     ["eval", *_SMALL, "--fn", "x^2", "--grid", "129:0:0.999", "--kmax", "1"],
     ["eval", *_SMALL, "--fn", "x^2", "--grid", "65:0:0.999", "--kmax", "2"],
+    # JSON rows that did not converge: bool false and int terms
+    ["eval", *_SMALL, "--fn", "x^2", "--grid", "65:0:0.999", "--kmax", "2",
+     "--format", "json"],
+    ["identity", *_SMALL, "--grid", "3:0:0.99", "--kmax", "2", "--format", "json"],
     ["eval", *_SMALL, "--fn", "x^2", "--grid", "64:0:0.999", "--kmax", "257"],
     ["eval", *_SMALL, "--fn", "one", "--grid", "5:0:0.9", "--tol", "1e-18",
      "--kmax", "20000"],
@@ -210,19 +215,36 @@ def _first_difference(a: str, b: str) -> str:
     return f"{len(a.splitlines())} lines != {len(b.splitlines())} lines"
 
 
+def _archive(rev: str, top: Path) -> None:
+    """Extract git revision rev of this checkout into the directory top."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                         capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(top)], input=tar, check=True)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent_dir", nargs="?", help="source tree to compare with")
+    parser.add_argument("parent", nargs="?",
+                        help="source tree or git revision to compare with")
     parser.add_argument("--side", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.side is not None:
         json.dump(run_side(Path(args.side) / "src", json.load(sys.stdin)), sys.stdout)
         return 0
-    if args.parent_dir is None:
-        parser.error("PARENT_DIR is required")
-    argvs = corpus()
-    mine = _side(ROOT, argvs)
-    theirs = _side(Path(args.parent_dir).resolve(), argvs)
+    if args.parent is None:
+        parser.error("PARENT is required")
+    with tempfile.TemporaryDirectory() as top:
+        parent = Path(args.parent)
+        if not parent.is_dir():
+            parent = Path(top)
+            try:
+                _archive(args.parent, parent)
+            except subprocess.CalledProcessError as exc:
+                parser.error(f"{args.parent} is neither a directory nor a git "
+                             f"revision: {exc.stderr.decode().strip()}")
+        argvs = corpus()
+        mine = _side(ROOT, argvs)
+        theirs = _side(parent.resolve(), argvs)
     differ = 0
     for argv, a, b in zip(argvs, mine, theirs):
         notes = []
