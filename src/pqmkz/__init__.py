@@ -17,21 +17,12 @@ from .engine import (
     evaluate_many,
     evaluate_sweep_values,
     node,
-    normalization_defect,
     normalization_defects,
     normalization_partial_sum,
     normalization_partial_sums,
     weight,
 )
-from .pqcore import (
-    PQPair,
-    expand_one_minus_x,
-    one_minus_x_power,
-    pascal_residuals,
-    pq_binomial,
-    pq_factorial,
-    pq_int,
-)
+from .pqcore import PQPair, pq_int
 
 __version__ = "0.1.0"
 
@@ -44,18 +35,12 @@ __all__ = [
     "GridValues",
     "SupBoundError",
     "pq_int",
-    "pq_factorial",
-    "pq_binomial",
-    "one_minus_x_power",
-    "expand_one_minus_x",
-    "pascal_residuals",
     "node",
     "weight",
     "evaluate",
     "evaluate_many",
     "evaluate_grid_values",
     "evaluate_sweep_values",
-    "normalization_defect",
     "normalization_defects",
     "normalization_partial_sum",
     "normalization_partial_sums",

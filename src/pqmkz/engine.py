@@ -32,7 +32,6 @@ __all__ = [
     "evaluate_sweep_values",
     "GridValues",
     "SupBoundError",
-    "normalization_defect",
     "normalization_defects",
     "normalization_partial_sum",
     "normalization_partial_sums",
@@ -663,9 +662,3 @@ def normalization_defects(
     return [abs(1.0 - s)
             for s in _prefix_sums(params, grid, policy.tail_tol, policy.k_max)]
 
-
-def normalization_defect(
-    params: PQParams, x: float, policy: TruncationPolicy = TruncationPolicy()
-) -> float:
-    """|prefix weight sum - 1| under the policy's truncation."""
-    return normalization_defects(params, [x], policy)[0]

@@ -29,8 +29,6 @@ __all__ = [
     "MOMENT_CSV_COLUMNS",
     "moment_scale",
     "raw_moment",
-    "moment_triple",
-    "central_second_moment",
     "delta_n_sq",
     "lemma_bounds_report",
     "default_moment_grid",
@@ -104,26 +102,6 @@ def raw_moment(
     else:
         f = Function(lambda ts: ts ** j, f"t^{j}", 1.0)
     return evaluate_many(params, [f], x, policy)[0]
-
-
-def moment_triple(
-    params: PQParams,
-    x: float,
-    policy: TruncationPolicy = TruncationPolicy(),
-) -> tuple[EvalOutcome, EvalOutcome, EvalOutcome]:
-    """m0, m1, m2 from a single shared weight pass."""
-    m0, m1, m2 = evaluate_many(params, _MONOMIALS, x, policy)
-    return m0, m1, m2
-
-
-def central_second_moment(
-    params: PQParams,
-    x: float,
-    policy: TruncationPolicy = TruncationPolicy(),
-) -> float:
-    """Operator applied to (t - x)^2, from the shared moment pass."""
-    m0, m1, m2 = moment_triple(params, x, policy)
-    return m2.value - 2.0 * x * m1.value + x * x * m0.value
 
 
 def delta_n_sq(params: PQParams, x: float) -> float:

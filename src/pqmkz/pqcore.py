@@ -12,20 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "PQPair",
-    "pq_int",
-    "pq_factorial",
-    "log_pq_factorial",
-    "pq_binomial",
-    "one_minus_x_power",
-    "expand_one_minus_x",
-    "pascal_residuals",
-]
-
-# pq_binomial switches its running product to log space outside this range.
-_PRODUCT_LO = 1e-300
-_PRODUCT_HI = 1e300
+__all__ = ["PQPair", "pq_int"]
 
 
 @dataclass(frozen=True)
@@ -55,10 +42,6 @@ class PQPair:
         return cls(1.0, 1.0, classical_mode=True)
 
     @property
-    def tau(self) -> float:
-        return 1.0 if self.classical_mode else self.q / self.p
-
-    @property
     def log_tau(self) -> float:
         if self.classical_mode:
             return 0.0
@@ -81,100 +64,3 @@ def pq_int(n: int, pq: PQPair) -> float:
     if pq.classical_mode:
         return float(n)
     return pq.p ** (n - 1) * one_minus_tau_pow(n, pq) / one_minus_tau_pow(1, pq)
-
-
-def pq_factorial(n: int, pq: PQPair) -> float:
-    """[n]! = [1][2]...[n], with [0]! = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = 1.0
-    for j in range(1, n + 1):
-        out *= pq_int(j, pq)
-    return out
-
-
-def log_pq_factorial(n: int, pq: PQPair) -> float:
-    """Natural log of [n]!, overflow-free for large n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = 0.0
-    for j in range(1, n + 1):
-        factor = pq_int(j, pq)
-        if factor <= 0.0:
-            raise ValueError(f"[{j}] is not positive; cannot take log")
-        total += math.log(factor)
-    return total
-
-
-def pq_binomial(n: int, k: int, pq: PQPair) -> float:
-    """Gaussian-style binomial [n]!/([k]![n-k]!) via the ratio product.
-
-    Computed as prod_{j=1..k} [n-k+j]/[j]; the running product drops into log
-    space if it ever leaves [1e-300, 1e300].
-    """
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
-    if pq.classical_mode:
-        return float(math.comb(n, k))
-    prod = 1.0
-    for j in range(1, k + 1):
-        prod *= pq_int(n - k + j, pq) / pq_int(j, pq)
-        if not (_PRODUCT_LO < prod < _PRODUCT_HI):
-            break
-    else:
-        return prod
-    log_sum = 0.0
-    for j in range(1, k + 1):
-        log_sum += math.log(pq_int(n - k + j, pq)) - math.log(pq_int(j, pq))
-    return math.exp(log_sum)
-
-
-def one_minus_x_power(n: int, x: float, pq: PQPair) -> float:
-    """The deformed power (1-x)^n: prod_{s=0..n-1} (p^s - q^s x)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = 1.0
-    for s in range(n):
-        if pq.classical_mode:
-            out *= 1.0 - x
-        else:
-            out *= pq.p ** s * (1.0 - pq.tau ** s * x)
-    return out
-
-
-def expand_one_minus_x(n: int, x: float, pq: PQPair) -> float:
-    """Alternating-sum expansion of the deformed power (1-x)^n.
-
-    Cross-check companion to one_minus_x_power; the two must agree.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    p, q = pq.p, pq.q
-    total = 0.0
-    for k in range(n + 1):
-        term = (
-            (-1.0) ** k
-            * p ** ((n - k) * (n - k - 1) // 2)
-            * q ** (k * (k - 1) // 2)
-            * pq_binomial(n, k, pq)
-            * x ** k
-        )
-        total += term
-    return total
-
-
-def pascal_residuals(n: int, k: int, pq: PQPair) -> tuple[float, float]:
-    """Absolute defects of the two deformed Pascal recurrences at (n, k).
-
-    Both vanish identically; nonzero values measure floating-point error.
-    Requires 1 <= k <= n-1 so that all sub-coefficients exist.
-    """
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"require 1 <= k <= n-1, got n={n}, k={k}")
-    p, q = pq.p, pq.q
-    c = pq_binomial(n, k, pq)
-    left = pq_binomial(n - 1, k - 1, pq)
-    right = pq_binomial(n - 1, k, pq)
-    r1 = abs(c - q ** (n - k) * left - p ** k * right)
-    r2 = abs(c - p ** (n - k) * left - q ** k * right)
-    return r1, r2

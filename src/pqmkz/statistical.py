@@ -1,4 +1,4 @@
-"""Statistical-convergence experiments: density tables and rate bounds.
+"""Statistical-convergence experiments: density tables along a scheme.
 
 A statistical limit cannot be observed at desk scale; the assertable
 surrogate is a table of finite-N densities of the epsilon-deviation set,
@@ -13,14 +13,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import modulus
 from .engine import (
     Function,
     PQParams,
     TruncationPolicy,
     evaluate_sweep_values,
 )
-from .moments import delta_n_sq
 from .pqcore import PQPair, pq_int
 from .presets import IDENTITY, ONE, SQUARE
 
@@ -31,7 +29,6 @@ __all__ = [
     "scheme_constant",
     "density",
     "st_korovkin_check",
-    "stat_rate_bound",
     "default_stat_grid",
     "inverse_pq_int",
     "STAT_POLICY",
@@ -135,7 +132,7 @@ def st_korovkin_check(
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     Ns = [int(N) for N in Ns]
-    if Ns != sorted(Ns) or len(set(Ns)) != len(Ns) or Ns[0] < 1:
+    if not Ns or Ns != sorted(Ns) or len(set(Ns)) != len(Ns) or Ns[0] < 1:
         raise ValueError("Ns must be strictly increasing positive integers")
     if grid is None:
         grid = default_stat_grid()
@@ -195,36 +192,6 @@ def st_korovkin_check(
             excluded_counts=exc,
         )
     return reports
-
-
-def stat_rate_bound(
-    scheme: SequenceScheme,
-    n: int,
-    f: Function,
-    resolution: int = 1025,
-    grid: Sequence[float] | None = None,
-) -> float:
-    """Grid sup of 2 * omega(f, sqrt(delta_n(x))) along the scheme.
-
-    Points where the pointwise width delta_n(x) goes negative are excluded;
-    an all-negative profile is an error.
-    """
-    params = scheme.params(n)
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 33)
-    best = None
-    for x in grid:
-        d = delta_n_sq(params, float(x))
-        if d < 0.0:
-            continue
-        if d == 0.0:
-            best = max(best or 0.0, 0.0)
-            continue
-        w = 2.0 * modulus(f, math.sqrt(d), resolution)
-        best = w if best is None else max(best, w)
-    if best is None:
-        raise ValueError("pointwise width is negative over the whole grid")
-    return best
 
 
 def inverse_pq_int(scheme: SequenceScheme, n: int) -> float:

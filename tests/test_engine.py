@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pqmkz
-from pqmkz import engine
+from pqmkz import bounds, engine, moments, pqcore, statistical
 from pqmkz.cli import main, resolve_function
 from pqmkz.engine import (
     Function,
@@ -21,7 +21,6 @@ from pqmkz.engine import (
     evaluate_sweep_values,
     evaluate_many,
     node,
-    normalization_defect,
     normalization_defects,
     normalization_partial_sum,
     normalization_partial_sums,
@@ -51,9 +50,19 @@ def kernel_rows(cases, tail_tol, max_terms):
     return out
 
 
-def test_package_exports_every_engine_name():
-    assert set(engine.__all__) <= set(pqmkz.__all__)
-    assert all(getattr(pqmkz, name) is getattr(engine, name) for name in engine.__all__)
+@pytest.mark.parametrize("module", [engine, pqcore], ids=["engine", "pqcore"])
+def test_package_exports_every_engine_name(module):
+    # every module the package imports from: each export is the module's own
+    assert set(module.__all__) <= set(pqmkz.__all__)
+    assert all(getattr(pqmkz, name) is getattr(module, name) for name in module.__all__)
+
+
+@pytest.mark.parametrize(
+    "module", [bounds, moments, statistical], ids=["bounds", "moments", "statistical"]
+)
+def test_every_export_exists(module):
+    # a name deleted from a module must leave its __all__ too
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 class TestPQParams:
@@ -528,8 +537,6 @@ class TestRowKernelEqualsPerX:
         policy = TruncationPolicy()
         cols = evaluate_grid_values(params, [ONE, SQUARE], grid, policy)
         assert_outcomes_are_columns(params, [ONE, SQUARE], grid, policy, cols)
-        defects = normalization_defects(params, grid[:3])
-        assert defects == [normalization_defect(params, x) for x in grid[:3]]
 
     def test_grid_errors_come_from_the_first_failing_x(self):
         params = PQParams(3, PQPair(0.95, 0.9))
@@ -883,11 +890,12 @@ class TestOracleAgreement:
 
 class TestNormalization:
     def test_defect_zero_at_origin(self):
-        assert normalization_defect(PARAMS, 0.0) == 0.0
+        assert normalization_defects(PARAMS, [0.0]) == [0.0]
 
     def test_defect_within_tolerance(self):
         policy = TruncationPolicy(1e-12)
-        assert normalization_defect(PARAMS, 0.5, policy) <= 1e-12
+        (defect,) = normalization_defects(PARAMS, [0.5], policy)
+        assert defect <= 1e-12
 
     def test_classical_partial_sum_matches_binomial_series(self):
         # brute-force classical series: sum comb(n+k, k) x^k (1-x)^(n+1)

@@ -6,12 +6,10 @@ import pytest
 from pqmkz.engine import PQParams, TruncationPolicy, evaluate_many
 from pqmkz.moments import (
     MomentTable,
-    central_second_moment,
     default_moment_grid,
     delta_n_sq,
     lemma_bounds_report,
     moment_scale,
-    moment_triple,
     raw_moment,
 )
 from pqmkz.pqcore import PQPair
@@ -43,37 +41,6 @@ class TestRawMoments:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             raw_moment(PQ_CASE, -1, 0.5)
-
-
-class TestCentralSecondMoment:
-    def test_zero_at_endpoints(self):
-        assert central_second_moment(PQ_CASE, 0.0) == 0.0
-        assert central_second_moment(PQ_CASE, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_nonnegative_up_to_truncation(self):
-        for params in (Q_CASE, PQ_CASE):
-            for x in (0.1, 0.5, 0.9):
-                m0, m1, m2 = moment_triple(params, x)
-                budget = m0.error_bound + m1.error_bound + m2.error_bound
-                assert central_second_moment(params, x) >= -budget
-
-    def test_q_case_bounded_by_lemma(self):
-        # upper value p^3/[4] * 0.5 at (p, q) = (1, 0.9)
-        val = central_second_moment(Q_CASE, 0.5)
-        assert 0.0 <= val <= 0.5 / 3.439 + 1e-10
-
-    def test_single_pass_matches_individual_moments(self):
-        for x in (0.2, 0.7):
-            m0, m1, m2 = moment_triple(PQ_CASE, x)
-            assert m0.value == pytest.approx(
-                raw_moment(PQ_CASE, 0, x).value, abs=1e-13
-            )
-            assert m1.value == pytest.approx(
-                raw_moment(PQ_CASE, 1, x).value, abs=1e-13
-            )
-            assert m2.value == pytest.approx(
-                raw_moment(PQ_CASE, 2, x).value, abs=1e-13
-            )
 
 
 class TestDeltaNSq:
@@ -130,12 +97,18 @@ class TestLemmaReport:
         assert table.l1_lower_ok.all()
         assert table.l1_upper_ok.all()
         assert table.l2_ok.all()
+        # upper value p^3/[4] * 0.5 at (p, q) = (1, 0.9)
+        assert grid[5] == 0.5
+        assert 0.0 <= table.central2[5] <= 0.5 / 3.439 + 1e-10
 
     def test_origin_row_has_zero_slack(self):
-        table = lemma_bounds_report(PQ_CASE, [0.0])
-        assert table.l1_lower_slack.tolist() == pytest.approx([0.0], abs=1e-15)
-        assert table.l1_upper_slack.tolist() == pytest.approx([0.0], abs=1e-15)
-        assert table.l2_slack.tolist() == pytest.approx([0.0], abs=1e-15)
+        table = lemma_bounds_report(PQ_CASE, [0.0, 1.0])
+        assert table.l1_lower_slack[0] == pytest.approx(0.0, abs=1e-15)
+        assert table.l1_upper_slack[0] == pytest.approx(0.0, abs=1e-15)
+        assert table.l2_slack[0] == pytest.approx(0.0, abs=1e-15)
+        # the central moment vanishes at both endpoints
+        assert table.central2[0] == 0.0
+        assert table.central2[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_general_case_reports_without_asserting(self):
         # the stated bound can go negative for p < 1; the report must carry
@@ -144,6 +117,11 @@ class TestLemmaReport:
         assert table.central2[0] >= -1e-10
         if table.l2_bound[0] < 0.0:
             assert not table.l2_ok[0]
+        # a positive operator's central moment is nonnegative up to the
+        # error bounds of m0, m1 and m2: one shared tail, each sup bound 1
+        for params in (Q_CASE, PQ_CASE):
+            table = lemma_bounds_report(params, [0.1, 0.5, 0.9])
+            assert (table.central2 >= -3.0 * table.tail_mass_max).all()
 
     def test_table_equals_one_point_formulas_bitwise(self):
         # grids with x = 0 and x = 1, more than 64 x (two row chunks), and a

@@ -9,7 +9,9 @@ from pqmkz.oracle import (
     ExactBracket,
     exact_identity_residual,
     exact_node,
+    exact_pascal_residuals,
     exact_polynomial_bracket,
+    exact_pq_binomial,
     exact_pq_int,
     exact_weight,
     exact_weights,
@@ -111,3 +113,49 @@ def test_exact_pq_int_matches_sum_form():
         assert exact_pq_int(m, p, q) == sum(
             p ** (m - 1 - i) * q ** i for i in range(m)
         )
+
+
+class TestBinomial:
+    def test_symmetry_exact(self):
+        p, q = F(19, 20), F(9, 10)
+        for n in range(13):
+            for k in range(n + 1):
+                assert exact_pq_binomial(n, k, p, q) == exact_pq_binomial(
+                    n, n - k, p, q
+                )
+
+
+def _exact_expand(n, x, p, q):
+    total = F(0)
+    for k in range(n + 1):
+        total += (
+            F(-1) ** k
+            * p ** ((n - k) * (n - k - 1) // 2)
+            * q ** (k * (k - 1) // 2)
+            * exact_pq_binomial(n, k, p, q)
+            * x ** k
+        )
+    return total
+
+
+def _exact_product(n, x, p, q):
+    out = F(1)
+    for s in range(n):
+        out *= p ** s - q ** s * x
+    return out
+
+
+class TestOneMinusXPower:
+    def test_expansion_identity_exact(self):
+        p, q = F(9, 10), F(4, 5)
+        for n in range(11):
+            for x in (F(0), F(1, 4), F(1, 2), F(9, 10)):
+                assert _exact_expand(n, x, p, q) == _exact_product(n, x, p, q)
+
+
+class TestPascal:
+    def test_exact_identity(self):
+        for p, q in [(F(9, 10), F(4, 5)), (F(1), F(1, 2))]:
+            for n in range(2, 13):
+                for k in range(1, n):
+                    assert exact_pascal_residuals(n, k, p, q) == (F(0), F(0))

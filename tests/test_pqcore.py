@@ -1,21 +1,6 @@
-import math
-from fractions import Fraction as F
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from pqmkz.oracle import exact_pq_binomial, exact_pascal_residuals
-from pqmkz.pqcore import (
-    PQPair,
-    expand_one_minus_x,
-    log_pq_factorial,
-    one_minus_x_power,
-    pascal_residuals,
-    pq_binomial,
-    pq_factorial,
-    pq_int,
-)
+from pqmkz.pqcore import PQPair, pq_int
 
 PQ = PQPair(0.9, 0.8)
 CLASSICAL = PQPair.classical()
@@ -34,12 +19,9 @@ class TestPQPair:
 
     def test_classical_is_explicit(self):
         assert CLASSICAL.classical_mode
-        assert CLASSICAL.tau == 1.0
+        assert CLASSICAL.log_tau == 0.0
         with pytest.raises(ValueError):
             PQPair(0.9, 0.8, classical_mode=True)
-
-    def test_tau(self):
-        assert PQ.tau == pytest.approx(8 / 9, abs=1e-15)
 
 
 class TestPQInt:
@@ -67,154 +49,3 @@ class TestPQInt:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             pq_int(-1, PQ)
-
-
-class TestFactorial:
-    def test_zero(self):
-        assert pq_factorial(0, PQ) == 1.0
-
-    def test_two(self):
-        assert pq_factorial(2, PQ) == pytest.approx(1.7, abs=1e-14)
-
-    def test_three(self):
-        # rational oracle: 1 * 1.7 * 2.17
-        assert pq_factorial(3, PQ) == pytest.approx(3.689, abs=1e-13)
-
-    def test_log_variant(self):
-        for n in range(8):
-            assert log_pq_factorial(n, PQ) == pytest.approx(
-                math.log(pq_factorial(n, PQ)), abs=1e-12
-            )
-
-
-class TestBinomial:
-    def test_edge(self):
-        assert pq_binomial(5, 0, PQ) == 1.0
-        assert pq_binomial(5, 5, PQ) == pytest.approx(1.0, abs=1e-13)
-
-    def test_two_one(self):
-        assert pq_binomial(2, 1, PQ) == pytest.approx(1.7, abs=1e-14)
-
-    def test_four_two(self):
-        # rational oracle: [4][3] / ([2][1]) = 2.465 * 2.17 / 1.7
-        assert pq_binomial(4, 2, PQ) == pytest.approx(3.1465, abs=1e-12)
-
-    def test_rejects_k_gt_n(self):
-        with pytest.raises(ValueError):
-            pq_binomial(3, 4, PQ)
-
-    def test_symmetry_float(self):
-        for n in range(21):
-            for k in range(n + 1):
-                assert pq_binomial(n, k, PQ) == pytest.approx(
-                    pq_binomial(n, n - k, PQ), rel=1e-12
-                )
-
-    def test_symmetry_exact(self):
-        p, q = F(19, 20), F(9, 10)
-        for n in range(13):
-            for k in range(n + 1):
-                assert exact_pq_binomial(n, k, p, q) == exact_pq_binomial(
-                    n, n - k, p, q
-                )
-
-    def test_classical(self):
-        for n in range(15):
-            for k in range(n + 1):
-                assert pq_binomial(n, k, CLASSICAL) == math.comb(n, k)
-
-    def test_matches_exact_oracle(self):
-        p, q = F(9, 10), F(4, 5)
-        for n in range(13):
-            for k in range(n + 1):
-                assert pq_binomial(n, k, PQ) == pytest.approx(
-                    float(exact_pq_binomial(n, k, p, q)), rel=1e-12
-                )
-
-    @given(
-        n=st.integers(min_value=0, max_value=25),
-        data=st.data(),
-        tau=st.floats(min_value=0.1, max_value=0.98),
-        p=st.floats(min_value=0.5, max_value=1.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_symmetry_property(self, n, data, tau, p):
-        k = data.draw(st.integers(min_value=0, max_value=n))
-        pq = PQPair(p, tau * p)
-        assert pq_binomial(n, k, pq) == pytest.approx(
-            pq_binomial(n, n - k, pq), rel=1e-11
-        )
-
-
-def _exact_expand(n, x, p, q):
-    total = F(0)
-    for k in range(n + 1):
-        total += (
-            F(-1) ** k
-            * p ** ((n - k) * (n - k - 1) // 2)
-            * q ** (k * (k - 1) // 2)
-            * exact_pq_binomial(n, k, p, q)
-            * x ** k
-        )
-    return total
-
-
-def _exact_product(n, x, p, q):
-    out = F(1)
-    for s in range(n):
-        out *= p ** s - q ** s * x
-    return out
-
-
-class TestOneMinusXPower:
-    def test_empty_product(self):
-        assert one_minus_x_power(0, 0.5, PQ) == 1.0
-
-    def test_single_factor(self):
-        assert one_minus_x_power(1, 0.3, PQ) == pytest.approx(0.7, abs=1e-15)
-
-    def test_x_zero(self):
-        assert one_minus_x_power(2, 0.0, PQ) == pytest.approx(0.9, abs=1e-15)
-
-    def test_expansion_matches_product(self):
-        assert expand_one_minus_x(1, 0.3, PQ) == pytest.approx(0.7, abs=1e-14)
-        assert expand_one_minus_x(0, 0.5, PQ) == 1.0
-        assert expand_one_minus_x(3, 0.25, PQ) == pytest.approx(
-            one_minus_x_power(3, 0.25, PQ), abs=1e-13
-        )
-
-    def test_expansion_identity_exact(self):
-        p, q = F(9, 10), F(4, 5)
-        for n in range(11):
-            for x in (F(0), F(1, 4), F(1, 2), F(9, 10)):
-                assert _exact_expand(n, x, p, q) == _exact_product(n, x, p, q)
-
-    def test_positive_on_unit_interval(self):
-        for n in range(12):
-            for i in range(20):
-                x = i / 20
-                assert one_minus_x_power(n, x, PQ) > 0.0
-
-
-class TestPascal:
-    def test_small_float(self):
-        r1, r2 = pascal_residuals(2, 1, PQ)
-        assert r1 <= 1e-14 and r2 <= 1e-14
-        r1, r2 = pascal_residuals(5, 2, PQPair(0.95, 0.9))
-        assert r1 <= 1e-12 and r2 <= 1e-12
-
-    def test_classical(self):
-        r1, r2 = pascal_residuals(3, 1, CLASSICAL)
-        assert r1 == 0.0 and r2 == 0.0
-
-    def test_exact_identity(self):
-        for p, q in [(F(9, 10), F(4, 5)), (F(1), F(1, 2))]:
-            for n in range(2, 13):
-                for k in range(1, n):
-                    assert exact_pascal_residuals(n, k, p, q) == (F(0), F(0))
-
-    def test_rejects_boundary_k(self):
-        with pytest.raises(ValueError):
-            pascal_residuals(3, 0, PQ)
-        with pytest.raises(ValueError):
-            pascal_residuals(3, 3, PQ)

@@ -24,7 +24,6 @@ from pqmkz.statistical import (
     scheme_constant,
     scheme_paper,
     st_korovkin_check,
-    stat_rate_bound,
 )
 
 
@@ -89,27 +88,6 @@ class TestDensity:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             density(lambda k: True, 0)
-
-
-class TestStatRateBound:
-    def test_constant_function_gives_zero(self):
-        assert stat_rate_bound(scheme_paper(), 10, ONE) == 0.0
-
-    def test_identity_closed_form(self):
-        # sup over x of 2*sqrt(delta_n(x)) is attained at the grid maximum
-        scheme = scheme_constant(1.0, 0.9)
-        n = 3
-        grid = [0.0, 0.5, 1.0]
-        got = stat_rate_bound(scheme, n, IDENTITY, resolution=2049, grid=grid)
-        assert got == pytest.approx(2 * math.sqrt(1 / 3.439), abs=1e-12)
-
-    def test_trend_decreases_along_paper_scheme(self):
-        scheme = scheme_paper()
-        vals = [
-            stat_rate_bound(scheme, n, PAPER_CUBIC, resolution=513)
-            for n in (10, 40, 160)
-        ]
-        assert vals[0] > vals[1] > vals[2]
 
 
 class TestKorovkinCheck:
@@ -270,6 +248,8 @@ class TestKorovkinCheck:
             st_korovkin_check(scheme_paper(), ONE, 0.1, [10], grid=[])
         with pytest.raises(ValueError):
             st_korovkin_check(scheme_paper(), ONE, 0.1, [20, 10])
+        with pytest.raises(ValueError, match="Ns must be strictly increasing"):
+            st_korovkin_check(scheme_paper(), ONE, 0.2, [])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_epsilon(self, bad):
