@@ -1,6 +1,6 @@
 """Two-parameter (p,q) Meyer-Konig-Zeller operators.
 
-Evaluation with certified truncation, moment diagnostics, modulus-based
+Truncated series evaluation with tail masses, moment diagnostics, modulus-based
 error bounds, statistical-convergence experiments, and an exact-rational
 reference oracle.
 """

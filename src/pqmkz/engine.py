@@ -1,10 +1,12 @@
 """Series evaluation of the (p,q) Meyer-Konig-Zeller operator.
 
 The operator is an infinite convex combination of function values: the
-weights are nonnegative and sum exactly to 1, so the residual weight mass of
-a truncated sum is a rigorous truncation certificate once a bound on |f| is
-known.  All weight arithmetic stays in tau = q/p form; the factors p^(-kn)
-and p^(n(n+1)/2) never appear on their own.
+weights are nonnegative and sum exactly to 1, so the residual weight mass
+times a bound on |f| bounds the truncation error.  The tail_mass reported
+here is 1 - sum of the computed weights: it carries their rounding, so
+tail_mass * sup|f| estimates that error and does not certify it.  All weight
+arithmetic stays in tau = q/p form; the factors p^(-kn) and p^(n(n+1)/2)
+never appear on their own.
 """
 
 from __future__ import annotations
@@ -38,11 +40,16 @@ __all__ = [
 ]
 
 _BLOCK = 256
-# Rows (plan, x) run the recurrence together this many at a time, which
-# bounds the 2-D temporaries of one block (about 1 MB each); a chunk's later
-# blocks cost calls whatever its number of rows, so larger chunks amortize
-# them.
+# Rows (plan, x) run the recurrence together this many at a time.  A pass of
+# the kernel holds at most _ROWS * _BLOCK terms (about 1 MB per temporary):
+# the first block of a whole chunk, or later a batch of nb blocks of its
+# running rows, nb * rows <= _ROWS.  A pass costs calls whatever its number
+# of rows, so larger chunks and batches amortize them.
 _ROWS = 512
+# At most this many blocks per batch.  Batches double from one block while
+# rows run, and a row that stops early in a batch wastes the rest of it:
+# without a cap, long rows ran slower than with caps of 4 to 16.
+_BATCH = 16
 # Below this log-magnitude the leading weight underflows double precision and
 # the tau-form recurrence cannot recover; refuse rather than return garbage.
 _LOG_W0_FLOOR = -650.0
@@ -286,11 +293,18 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
     ratios of its own plan, each block a cumprod scaled by the last weight,
     until the running sum reaches 1 - tail_tol or max_terms weights exist.
     Every row keeps those block boundaries and that order of operations, so
-    rows that share a block run as one 2-D array and still get the one-point
+    rows that share a block run as one array and still get the one-point
     arithmetic bit for bit.  The first block is one array per chunk, [w_0 |
-    block 1]; only rows that run past it keep per-row pieces.  tail_tol may
-    be -inf here (internal use: fixed-length partial sums): no running sum
-    reaches 1 - tail_tol = inf, so every row holds max_terms weights.
+    block 1]; only rows that run past it keep per-row pieces.  Those rows
+    then run nb blocks per pass as one (rows, nb, _BLOCK) array: the blocks'
+    start weights and start sums are sequential scans over the block axis
+    (multiply.accumulate of the block-end cumprods, add.accumulate of the
+    block-end cumsums), the same products and sums in the same order as one
+    block at a time.  nb starts at 1 and doubles while rows run, at most
+    _BATCH, _ROWS // rows and the full blocks left before max_terms; a last
+    partial block runs alone.  tail_tol may be -inf here (internal use:
+    fixed-length partial sums): no running sum reaches 1 - tail_tol = inf,
+    so every row holds max_terms weights.
     """
     target = 1.0 - tail_tol
     m = min(_BLOCK, max_terms - 1)
@@ -318,21 +332,38 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
             active = active[~stopped[active]]
         last = head[:, -1].copy()
         parts = {r: [head[r]] for r in active.tolist()}
-        produced = 1 + m
+        produced, batch = 1 + m, 1
         while active.size and produced < max_terms:
-            k = min(_BLOCK, max_terms - produced)
-            block = slice(produced, produced + k)
-            ratios = _ratios(pieces, bounds, xs, active, block)
-            wb = last[active, None] * np.cumprod(ratios, axis=1)
-            cums = total[active, None] + np.cumsum(wb, axis=1)
+            a, left = active.size, max_terms - produced
+            nb = min(batch, _ROWS // a, left // _BLOCK)
+            # with no full block left, the last partial block runs alone
+            nb, k = (nb, _BLOCK) if nb else (1, left)
+            ratios = _ratios(pieces, bounds, xs, active,
+                             slice(produced, produced + nb * k))
+            cp = ratios.reshape(a, nb, k)
+            np.cumprod(cp, axis=2, out=cp)
+            # block j starts from starts[:, j] and sums[:, j], the last
+            # weight and the running sum at the end of block j - 1
+            starts = last[active, None]
+            if nb > 1:
+                starts = np.multiply.accumulate(
+                    np.concatenate([starts, cp[:, :-1, -1]], axis=1), axis=1)
+            wb = np.multiply(starts[:, :, None], cp, out=cp).reshape(a, -1)
+            cs = np.cumsum(cp, axis=2)
+            sums = total[active, None]
+            if nb > 1:
+                sums = np.add.accumulate(
+                    np.concatenate([sums, cs[:, :-1, -1]], axis=1), axis=1)
+            cums = np.add(sums[:, :, None], cs, out=cs).reshape(a, -1)
             stopped, ends = _stops(cums, target)
-            at = (np.arange(active.size), ends)
+            at = (np.arange(a), ends)
             for j, (r, end) in enumerate(zip(active.tolist(), ends.tolist())):
                 parts[r].append(wb[j, : end + 1])
             total[active] = cums[at]
             last[active] = wb[at]
             active = active[~stopped]
-            produced += k
+            produced += nb * k
+            batch = min(2 * batch, _BATCH)
         ws = [np.concatenate(parts[r]) if r in parts else head[r, :size]
               for r, size in enumerate(lens.tolist())]
         yield pieces, bounds.tolist(), ws, total
@@ -370,7 +401,7 @@ def evaluate(
     x: float,
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> EvalOutcome:
-    """Truncated operator value at x with a certified tail budget.
+    """Truncated operator value at x with its tail mass and error estimate.
 
     x = 1 is the hard interpolation branch: the operator returns f(1).
     Non-convergence within k_max is reported, never silently truncated.

@@ -551,6 +551,61 @@ class TestRowKernelEqualsPerX:
             normalization_defects(deep, [0.0, 0.99, 1.0])
 
 
+# Rows that outlive the first block run in batches of 1, 2, 4, 8, 16, 16, ...
+# blocks of 256, so with few rows a batch ends after 513, 1025, 2049, 4097,
+# 8193, 12289, ... terms; SLOW's rows near x = 1 need up to 20k terms.
+SLOW = PQParams(5, PQPair(1.0, 0.999))
+SLOW_XS = [0.9, 0.99, 0.995, 0.999]
+
+
+class TestBlockBatches:
+    """Rows run several blocks per pass and still equal the per-x reference
+    bit for bit."""
+
+    assert_rows_are_ref = staticmethod(TestRowKernelEqualsPerX.assert_rows_are_ref)
+
+    @pytest.mark.parametrize("k_max", [2049, 2050, 4097, 4098])
+    def test_k_max_at_and_past_a_batch_end(self, k_max):
+        # 2049 and 4097 end the 4- and 8-block batches; one term more runs
+        # a one-term block alone
+        self.assert_rows_are_ref([(_Plan(SLOW), SLOW_XS)], 1e-12, k_max)
+
+    @pytest.mark.parametrize("k_max", [3000, 10_077])
+    def test_k_max_off_the_block_grid(self, k_max):
+        # the last batch holds the full blocks left, then a partial block
+        self.assert_rows_are_ref([(_Plan(SLOW), SLOW_XS)], 1e-12, k_max)
+
+    def test_rows_stop_in_different_blocks_of_one_batch(self):
+        xs = np.linspace(0.995, 0.999, 24).tolist()
+        lens = [len(ref_weights_nodes(SLOW, x, 1e-12, 100_000)[0]) for x in xs]
+        # the last term k of a row sits in block (k - 1) // 256; two rows end
+        # in different blocks of the batch that holds terms 8193..12288
+        batch = {(n - 2) // 256 for n in lens if 8193 < n <= 12289}
+        assert len(batch) >= 2
+        self.assert_rows_are_ref([(_Plan(SLOW), xs)], 1e-12, 100_000)
+
+    def test_row_of_twenty_thousand_terms(self):
+        [(w, _, _, flag)] = ref_rows(SLOW, [0.999], 1e-12, 100_000)
+        assert len(w) >= 20_000 and flag
+        self.assert_rows_are_ref([(_Plan(SLOW), [0.999])], 1e-12, 100_000)
+
+    def test_rows_per_chunk_bound_the_batch(self, monkeypatch):
+        # with _ROWS = 8, a pass of a rows holds at most 8 // a blocks
+        monkeypatch.setattr(engine, "_ROWS", 8)
+        passes = []
+        ratios = engine._ratios
+
+        def recorded(pieces, bounds, xs, rows, block, out=None):
+            passes.append((len(rows), block.stop - block.start))
+            return ratios(pieces, bounds, xs, rows, block, out)
+
+        monkeypatch.setattr(engine, "_ratios", recorded)
+        xs = np.linspace(0.99, 0.999, 20).tolist()
+        self.assert_rows_are_ref([(_Plan(SLOW), xs)], 1e-12, 100_000)
+        assert all(a * width <= 8 * engine._BLOCK for a, width in passes)
+        assert {width // engine._BLOCK for _, width in passes} >= {1, 2, 4, 8}
+
+
 class TestPartialSums:
     """normalization_partial_sums against the per-x reference copy."""
 

@@ -37,6 +37,7 @@ _BOUNDS = ["bounds", "--n", "3", "--p", "0.95", "--q", "0.9", "--grid", "5:0:0.9
 _DEEP = ["--n", "300", "--p", "1", "--q", "0.99999999"]
 _SMALL = ["--n", "3", "--p", "0.95", "--q", "0.9"]
 _FINE = ["bounds", "--n", "30", "--p", "0.97", "--q", "0.88", "--grid", "6:0:0.9"]
+_LONG = ["--n", "5", "--p", "0.99", "--q", "0.9891"]
 
 EDGE = [
     _BOUNDS + ["--alpha", "2"],
@@ -147,6 +148,13 @@ EDGE = [
       for fn in ("paper_cubic", "sin(40*x)*exp(0-x)", "abs(x-0.5)", "x^2",
                  "1/(1+x)", "sin(400*x)")],
     _FINE + ["--fn", "abs(x-0.5)", "--resolution", "16384"],
+    # long rows near x = 1 that run many blocks per pass: k_max ends some
+    # rows mid-batch (exit 1 with the rows written), and rows of 10k-40k
+    # terms
+    ["eval", *_LONG, "--fn", "paper_cubic", "--grid", "9:0:0.999", "--kmax", "3000"],
+    ["identity", *_LONG, "--grid", "9:0:0.999", "--kmax", "3000"],
+    ["moments", "--n", "6", "--p", "0.999", "--q", "0.998", "--grid", "5:0.9:0.999",
+     "--kmax", "40000"],
 ]
 
 
