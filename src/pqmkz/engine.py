@@ -41,13 +41,12 @@ __all__ = [
 
 _BLOCK = 256
 # Rows (plan, x) run the recurrence together this many at a time.  A pass of
-# the kernel holds at most _ROWS * _BLOCK terms (about 1 MB per temporary):
-# the first block of a whole chunk, or later a batch of nb blocks of its
-# running rows, nb * rows <= _ROWS.  A pass costs calls whatever its number
-# of rows, so larger chunks and batches amortize them.
+# the kernel holds nb blocks of each running row, nb * rows <= _ROWS, so at
+# most _ROWS * _BLOCK terms (about 1 MB per temporary).  A pass costs calls
+# whatever its number of rows, so larger chunks and passes amortize them.
 _ROWS = 512
-# At most this many blocks per batch.  Batches double from one block while
-# rows run, and a row that stops early in a batch wastes the rest of it:
+# At most this many blocks per pass.  A row's passes grow with the blocks it
+# has made, and a row that stops early in a pass wastes the rest of it:
 # without a cap, long rows ran slower than with caps of 4 to 16.
 _BATCH = 16
 # Below this log-magnitude the leading weight underflows double precision and
@@ -229,8 +228,13 @@ class _Plan:
             log_w0 = [(n + 1) * math.log1p(-x) if x > 0.0 else 0.0
                       for x in xs.tolist()]
         else:
-            log_w0 = np.sum(
-                np.log1p(np.multiply.outer(xs, self.neg_tau_s)), axis=1).tolist()
+            # slices of at most _ROWS * _BLOCK factors (one x when n + 1 is
+            # more); each x's sum is the same whatever its slice
+            log_w0 = []
+            step = max(1, _ROWS * _BLOCK // len(self.neg_tau_s))
+            for i in range(0, len(xs), step):
+                log_w0 += np.sum(np.log1p(np.multiply.outer(
+                    xs[i: i + step], self.neg_tau_s)), axis=1).tolist()
         # math.exp, not np.exp: the two can differ in the last ulp
         return np.array([math.exp(v) if v >= _LOG_W0_FLOOR else math.nan
                          for v in log_w0])
@@ -255,12 +259,10 @@ def _plan_major(segments):
         yield chunk
 
 
-def _ratios(pieces, bounds, xs, rows, block, out=None):
+def _ratios(pieces, bounds, xs, rows, block, out):
     """x * e1[block] / e2[block] for the given rows of a chunk (sorted), each
-    row with the e1 and e2 of its own plan, into out if given; rows
+    row with the e1 and e2 of its own plan, into out; rows
     bounds[i]:bounds[i+1] of the chunk belong to pieces[i]."""
-    if out is None:
-        out = np.empty((len(rows), block.stop - block.start))
     cut = np.searchsorted(rows, bounds).tolist()
     for piece, a, b in zip(pieces, cut, cut[1:]):
         if a < b:
@@ -268,7 +270,6 @@ def _ratios(pieces, bounds, xs, rows, block, out=None):
             plan.grow(block.stop)
             np.multiply(xs[rows[a:b], None], plan.e1[block], out=out[a:b])
             np.divide(out[a:b], plan.e2[block], out=out[a:b])
-    return out
 
 
 def _stops(cums: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
@@ -294,61 +295,56 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
     until the running sum reaches 1 - tail_tol or max_terms weights exist.
     Every row keeps those block boundaries and that order of operations, so
     rows that share a block run as one array and still get the one-point
-    arithmetic bit for bit.  The first block is one array per chunk, [w_0 |
-    block 1]; only rows that run past it keep per-row pieces.  Those rows
-    then run nb blocks per pass as one (rows, nb, _BLOCK) array: the blocks'
-    start weights and start sums are sequential scans over the block axis
-    (multiply.accumulate of the block-end cumprods, add.accumulate of the
-    block-end cumsums), the same products and sums in the same order as one
-    block at a time.  nb starts at 1 and doubles while rows run, at most
-    _BATCH, _ROWS // rows and the full blocks left before max_terms; a last
-    partial block runs alone.  tail_tol may be -inf here (internal use:
-    fixed-length partial sums): no running sum reaches 1 - tail_tol = inf,
-    so every row holds max_terms weights.
+    arithmetic bit for bit.  The rows still running go nb blocks per pass as
+    one (rows, nb * _BLOCK) array: the blocks' start weights and start sums
+    are sequential scans over the block axis (multiply.accumulate of the
+    block-end cumprods, add.accumulate of the block-end cumsums), the same
+    products and sums in the same order as one block at a time.  The first
+    pass is an ordinary one-block pass from w_0 whose array also holds w_0 in
+    column 0, so a row that ends there is the view [w_0 | weights] of it; a
+    row that ends at w_0, or may hold one weight only, is a view of w0, and
+    a longer row is its parts put end to end once it ends.  nb is the blocks
+    made so far, at least 1 and at most _BATCH, _ROWS // rows and the full
+    blocks left before max_terms (1, 1, 2, 4, 8, 16, 16, ... for few rows);
+    a last partial block runs alone.  tail_tol may be -inf here (internal
+    use: fixed-length partial sums): no running sum reaches 1 - tail_tol =
+    inf, so every row holds max_terms weights.
     """
     target = 1.0 - tail_tol
-    m = min(_BLOCK, max_terms - 1)
     for pieces in _plan_major(segments):
         bounds = np.cumsum([0] + [len(p[2]) for p in pieces])
         xs = np.concatenate([p[2] for p in pieces])
         w0 = np.concatenate([p[3] for p in pieces])
-        rows = np.arange(len(xs))
-        head = np.empty((len(xs), 1 + m))
-        head[:, 0] = w0
-        total = w0.copy()
-        lens = np.ones(len(xs), dtype=int)
-        active = np.flatnonzero(~(total >= target))
-        if active.size and m:
-            # every row of the chunk at once; rows that stopped at w_0 are
-            # computed and dropped
-            wb = _ratios(pieces, bounds, xs, rows, slice(1, 1 + m), head[:, 1:])
-            np.cumprod(wb, axis=1, out=wb)
-            wb *= w0[:, None]
-            cums = np.cumsum(wb, axis=1)
-            cums += total[:, None]
-            stopped, ends = _stops(cums, target)
-            total[active] = cums[rows, ends][active]
-            lens[active] = ends[active] + 2
-            active = active[~stopped[active]]
-        last = head[:, -1].copy()
-        parts = {r: [head[r]] for r in active.tolist()}
-        produced, batch = 1 + m, 1
-        while active.size and produced < max_terms:
+        last, total = w0.copy(), w0.copy()
+        idle = (total >= target) | (max_terms == 1)
+        ws = [None] * len(xs)
+        for r in np.flatnonzero(idle).tolist():
+            ws[r] = w0[r: r + 1]
+        active = np.flatnonzero(~idle)
+        parts: dict[int, list] = {}
+        produced = 1
+        while active.size:
             a, left = active.size, max_terms - produced
-            nb = min(batch, _ROWS // a, left // _BLOCK)
+            nb = min(max(1, (produced - 1) // _BLOCK), _BATCH, _ROWS // a,
+                     left // _BLOCK)
             # with no full block left, the last partial block runs alone
             nb, k = (nb, _BLOCK) if nb else (1, left)
-            ratios = _ratios(pieces, bounds, xs, active,
-                             slice(produced, produced + nb * k))
-            cp = ratios.reshape(a, nb, k)
+            # the first pass (lo = 1) holds w_0 in column 0; later passes
+            # have no such column, as rows padded by one column run slower
+            lo = int(produced == 1)
+            wb = np.empty((a, lo + nb * k))
+            _ratios(pieces, bounds, xs, active,
+                    slice(produced, produced + nb * k), wb[:, lo:])
+            starts = last[active, None]
+            wb[:, :lo] = starts
+            cp = wb[:, lo:].reshape(a, nb, k)
             np.cumprod(cp, axis=2, out=cp)
             # block j starts from starts[:, j] and sums[:, j], the last
             # weight and the running sum at the end of block j - 1
-            starts = last[active, None]
             if nb > 1:
                 starts = np.multiply.accumulate(
                     np.concatenate([starts, cp[:, :-1, -1]], axis=1), axis=1)
-            wb = np.multiply(starts[:, :, None], cp, out=cp).reshape(a, -1)
+            np.multiply(starts[:, :, None], cp, out=cp)
             cs = np.cumsum(cp, axis=2)
             sums = total[active, None]
             if nb > 1:
@@ -356,16 +352,21 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
                     np.concatenate([sums, cs[:, :-1, -1]], axis=1), axis=1)
             cums = np.add(sums[:, :, None], cs, out=cs).reshape(a, -1)
             stopped, ends = _stops(cums, target)
-            at = (np.arange(a), ends)
-            for j, (r, end) in enumerate(zip(active.tolist(), ends.tolist())):
-                parts[r].append(wb[j, : end + 1])
-            total[active] = cums[at]
-            last[active] = wb[at]
-            active = active[~stopped]
+            total[active] = cums[np.arange(a), ends]
+            # only a row that runs on reads its last weight again
+            last[active] = wb[:, -1]
             produced += nb * k
-            batch = min(2 * batch, _BATCH)
-        ws = [np.concatenate(parts[r]) if r in parts else head[r, :size]
-              for r, size in enumerate(lens.tolist())]
+            done = stopped if produced < max_terms else np.ones(a, dtype=bool)
+            for row, r, end, fin in zip(wb, active.tolist(), ends.tolist(),
+                                        done.tolist()):
+                if not fin:
+                    # a row still running holds all of this pass
+                    parts.setdefault(r, []).append(row)
+                elif r in parts:
+                    ws[r] = np.concatenate([*parts.pop(r), row[: lo + end + 1]])
+                else:
+                    ws[r] = row[: lo + end + 1]
+            active = active[~done]
         yield pieces, bounds.tolist(), ws, total
 
 
@@ -379,20 +380,12 @@ def node(params: PQParams, k: int) -> float:
 
 
 def weight(params: PQParams, k: int, x: float) -> float:
-    """The k-th series weight w_k(x)."""
-    if not (0.0 <= x < 1.0):
-        raise ValueError("x must lie in [0, 1)")
+    """The k-th series weight w_k(x), x in [0, 1): the kernel's weight k of
+    the row of x, bit for bit."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    plan = _Plan(params)
-    w0 = float(plan.leading_weights(np.array([x], dtype=float))[0])
-    if math.isnan(w0):
-        raise ValueError(_UNDERFLOW)
-    if k == 0:
-        return w0
-    plan.grow(k + 1)
-    ratios = x * plan.e1[1: k + 1] / plan.e2[1: k + 1]
-    return float(w0 * np.cumprod(ratios)[-1])
+    [w] = _weight_rows(params, [x], -math.inf, k + 1)
+    return float(w[k])
 
 
 def evaluate(
@@ -651,11 +644,11 @@ def evaluate_grid_values(
     return res
 
 
-def _prefix_sums(
+def _weight_rows(
     params: PQParams, grid: Sequence[float], tail_tol: float, max_terms: int
-) -> list[float]:
-    """Sum of the truncated weights at every x of a grid, in grid order; the
-    first failing x raises."""
+) -> list[np.ndarray]:
+    """The kernel's weights of every x of a grid, in grid order; the first
+    failing x raises."""
     xs = np.array([float(x) for x in grid], dtype=float)
     inside = (xs >= 0.0) & (xs < 1.0)
     plan = _Plan(params)
@@ -665,7 +658,7 @@ def _prefix_sums(
     if bad.size:
         raise ValueError(_UNDERFLOW if inside[bad[0]] else "x must lie in [0, 1)")
     chunks = _weight_chunks([(None, plan, xs, w0)], tail_tol, max_terms)
-    return [float(np.sum(w)) for _, _, ws, _ in chunks for w in ws]
+    return [w for _, _, ws, _ in chunks for w in ws]
 
 
 def normalization_partial_sums(
@@ -675,7 +668,7 @@ def normalization_partial_sums(
     of a grid, in grid order; the first failing x raises."""
     if k_terms < 1:
         raise ValueError("k_terms must be >= 1")
-    return _prefix_sums(params, grid, -math.inf, k_terms)
+    return [float(np.sum(w)) for w in _weight_rows(params, grid, -math.inf, k_terms)]
 
 
 def normalization_partial_sum(params: PQParams, x: float, k_terms: int) -> float:
@@ -690,6 +683,6 @@ def normalization_defects(
 ) -> list[float]:
     """|prefix weight sum - 1| at every x of a grid, in grid order, under the
     policy's truncation; the first failing x raises."""
-    return [abs(1.0 - s)
-            for s in _prefix_sums(params, grid, policy.tail_tol, policy.k_max)]
+    return [abs(1.0 - float(np.sum(w)))
+            for w in _weight_rows(params, grid, policy.tail_tol, policy.k_max)]
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,7 +27,7 @@ from pqmkz.engine import (
     normalization_partial_sums,
     weight,
 )
-from pqmkz.oracle import exact_polynomial_bracket
+from pqmkz.oracle import exact_polynomial_bracket, exact_weights
 from pqmkz.pqcore import PQPair
 from pqmkz.presets import IDENTITY, ONE, PAPER_CUBIC, SQUARE
 from qmkz_reference import q_mkz
@@ -151,7 +152,8 @@ class TestWeight:
 
 
 class TestWeightStream:
-    """The weight array of the evaluation kernel against the scalar view."""
+    """The weight array of the evaluation kernel against the exact weights
+    and the per-x reference copy."""
 
     @staticmethod
     def kernel(x, count):
@@ -159,15 +161,23 @@ class TestWeightStream:
         assert len(w) == count
         return w
 
+    @staticmethod
+    def exact(x, count):
+        pq = PARAMS.pq
+        return exact_weights(PARAMS.n, count - 1, F(pq.p), F(pq.q), F(x))
+
     def test_first_element(self):
         w = self.kernel(0.4, 1)
-        assert w[0] == pytest.approx(weight(PARAMS, 0, 0.4), rel=1e-15)
+        assert w[0] == pytest.approx(float(self.exact(0.4, 1)[0]), rel=1e-15)
+        assert w.tobytes() == ref_weights_nodes(PARAMS, 0.4, 0.0, 1)[0].tobytes()
 
     def test_agrees_with_direct_weight(self):
+        # the defining formula in exact rationals (its first 65 weights),
+        # and the per-x reference bit for bit
         w = self.kernel(0.5, 201)
-        for k in range(201):
-            direct = weight(PARAMS, k, 0.5)
-            assert w[k] == pytest.approx(direct, rel=1e-12, abs=1e-300)
+        for k, exact in enumerate(self.exact(0.5, 65)):
+            assert w[k] == pytest.approx(float(exact), rel=1e-12)
+        assert w.tobytes() == ref_weights_nodes(PARAMS, 0.5, 0.0, 201)[0].tobytes()
 
     def test_ratio_limit_is_x(self):
         x = 0.6
@@ -520,16 +530,12 @@ class TestRowKernelEqualsPerX:
             assert node(params, k) == ref_nodes(params, k + 1)[k]
             for x in xs[:3]:
                 try:
-                    w0 = math.exp(ref_log_w0(params, float(x)))
+                    w, _, _, _ = ref_weights_nodes(params, float(x), -math.inf, k + 1)
                 except ValueError:
                     with pytest.raises(ValueError, match="underflows"):
                         weight(params, k, float(x))
                     continue
-                want = w0
-                if k:
-                    ks = np.arange(1, k + 1)
-                    want = float(w0 * np.cumprod(ref_ratios(params, float(x), ks))[-1])
-                assert weight(params, k, float(x)) == want
+                assert weight(params, k, float(x)) == w[k]
 
     def test_one_point_views_match_grid_rows(self):
         params = PQParams(9, PQPair(0.97, 0.9))
@@ -595,7 +601,7 @@ class TestBlockBatches:
         passes = []
         ratios = engine._ratios
 
-        def recorded(pieces, bounds, xs, rows, block, out=None):
+        def recorded(pieces, bounds, xs, rows, block, out):
             passes.append((len(rows), block.stop - block.start))
             return ratios(pieces, bounds, xs, rows, block, out)
 
@@ -604,6 +610,56 @@ class TestBlockBatches:
         self.assert_rows_are_ref([(_Plan(SLOW), xs)], 1e-12, 100_000)
         assert all(a * width <= 8 * engine._BLOCK for a, width in passes)
         assert {width // engine._BLOCK for _, width in passes} >= {1, 2, 4, 8}
+
+    def test_pass_schedule_of_one_long_row(self, monkeypatch):
+        # a row alone runs 1, 1, 2, 4, 8, then 16 blocks per pass
+        widths = []
+        ratios = engine._ratios
+
+        def recorded(pieces, bounds, xs, rows, block, out):
+            widths.append(block.stop - block.start)
+            return ratios(pieces, bounds, xs, rows, block, out)
+
+        monkeypatch.setattr(engine, "_ratios", recorded)
+        self.assert_rows_are_ref([(_Plan(SLOW), [0.999])], 1e-12, 100_000)
+        blocks = [width / engine._BLOCK for width in widths]
+        assert blocks[:7] == [1, 1, 2, 4, 8, 16, 16]
+
+
+class TestLeadingWeights:
+    """_Plan.leading_weights sums log w_0 over slices of at most _ROWS *
+    _BLOCK factors."""
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_slices_equal_reference_bitwise(self, monkeypatch, rows):
+        # with _ROWS = 1 a slice holds 256 // (n + 1) x, one x from n = 256 on
+        monkeypatch.setattr(engine, "_ROWS", rows)
+        rng = np.random.default_rng(rows)
+        xs = np.concatenate([[0.0], rng.uniform(0.0, 0.999, 200)])
+        for n in (1, 7, 300, 2000):
+            # q / p = 0.9999 underflows w_0 at some x from n = 300 on
+            for pq in (PQPair(1.0, 0.99), PQPair(0.97, 0.5), PQPair(1.0, 0.9999)):
+                params = PQParams(n, pq)
+                want = []
+                for x in xs.tolist():
+                    try:
+                        want.append(math.exp(ref_log_w0(params, x)))
+                    except ValueError:
+                        want.append(math.nan)
+                got = _Plan(params).leading_weights(xs)
+                assert got.tobytes() == np.array(want).tobytes()
+
+    def test_temporaries_are_bounded(self):
+        # one outer product of 1001 x and 20 001 factors would hold 160 MB
+        plan = _Plan(PQParams(20_000, PQPair(1.0, 0.5)))
+        tracemalloc.start()
+        try:
+            w0 = plan.leading_weights(np.linspace(0.0, 0.9, 1001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.isnan(w0).any()
+        assert peak < 16e6
 
 
 class TestPartialSums:

@@ -155,6 +155,10 @@ EDGE = [
     ["identity", *_LONG, "--grid", "9:0:0.999", "--kmax", "3000"],
     ["moments", "--n", "6", "--p", "0.999", "--q", "0.998", "--grid", "5:0.9:0.999",
      "--kmax", "40000"],
+    # a large degree on a fine grid: the leading weights of 1001 x over
+    # 20 001 factors each
+    ["eval", "--n", "20000", "--p", "1", "--q", "0.5", "--fn", "x^2",
+     "--grid", "1001:0:0.9"],
 ]
 
 
