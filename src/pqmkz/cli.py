@@ -123,12 +123,14 @@ def resolve_function(spec: str) -> Function:
 
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
-    if len(parts) == 1:
-        count, lo, hi = int(parts[0]), 0.0, 1.0
-    elif len(parts) == 3:
-        count, lo, hi = int(parts[0]), float(parts[1]), float(parts[2])
-    else:
-        raise ValueError(f"grid spec must be COUNT or COUNT:LO:HI, got {spec!r}")
+    message = f"grid spec must be COUNT or COUNT:LO:HI, got {spec!r}"
+    if len(parts) not in (1, 3):
+        raise ValueError(message)
+    try:
+        count = int(parts[0])
+        lo, hi = (float(parts[1]), float(parts[2])) if len(parts) == 3 else (0.0, 1.0)
+    except ValueError:
+        raise ValueError(message) from None
     if count < 1:
         raise ValueError("grid needs at least one point")
     if not (0.0 <= lo <= hi <= 1.0):

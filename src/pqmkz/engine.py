@@ -40,10 +40,16 @@ __all__ = [
 ]
 
 _BLOCK = 256
-# Rows (plan, x) run the recurrence together this many at a time.  A pass of
-# the kernel holds nb blocks of each running row, nb * rows <= _ROWS, so at
-# most _ROWS * _BLOCK terms (about 1 MB per temporary).  A pass costs calls
-# whatever its number of rows, so larger chunks and passes amortize them.
+# Block 0 (terms 1 .. _BLOCK) runs in sub-passes of _FIRST, 2 * _FIRST, ...
+# terms over the rows still running, the last one cut at the block's end: most
+# rows stop early in block 0, and a row that stops computes no more of it than
+# the sub-pass that holds its stop.
+_FIRST = 32
+# Rows (plan, x) run the recurrence together this many at a time.  A later
+# pass holds nb blocks of each running row, nb * rows <= _ROWS, so at most
+# _ROWS * _BLOCK terms (about 1 MB per temporary), as block 0 of a full chunk
+# does.  A pass costs calls whatever its number of rows, so larger chunks and
+# passes amortize them.
 _ROWS = 512
 # At most this many blocks per pass.  A row's passes grow with the blocks it
 # has made, and a row that stops early in a pass wastes the rest of it:
@@ -280,6 +286,62 @@ def _stops(cums: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
     return stopped, np.where(stopped, reached.argmax(axis=1), cums.shape[1] - 1)
 
 
+def _first_block(pieces, bounds, xs, w0, rows, target, size):
+    """Weights 1..size (size <= _BLOCK) of the given rows of a chunk, sorted,
+    in sub-passes of _FIRST, 2 * _FIRST, ... terms over the rows still
+    running.  Returns (wb, stopped, ends, sums): wb[i] = [w_0 | weights] of
+    rows[i], whether it reaches target, the column of its last weight kept
+    and the running sum there.
+
+    Every row reads its plan's e1 and e2 from one table of the chunk.  A
+    sub-pass multiplies the in-block running product carried from the last
+    one (1.0 at first) into its first ratio before its cumprod, and adds the
+    carried in-block running sum (0.0 at first) to its first weight before
+    its cumsum: the steps a cumprod and a cumsum over the whole block take
+    there.  w_0 is the block's start weight and start sum, so every weight
+    and sum is that of the one-block pass.
+    """
+    for piece in pieces:
+        piece[1].grow(size + 1)
+    e1 = np.stack([p[1].e1[: size + 1] for p in pieces])
+    e2 = np.stack([p[1].e2[: size + 1] for p in pieces])
+    a = rows.size
+    wb = np.empty((a, 1 + size))
+    wb[:, 0] = w0[rows]
+    stopped = np.zeros(a, dtype=bool)
+    ends, sums = np.empty(a, dtype=int), np.empty(a)
+    # the rows still running: their rows of wb, pieces, x, w_0, and the
+    # in-block running product and sum
+    pos = np.arange(a)
+    piece = np.repeat(np.arange(len(pieces)), np.diff(bounds))[rows]
+    x, start = xs[rows, None], w0[rows, None]
+    prod, run_sum = np.ones(a), np.zeros(a)
+    lo, width = 1, _FIRST
+    while pos.size and lo <= size:
+        hi = min(lo + width, size + 1)
+        buf = np.multiply(x, e1[piece, lo:hi])
+        np.divide(buf, e2[piece, lo:hi], out=buf)
+        buf[:, 0] *= prod
+        np.cumprod(buf, axis=1, out=buf)
+        prod = buf[:, -1].copy()
+        np.multiply(start, buf, out=buf)
+        wb[pos, lo:hi] = buf
+        buf[:, 0] += run_sum
+        np.cumsum(buf, axis=1, out=buf)
+        run_sum = buf[:, -1].copy()
+        cums = np.add(start, buf, out=buf)
+        hit, at = _stops(cums, target)
+        ends[pos] = lo + at
+        sums[pos] = cums[np.arange(pos.size), at]
+        stopped[pos] = hit
+        if hit.any():
+            keep = ~hit
+            pos, piece, x, start = pos[keep], piece[keep], x[keep], start[keep]
+            prod, run_sum = prod[keep], run_sum[keep]
+        lo, width = hi, 2 * width
+    return wb, stopped, ends, sums
+
+
 def _weight_chunks(segments, tail_tol: float, max_terms: int):
     """Weights of rows (plan, x), yielded one chunk of rows at a time.
 
@@ -295,20 +357,21 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
     until the running sum reaches 1 - tail_tol or max_terms weights exist.
     Every row keeps those block boundaries and that order of operations, so
     rows that share a block run as one array and still get the one-point
-    arithmetic bit for bit.  The rows still running go nb blocks per pass as
-    one (rows, nb * _BLOCK) array: the blocks' start weights and start sums
-    are sequential scans over the block axis (multiply.accumulate of the
-    block-end cumprods, add.accumulate of the block-end cumsums), the same
-    products and sums in the same order as one block at a time.  The first
-    pass is an ordinary one-block pass from w_0 whose array also holds w_0 in
-    column 0, so a row that ends there is the view [w_0 | weights] of it; a
-    row that ends at w_0, or may hold one weight only, is a view of w0, and
-    a longer row is its parts put end to end once it ends.  nb is the blocks
-    made so far, at least 1 and at most _BATCH, _ROWS // rows and the full
-    blocks left before max_terms (1, 1, 2, 4, 8, 16, 16, ... for few rows);
-    a last partial block runs alone.  tail_tol may be -inf here (internal
-    use: fixed-length partial sums): no running sum reaches 1 - tail_tol =
-    inf, so every row holds max_terms weights.
+    arithmetic bit for bit.  Block 0 runs in the sub-passes of _first_block
+    into one (rows, 1 + _BLOCK) array whose column 0 is w_0, so a row that
+    ends there is the view [w_0 | weights] of it; a row that ends at w_0, or
+    may hold one weight only, is a view of w0, and a longer row is its parts
+    put end to end once it ends.  Later passes run the rows still running nb
+    blocks at a time as one (rows, nb * _BLOCK) array: the blocks' start
+    weights and start sums are sequential scans over the block axis
+    (multiply.accumulate of the block-end cumprods, add.accumulate of the
+    block-end cumsums), the same products and sums in the same order as one
+    block at a time.  nb is the blocks made so far, at most _BATCH, _ROWS //
+    rows and the full blocks left before max_terms; a last partial block
+    runs alone.  A row alone runs sub-passes of 32, 64, 128 and 32 terms,
+    then 1, 2, 4, 8, 16, 16, ... blocks per pass.  tail_tol may be -inf here
+    (internal use: fixed-length partial sums): no running sum reaches 1 -
+    tail_tol = inf, so every row holds max_terms weights.
     """
     target = 1.0 - tail_tol
     for pieces in _plan_major(segments):
@@ -325,37 +388,40 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
         produced = 1
         while active.size:
             a, left = active.size, max_terms - produced
-            nb = min(max(1, (produced - 1) // _BLOCK), _BATCH, _ROWS // a,
-                     left // _BLOCK)
-            # with no full block left, the last partial block runs alone
-            nb, k = (nb, _BLOCK) if nb else (1, left)
-            # the first pass (lo = 1) holds w_0 in column 0; later passes
-            # have no such column, as rows padded by one column run slower
-            lo = int(produced == 1)
-            wb = np.empty((a, lo + nb * k))
-            _ratios(pieces, bounds, xs, active,
-                    slice(produced, produced + nb * k), wb[:, lo:])
-            starts = last[active, None]
-            wb[:, :lo] = starts
-            cp = wb[:, lo:].reshape(a, nb, k)
-            np.cumprod(cp, axis=2, out=cp)
-            # block j starts from starts[:, j] and sums[:, j], the last
-            # weight and the running sum at the end of block j - 1
-            if nb > 1:
-                starts = np.multiply.accumulate(
-                    np.concatenate([starts, cp[:, :-1, -1]], axis=1), axis=1)
-            np.multiply(starts[:, :, None], cp, out=cp)
-            cs = np.cumsum(cp, axis=2)
-            sums = total[active, None]
-            if nb > 1:
-                sums = np.add.accumulate(
-                    np.concatenate([sums, cs[:, :-1, -1]], axis=1), axis=1)
-            cums = np.add(sums[:, :, None], cs, out=cs).reshape(a, -1)
-            stopped, ends = _stops(cums, target)
-            total[active] = cums[np.arange(a), ends]
+            if produced == 1:
+                size = min(_BLOCK, left)
+                wb, stopped, ends, sums = _first_block(
+                    pieces, bounds, xs, w0, active, target, size)
+                total[active] = sums
+                produced += size
+            else:
+                nb = min((produced - 1) // _BLOCK, _BATCH, _ROWS // a,
+                         left // _BLOCK)
+                # with no full block left, the last partial block runs alone
+                nb, k = (nb, _BLOCK) if nb else (1, left)
+                wb = np.empty((a, nb * k))
+                _ratios(pieces, bounds, xs, active,
+                        slice(produced, produced + nb * k), wb)
+                starts = last[active, None]
+                cp = wb.reshape(a, nb, k)
+                np.cumprod(cp, axis=2, out=cp)
+                # block j starts from starts[:, j] and sums[:, j], the last
+                # weight and the running sum at the end of block j - 1
+                if nb > 1:
+                    starts = np.multiply.accumulate(
+                        np.concatenate([starts, cp[:, :-1, -1]], axis=1), axis=1)
+                np.multiply(starts[:, :, None], cp, out=cp)
+                cs = np.cumsum(cp, axis=2)
+                sums = total[active, None]
+                if nb > 1:
+                    sums = np.add.accumulate(
+                        np.concatenate([sums, cs[:, :-1, -1]], axis=1), axis=1)
+                cums = np.add(sums[:, :, None], cs, out=cs).reshape(a, -1)
+                stopped, ends = _stops(cums, target)
+                total[active] = cums[np.arange(a), ends]
+                produced += nb * k
             # only a row that runs on reads its last weight again
             last[active] = wb[:, -1]
-            produced += nb * k
             done = stopped if produced < max_terms else np.ones(a, dtype=bool)
             for row, r, end, fin in zip(wb, active.tolist(), ends.tolist(),
                                         done.tolist()):
@@ -363,9 +429,9 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
                     # a row still running holds all of this pass
                     parts.setdefault(r, []).append(row)
                 elif r in parts:
-                    ws[r] = np.concatenate([*parts.pop(r), row[: lo + end + 1]])
+                    ws[r] = np.concatenate([*parts.pop(r), row[: end + 1]])
                 else:
-                    ws[r] = row[: lo + end + 1]
+                    ws[r] = row[: end + 1]
             active = active[~done]
         yield pieces, bounds.tolist(), ws, total
 

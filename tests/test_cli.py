@@ -219,6 +219,15 @@ class TestRejections:
         assert err.startswith(f"error: {message}")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("spec", ["abc", "2.5", "3:a:b", "1:2", ""])
+    @pytest.mark.parametrize("command", ["eval", "moments", "identity", "bounds"])
+    def test_malformed_grid_exit_2(self, capsys, command, spec):
+        code, out, err = run(capsys, command, "--n", "3", "--p", "0.95", "--q", "0.9",
+                             "--grid", spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: grid spec must be COUNT or COUNT:LO:HI, got {spec!r}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -612,18 +612,35 @@ class TestBlockBatches:
         assert {width // engine._BLOCK for _, width in passes} >= {1, 2, 4, 8}
 
     def test_pass_schedule_of_one_long_row(self, monkeypatch):
-        # a row alone runs 1, 1, 2, 4, 8, then 16 blocks per pass
+        # a row alone runs block 0 in sub-passes of 32, 64, 128 and 32 terms,
+        # then 1, 2, 4, 8, then 16 blocks per pass
         widths = []
-        ratios = engine._ratios
+        stops = engine._stops
 
-        def recorded(pieces, bounds, xs, rows, block, out):
-            widths.append(block.stop - block.start)
-            return ratios(pieces, bounds, xs, rows, block, out)
+        def recorded(cums, target):
+            widths.append(cums.shape[1])
+            return stops(cums, target)
 
-        monkeypatch.setattr(engine, "_ratios", recorded)
+        monkeypatch.setattr(engine, "_stops", recorded)
         self.assert_rows_are_ref([(_Plan(SLOW), [0.999])], 1e-12, 100_000)
-        blocks = [width / engine._BLOCK for width in widths]
-        assert blocks[:7] == [1, 1, 2, 4, 8, 16, 16]
+        assert widths[:10] == [32, 64, 128, 32, 256, 512, 1024, 2048, 4096, 4096]
+
+    @pytest.mark.parametrize("k_max", [32, 33, 96, 97, 224, 225, 256, 257, 258])
+    def test_first_block_sub_passes_of_several_plans(self, k_max):
+        # block 0's sub-passes hold terms 1-32, 33-96, 97-224 and 225-256;
+        # k_max ends block 0 one term before or at a sub-pass end, and rows
+        # of five plans in one chunk stop in every sub-pass
+        xs = np.linspace(0.0, 0.99, 34)
+        plans_xs = [(_Plan(params), xs) for params in (
+            PARAMS, CLASSICAL3, PQParams(1, PQPair(1.0, 0.5)),
+            PQParams(9, PQPair(0.97, 0.9)), PQParams(40, PQPair(1.0, 0.99)))]
+        lens = [len(ref_weights_nodes(plan.params, x, 1e-12, 100_000)[0])
+                for plan, _ in plans_xs for x in xs.tolist()]
+        # a row of n weights ends at term n - 1
+        sub = np.searchsorted([32, 96, 224, 256], [n - 1 for n in lens if 1 < n <= 257])
+        assert set(sub.tolist()) == {0, 1, 2, 3}
+        for tol in (1e-8, 1e-12):
+            self.assert_rows_are_ref(plans_xs, tol, k_max)
 
 
 class TestLeadingWeights:

@@ -65,6 +65,16 @@ EDGE = [
      "--format", "json"],
     ["identity", *_SMALL, "--grid", "3:0:0.99", "--kmax", "2", "--format", "json"],
     ["eval", *_SMALL, "--fn", "x^2", "--grid", "64:0:0.999", "--kmax", "257"],
+    # k_max ends block 0 at term 96 or 224, the end of its second or third
+    # sub-pass
+    ["eval", *_SMALL, "--fn", "x^2", "--grid", "64:0:0.999", "--kmax", "97"],
+    ["eval", *_SMALL, "--fn", "x^2", "--grid", "64:0:0.999", "--kmax", "225"],
+    ["eval", "--n", "3", "--p", "1", "--q", "1", "--fn", "x^2", "--grid", "9:0:0.9",
+     "--kmax", "97"],
+    # malformed grid specs
+    ["eval", *_SMALL, "--fn", "x^2", "--grid", "abc"],
+    ["eval", *_SMALL, "--fn", "x^2", "--grid", "2.5"],
+    ["eval", *_SMALL, "--fn", "x^2", "--grid", "3:a:b"],
     ["eval", *_SMALL, "--fn", "one", "--grid", "5:0:0.9", "--tol", "1e-18",
      "--kmax", "20000"],
     ["moments", "--n", "3", "--p", "0.9", "--q", "0.8"],
