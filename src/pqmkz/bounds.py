@@ -1,13 +1,18 @@
 """Moduli of continuity and theoretical error bounds vs empirical sup-error.
 
-Moduli are grid suprema on nested dyadic lattices (resolution 2^m + 1), so
-refining the resolution can only increase an estimate.  The step set for a
-modulus at width delta is every lattice multiple of the spacing up to delta,
-plus delta itself; the extra step makes omega(t -> t, delta) = delta exact.
+Moduli are grid suprema on the lattice of `resolution` points on [0, 1].
+Refining the lattice can only increase an estimate when the coarse lattice
+lies in the fine one, that is when R - 1 divides R' - 1 (as from 2^m + 1 to
+2^(m+1) + 1 points).  Between other resolutions an estimate can fall:
+second_modulus(|x - 1/2|, 0.001, R) is 0.001953125 at R = 1025 but
+0.00107... at R = 1026.  The step set for a modulus at width delta is every
+lattice multiple of the spacing up to delta, plus delta itself; the extra
+step makes omega(t -> t, delta) = delta exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,8 +35,13 @@ __all__ = [
 # the version of the layout of every JSON output, this report's and the CLI's
 SCHEMA_VERSION = 1
 
-# second-difference steps that share one max and one min
+# second-difference steps formed in one pass of the rows buffer; groups of
+# 1-2 steps ran slower than 4, and 8 or 16 no faster
 _STEPS_PER_PASS = 4
+# second_modulus first forms every _STRIDE-th step from the largest down, and
+# forms a gap between formed steps whole when it holds at most _WHOLE steps
+_STRIDE = 16
+_WHOLE = 8
 
 
 @dataclass(frozen=True)
@@ -124,9 +134,19 @@ def modulus(f: Function, delta: float, resolution: int) -> float:
     return best
 
 
-def _up(x: float) -> float:
-    """The double after x: at least the real value that rounded to x."""
-    return math.nextafter(x, math.inf)
+def _up(x):
+    """The double after x, elementwise: at least the real value that rounded
+    to x."""
+    return np.nextafter(x, np.inf)
+
+
+def _gap_bounds(lower, upper, spans, slope, slack):
+    """G = max(m_a, m_c)(1 + 2u) + (c - a) slope + 3 slack for arrays of the
+    formed ends' max |c| and of the spans c - a, each operation rounded up."""
+    u = 2.0**-53
+    with np.errstate(over="ignore"):
+        ends = _up(np.maximum(lower, upper) * (1.0 + 2.0 * u))
+        return _up(_up(ends + _up(spans * slope)) + _up(3.0 * slack))
 
 
 def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
@@ -138,14 +158,24 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
     doubled at the end, which halving by a power of two makes exact in the
     normal range.  A difference too large for a double gives inf.
 
-    The off-lattice step h = step_bound runs first and seeds the max.  The
-    lattice steps d = 1..dmax then run in groups from the largest d down,
-    and the walk stops at the first group whose largest step d has a bound
-    B(d) <= max, so the steps it skips cannot raise the max.
+    The off-lattice step h = step_bound runs first and seeds the max.  Of
+    the lattice steps d = 1..dmax, those with a bound B(d) <= max cannot
+    raise it and are never formed.  The walk first forms every _STRIDE-th
+    step from d = dmax down, while B(d) > max.  These steps and the middle
+    steps formed below end gaps, and each keeps its own max |c|.  Then it
+    tests each gap (a, c) between them, step 0 (D2_0 g = 0) among them,
+    with a bound G(a, c) on the steps inside it.
+    It skips the gap when G <= max or B(c - 1) <= max; otherwise it forms
+    the gap whole if it holds at most _WHOLE steps, and else forms its
+    middle step and tests the two halves in the next round.  Every round
+    bounds its gaps in one numpy pass.  Each step is formed at most once,
+    and the max is the max over every step, bit for bit.  When no gap can
+    be ruled out, as with a kink close to x = 1, every step is formed.
 
     Proof.  Let g and m be the lattice values the sums run on (g = f and
     m = 2 f, or g = f/2 and m = f), and r = m - 2 g: r = 0, or |r| <= rho,
-    the smallest subnormal, where f/2 is rounded.  Step d computes
+    the smallest subnormal, where f/2 is rounded.  Lattice step d's domain
+    is 0 <= x <= R - 1 - 2d on R lattice points.  Step d computes
     c = fl(fl(a - b) + g(x)) with a = g(x + 2d) and b = m(x + d), and its
     exact value is e = D2_d g(x) - r(x + d).  Since
     D2_d g(x) = sum_{i,j<d} D2_1 g(x + i + j) = D_d g(x + d) - D_d g(x),
@@ -158,10 +188,33 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
     overflow and equals (a - b)(1 + t), |t| <= u, so
         |fl(a - b) + g(x)| <= |e| + u S <= min(d^2 M, 2 d L) + rho + u S.
     That is B(d).  It grows with d, and rounding is monotone, so
-    B(d) <= max gives |c| <= max at every step up to d.  Each operation
-    that evaluates B is rounded up by one ulp (_up), so the float B is at
-    least the real one.  An overflow makes B inf, and an inf first
-    difference makes it inf or nan; neither ever stops the walk.
+    B(d) <= max gives |c| <= max at every step up to d.
+
+    Gap lemma.  Take lattice steps d < e and x in d's domain, and let
+    t = max(0, x - (R - 1 - 2e)).  Then x - t = min(x, R - 1 - 2e) lies in
+    e's domain, 0 <= t <= 2(e - d), and with k = e - d,
+        |D2_d g(x) - D2_e g(x - t)|
+            <= (|t - 2k| + 2 |t - k| + t) L <= 4 k L,
+    since the three points of D2_d g(x) lie |t - 2k|, |t - k| and t lattice
+    steps from those of D2_e g(x - t), and the sum is 4k - 2t for t <= k and
+    2t for t >= k.  (Without the shift t, D2_e g(x) is not defined on the
+    last 2k points of d's domain, and the bound from the larger step says
+    nothing there.)  Likewise every x in e's domain lies in d's, and
+    |D2_e g(x) - D2_d g(x)| <= 4 k L.  So for a < d < c,
+        |D2_d g(x)| <= max(max_y |D2_a g(y)|, max_y |D2_c g(y)|)
+                       + 4 min(d - a, c - d) L,
+    and 4 min(d - a, c - d) <= 2 (c - a).  A formed step with max |c| = m_s
+    has |D2_s g(y)| <= |e| + rho <= (1 + u) m_s + u S + rho at every y,
+    since |e| <= |fl(a - b) + g(y)| + u S <= (1 + u) |c| + u S; step 0 has
+    D2_0 g = 0.  Adding the rounding of step d itself,
+        |fl(a - b) + g(x)| <= (1 + u) max(m_a, m_c) + 2 (c - a) L
+                              + 2 (u S + rho) <= G(a, c)
+    with G = max(m_a, m_c)(1 + 2u) + (c - a) slope + 3 slack, slope >= 2 L
+    and slack >= u S + rho.  So G <= max gives |c| <= max at every step of
+    the gap.  Each operation that evaluates B or G is rounded up by one ulp
+    (_up), so the float bounds are at least the real ones.  An overflow
+    makes a bound inf, and an inf first difference makes it inf or nan;
+    neither ever rules out a step while the max is finite.
     """
     if not (0.0 < step_bound <= 0.5):
         raise ValueError("step bound must lie in (0, 1/2]")
@@ -192,29 +245,92 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
         unit = np.diff(outer)
         l_max = float(np.max(np.abs(unit), initial=0.0))
         k_max = float(np.max(np.abs(np.diff(unit)), initial=0.0))
-    spread = _up(max(float(outer.max()) - float(middle.min()),
-                     float(middle.max()) - float(outer.min())))
-    curv = _up(_up(k_max * (1.0 + 2.0 * u)) + _up(2.0 * u * l_max))
-    slope = _up(2.0 * _up(l_max * (1.0 + 2.0 * u)))
-    slack = _up(_up(u * spread) + rho)
+        spread = _up(max(float(outer.max()) - float(middle.min()),
+                         float(middle.max()) - float(outer.min())))
+        curv = _up(_up(k_max * (1.0 + 2.0 * u)) + _up(2.0 * u * l_max))
+        slope = _up(2.0 * _up(l_max * (1.0 + 2.0 * u)))
+        slack = _up(_up(u * spread) + rho)
+
+        def step_bounds_at(d):
+            # B(d); fmin takes d slope where d^2 curv is nan, which a nan
+            # curv, from an inf first difference, makes inf anyway
+            return _up(np.fmin(_up(_up(d * d) * curv), _up(d * slope)) + slack)
+
+        if dmax == 0 or step_bounds_at(float(dmax)) <= best:
+            return best * scale
+        step_bounds = step_bounds_at(np.arange(1.0, dmax + 1.0)).tolist()
+    # out: steps 1..out have B <= best; peak: the max |c| of step 0, which
+    # is 0, and of each step that ends a gap, inf until it is formed
+    out = bisect.bisect_right(step_bounds, best)
+    peak = {0: 0.0}
     rows = np.empty((_STEPS_PER_PASS, n))
+    pending: list[int] = []
+
+    def form(steps: list[int]) -> None:
+        # one pass of the rows buffer over at most _STEPS_PER_PASS steps
+        nonlocal best, out
+        width = n - 2 * min(steps)
+        for row, d in zip(rows, steps):
+            # f(x+2h) - 2 f(x+h) + f(x) in that order; a 0 past the row's
+            # end leaves its max |c| unchanged
+            m = n - 2 * d
+            np.subtract(outer[2 * d:], middle[d:-d], out=row[:m])
+            np.add(row[:m], outer[: -2 * d], out=row[:m])
+            row[m:width] = 0.0
+        group = rows[: len(steps), :width]
+        if peak.keys().isdisjoint(steps):
+            top = max(float(group.max()), -float(group.min()))
+        else:
+            hi = group.max(axis=1).tolist()
+            lo = group.min(axis=1).tolist()
+            for d, h, l in zip(steps, hi, lo):
+                if d in peak:
+                    peak[d] = max(h, -l)
+            top = max(max(hi), -min(lo))
+        if top > best:
+            best = top
+            out = bisect.bisect_right(step_bounds, best)
+
+    def queue(steps, ends: bool = False) -> None:
+        if ends:
+            peak.update(dict.fromkeys(steps, math.inf))
+        pending.extend(steps)
+        while len(pending) >= _STEPS_PER_PASS:
+            form(pending[:_STEPS_PER_PASS])
+            del pending[:_STEPS_PER_PASS]
+
+    def flush() -> None:
+        if pending:
+            form(pending)
+            pending.clear()
+
     with np.errstate(over="ignore"):
-        for first in reversed(range(1, dmax + 1, _STEPS_PER_PASS)):
-            steps = range(first, min(first + _STEPS_PER_PASS, dmax + 1))
-            top = steps[-1]
-            bound = _up(min(_up(_up(top * top) * curv), _up(top * slope)) + slack)
-            if math.isfinite(bound) and bound <= best:
+        gaps = []
+        for d in range(dmax, 0, -_STRIDE):
+            if d <= out:
                 break
-            width = n - 2 * first
-            for row, d in zip(rows, steps):
-                # f(x+2h) - 2 f(x+h) + f(x) in that order; a 0 past the
-                # row's end leaves best, which starts at 0, unchanged
-                m = n - 2 * d
-                np.subtract(outer[2 * d:], middle[d:-d], out=row[:m])
-                np.add(row[:m], outer[: -2 * d], out=row[:m])
-                row[m:width] = 0.0
-            group = rows[: len(steps), :width]
-            best = max(best, float(group.max()), -float(group.min()))
+            gaps.append((max(d - _STRIDE, 0), d))
+            queue([d], ends=True)
+        flush()
+        while gaps:
+            # a lower end that was ruled out, not formed, bounds nothing
+            gap_bounds = _gap_bounds(
+                np.array([peak.get(a, math.inf) for a, _ in gaps]),
+                np.array([peak[c] for _, c in gaps]),
+                np.array([c - a for a, c in gaps]), slope, slack)
+            halves = []
+            for (a, c), bound in zip(gaps, gap_bounds.tolist()):
+                a = max(a, out)
+                if c - a < 2 or bound <= best:
+                    continue
+                if c - a - 1 <= _WHOLE:
+                    queue(range(c - 1, a, -1))
+                else:
+                    mid = (a + c) // 2
+                    queue([mid], ends=True)
+                    halves += [(mid, c), (a, mid)]
+            flush()
+            gaps = halves
     return best * scale
 
 

@@ -395,7 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="error bounds vs empirical error")
     _add_common(p_bounds)
     p_bounds.add_argument("--grid", default=DEFAULT_GRID, help="COUNT or COUNT:LO:HI")
-    p_bounds.add_argument("--resolution", type=int, default=1025)
+    p_bounds.add_argument(
+        "--resolution", type=int, default=1025,
+        help="lattice points on [0, 1] for the moduli (default 1025); a finer "
+        "lattice raises the moduli only when it contains the coarser one "
+        "(R-1 divides R'-1)",
+    )
     p_bounds.add_argument(
         "--alpha", type=float, default=None, help="Lipschitz exponent (default 1)"
     )

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pqmkz.bounds import (
+    _gap_bounds,
     _window_extrema,
     bound_report,
     decay_width,
@@ -178,7 +180,11 @@ class TestSecondModulusLargeResolution:
         ["paper_cubic", "sin(40*x)*exp(0-x)", "abs(x-0.5)", "x^2", "1/(1+x)",
          # the max at small steps, so that almost no step is skipped; tiny
          # and subnormal differences; 2 f overflowing, so the sums run on f/2
-         "sin(400*x)", "1e-300*x^2", "1.5e308*x^2"],
+         "sin(400*x)", "1e-300*x^2", "1.5e308*x^2",
+         # the largest second differences at the right end of each step's
+         # domain, beyond the domains of larger steps: no gap can be ruled
+         # out, and a gap bound taken from the larger step must shift x
+         "abs(x-0.97)", "exp(60*(x-1))"],
     )
     def test_equals_step_loop(self, spec, resolution):
         f = resolve_function(spec)
@@ -192,13 +198,14 @@ class TestSecondModulusLargeResolution:
         assert got == reference_second_moduli(f, bounds, resolution)
 
     def test_steps_are_skipped(self, monkeypatch):
-        # each lattice step forms its row with one np.subtract(..., out=row)
+        # each lattice step d forms its row with one
+        # np.subtract(g[2d:], m[d:-d], out=row), on 16385 lattice points
         formed = []
         subtract = np.subtract
 
         def counting(*args, **kwargs):
             if "out" in kwargs:
-                formed.append(args)
+                formed.append((16385 - len(args[0])) // 2)
             return subtract(*args, **kwargs)
 
         monkeypatch.setattr(np, "subtract", counting)
@@ -207,13 +214,53 @@ class TestSecondModulusLargeResolution:
         assert second_modulus(SQUARE, 0.2, 16385) == step_loop_second_moduli(
             SQUARE, [0.2], 16385)[0]
         assert len(formed) <= 4
-        # sin(400 x) has its max near step 129: the steps above about 82
-        # could still raise it, so nearly every step is formed
+        # sin(400 x) has its max near step 129 and the steps above about 82
+        # could still raise it, but most gaps between every 16th step are
+        # ruled out by the steps at their ends: the walk from the largest
+        # step down alone formed 3196 of the 3276
         formed.clear()
         f = resolve_function("sin(400*x)")
         assert second_modulus(f, 0.2, 16385) == step_loop_second_moduli(
             f, [0.2], 16385)[0]
-        assert len(formed) > 3000
+        assert len(formed) <= 1000
+        assert len(set(formed)) == len(formed)
+        # a kink close to x = 1: no gap can be ruled out, and no step is
+        # formed twice
+        formed.clear()
+        f = resolve_function("abs(x-0.97)")
+        assert second_modulus(f, 0.5, 16385) == step_loop_second_moduli(
+            f, [0.5], 16385)[0]
+        assert len(set(formed)) == len(formed) > 7000
+
+    def test_gap_whose_steps_rise_far_above_both_ends(self):
+        # unit differences at most L = 1; the max |c| of step d is 28 at
+        # d = 24, 11 at d = 40 and 10.9 at d = 56, but 29 at d = 49 (x = 0),
+        # 2 (49 - 40) L above step 40's: a gap bound of max(m_a, m_c) + 16 L,
+        # half the proven one, or one from the upper end alone, would rule
+        # out the gap (40, 56) against the max 28
+        xs = np.linspace(0.0, 1.0, 113)
+        data = np.interp(np.arange(113), [0, 15, 24, 40, 49, 80, 98, 112],
+                         [0, -15, -15, -2, -2, 7, 25, 11])
+        f = Function(lambda x: np.interp(x, xs, data))
+        assert second_modulus(f, 0.5, 113) == 29.0
+        assert reference_second_moduli(f, [0.5], 113) == [29.0]
+
+
+_BOUND_INPUTS = st.floats(0.0, 1e300)
+
+
+class TestGapBound:
+    @settings(max_examples=300, deadline=None)
+    @given(_BOUND_INPUTS, _BOUND_INPUTS, st.integers(2, 10**4), _BOUND_INPUTS,
+           _BOUND_INPUTS)
+    def test_covers_the_proof(self, lower, upper, span, slope, slack):
+        # the proof needs G >= (1 + u) max(m_a, m_c) + 2 (c - a) L
+        # + 2 (u S + rho), given slope >= 2 L and slack >= u S + rho
+        got = float(_gap_bounds(np.array([lower]), np.array([upper]),
+                                np.array([span]), slope, slack)[0])
+        need = ((1 + Fraction(2) ** -53) * Fraction(max(lower, upper))
+                + span * Fraction(slope) + 2 * Fraction(slack))
+        assert got == math.inf or Fraction(got) >= need
 
 
 _MAX = float(np.finfo(float).max)
@@ -379,10 +426,15 @@ class TestModulus:
         assert vals == sorted(vals)
 
     def test_monotone_under_refinement(self):
+        # between nested lattices, R - 1 dividing R' - 1
         for f in (PAPER_CUBIC, ABS_HALF):
-            v = [modulus(f, 0.3, 2 ** m + 1) for m in (7, 8, 9, 10)]
-            for a, b in zip(v, v[1:]):
-                assert a <= b + 1e-15
+            for modulus_of in (modulus, second_modulus):
+                v = [modulus_of(f, 0.3, 2 ** m + 1) for m in (7, 8, 9, 10)]
+                for a, b in zip(v, v[1:]):
+                    assert a <= b + 1e-15
+        # not between lattices that are not nested
+        assert second_modulus(ABS_HALF, 0.001, 1025) == 0.001953125
+        assert second_modulus(ABS_HALF, 0.001, 1026) < 0.0011
 
     def test_subadditive_on_lattice(self):
         for d1, d2 in [(1 / 8, 1 / 8), (1 / 16, 1 / 8), (1 / 4, 1 / 4)]:

@@ -158,6 +158,10 @@ EDGE = [
       for fn in ("paper_cubic", "sin(40*x)*exp(0-x)", "abs(x-0.5)", "x^2",
                  "1/(1+x)", "sin(400*x)")],
     _FINE + ["--fn", "abs(x-0.5)", "--resolution", "16384"],
+    # the largest second differences at the right end of each step's
+    # domain, where no gap between formed steps can be ruled out
+    _FINE + ["--fn", "abs(x-0.97)", "--resolution", "16385"],
+    _FINE + ["--fn", "exp(60*(x-1))", "--resolution", "16385"],
     # long rows near x = 1 that run many blocks per pass: k_max ends some
     # rows mid-batch (exit 1 with the rows written), and rows of 10k-40k
     # terms
