@@ -38,9 +38,8 @@ SCHEMA_VERSION = 1
 # second-difference steps formed in one pass of the rows buffer; groups of
 # 1-2 steps ran slower than 4, and 8 or 16 no faster
 _STEPS_PER_PASS = 4
-# second_modulus first forms every _STRIDE-th step from the largest down, and
-# forms a gap between formed steps whole when it holds at most _WHOLE steps
-_STRIDE = 16
+# second_modulus forms a gap between formed steps whole when it holds at most
+# _WHOLE steps
 _WHOLE = 8
 
 
@@ -160,11 +159,10 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
 
     The off-lattice step h = step_bound runs first and seeds the max.  Of
     the lattice steps d = 1..dmax, those with a bound B(d) <= max cannot
-    raise it and are never formed.  The walk first forms every _STRIDE-th
-    step from d = dmax down, while B(d) > max.  These steps and the middle
-    steps formed below end gaps, and each keeps its own max |c|.  Then it
-    tests each gap (a, c) between them, step 0 (D2_0 g = 0) among them,
-    with a bound G(a, c) on the steps inside it.
+    raise it and are never formed.  If B(dmax) > max, the walk forms step
+    dmax and starts from the one gap (0, dmax); step 0 has D2_0 g = 0.
+    Each formed step keeps its own max |c|, and each gap (a, c) between
+    formed steps is tested with a bound G(a, c) on the steps inside it.
     It skips the gap when G <= max or B(c - 1) <= max; otherwise it forms
     the gap whole if it holds at most _WHOLE steps, and else forms its
     middle step and tests the two halves in the next round.  Every round
@@ -256,11 +254,9 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
             # curv, from an inf first difference, makes inf anyway
             return _up(np.fmin(_up(_up(d * d) * curv), _up(d * slope)) + slack)
 
-        if dmax == 0 or step_bounds_at(float(dmax)) <= best:
-            return best * scale
         step_bounds = step_bounds_at(np.arange(1.0, dmax + 1.0)).tolist()
     # out: steps 1..out have B <= best; peak: the max |c| of step 0, which
-    # is 0, and of each step that ends a gap, inf until it is formed
+    # is 0, and of each formed step
     out = bisect.bisect_right(step_bounds, best)
     peak = {0: 0.0}
     rows = np.empty((_STEPS_PER_PASS, n))
@@ -278,22 +274,16 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
             np.add(row[:m], outer[: -2 * d], out=row[:m])
             row[m:width] = 0.0
         group = rows[: len(steps), :width]
-        if peak.keys().isdisjoint(steps):
-            top = max(float(group.max()), -float(group.min()))
-        else:
-            hi = group.max(axis=1).tolist()
-            lo = group.min(axis=1).tolist()
-            for d, h, l in zip(steps, hi, lo):
-                if d in peak:
-                    peak[d] = max(h, -l)
-            top = max(max(hi), -min(lo))
+        hi = group.max(axis=1).tolist()
+        lo = group.min(axis=1).tolist()
+        for d, h, l in zip(steps, hi, lo):
+            peak[d] = max(h, -l)
+        top = max(max(hi), -min(lo))
         if top > best:
             best = top
             out = bisect.bisect_right(step_bounds, best)
 
-    def queue(steps, ends: bool = False) -> None:
-        if ends:
-            peak.update(dict.fromkeys(steps, math.inf))
+    def queue(steps) -> None:
         pending.extend(steps)
         while len(pending) >= _STEPS_PER_PASS:
             form(pending[:_STEPS_PER_PASS])
@@ -306,12 +296,9 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
 
     with np.errstate(over="ignore"):
         gaps = []
-        for d in range(dmax, 0, -_STRIDE):
-            if d <= out:
-                break
-            gaps.append((max(d - _STRIDE, 0), d))
-            queue([d], ends=True)
-        flush()
+        if dmax > out:
+            form([dmax])
+            gaps = [(0, dmax)]
         while gaps:
             # a lower end that was ruled out, not formed, bounds nothing
             gap_bounds = _gap_bounds(
@@ -327,7 +314,7 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
                     queue(range(c - 1, a, -1))
                 else:
                     mid = (a + c) // 2
-                    queue([mid], ends=True)
+                    queue([mid])
                     halves += [(mid, c), (a, mid)]
             flush()
             gaps = halves

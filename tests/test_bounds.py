@@ -215,9 +215,8 @@ class TestSecondModulusLargeResolution:
             SQUARE, [0.2], 16385)[0]
         assert len(formed) <= 4
         # sin(400 x) has its max near step 129 and the steps above about 82
-        # could still raise it, but most gaps between every 16th step are
-        # ruled out by the steps at their ends: the walk from the largest
-        # step down alone formed 3196 of the 3276
+        # could still raise it, but most gaps between formed steps are ruled
+        # out by the steps at their ends: 831 of the 3276 are formed
         formed.clear()
         f = resolve_function("sin(400*x)")
         assert second_modulus(f, 0.2, 16385) == step_loop_second_moduli(
@@ -233,17 +232,18 @@ class TestSecondModulusLargeResolution:
         assert len(set(formed)) == len(formed) > 7000
 
     def test_gap_whose_steps_rise_far_above_both_ends(self):
-        # unit differences at most L = 1; the max |c| of step d is 28 at
-        # d = 24, 11 at d = 40 and 10.9 at d = 56, but 29 at d = 49 (x = 0),
-        # 2 (49 - 40) L above step 40's: a gap bound of max(m_a, m_c) + 16 L,
-        # half the proven one, or one from the upper end alone, would rule
-        # out the gap (40, 56) against the max 28
+        # unit differences at most L = 1.  The walk forms steps 56, 28, 42
+        # and 14 (max |c| 7, 13, 7.29 and 22), then step 49 (18.29) in the
+        # gap (42, 56); step 52 reaches 23 at x = 0.  A gap bound with half
+        # the proven slope, max(m_42, m_56) + 14 L, would rule out the gap
+        # (42, 56), and one from the upper end alone, m_56 + 14 L, the gap
+        # (49, 56), each against the max 22
         xs = np.linspace(0.0, 1.0, 113)
-        data = np.interp(np.arange(113), [0, 15, 24, 40, 49, 80, 98, 112],
-                         [0, -15, -15, -2, -2, 7, 25, 11])
+        data = np.interp(np.arange(113), [0, 14, 35, 42, 52, 56, 84, 104, 112],
+                         [0, -8, 13, 19, 21, 25, 45, 65, 57])
         f = Function(lambda x: np.interp(x, xs, data))
-        assert second_modulus(f, 0.5, 113) == 29.0
-        assert reference_second_moduli(f, [0.5], 113) == [29.0]
+        assert second_modulus(f, 0.5, 113) == 23.0
+        assert reference_second_moduli(f, [0.5], 113) == [23.0]
 
 
 _BOUND_INPUTS = st.floats(0.0, 1e300)
