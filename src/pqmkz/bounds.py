@@ -91,25 +91,28 @@ def _lattice(f: Function, width: float, resolution: int):
 
 
 def _window_extrema(v: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Max and min of every window of w consecutive entries of v, in O(len(v)).
+    """Max and min of every window of w consecutive entries of v, in
+    O(len(v) log w).
 
-    v is cut into blocks of w entries.  Window i is v[i:] up to the end of
-    i's block joined to v[:i + w] from the start of the block that holds
-    i + w - 1, so its max is the larger of a running max from the one
-    block's end and a running max from the other's start (van Herk 1992;
-    Gil & Werman 1993); likewise its min.
+    Doubling: with k a power of two, the max of v[i:i + 2k] is the larger of
+    the maxima of v[i:i + k] and v[i + k:i + 2k], so about log2(w)
+    elementwise np.maximum passes over shifted views give the max of every
+    window of k entries, k the largest power of two up to w.  Window i of w
+    entries is the union of the k-windows at i and at i + w - k, so one more
+    pass gives its max (the sparse-table range max of Bender &
+    Farach-Colton 2000); likewise its min.  A max or min of doubles is one of
+    its arguments, so the values are those of any other order.
     """
-    n = len(v)
-    blocks = np.empty(-(-n // w) * w)
-    blocks[:n] = v
-    blocks[n:] = v[-1]  # only in block ends past the last window
-    blocks = blocks.reshape(-1, w)
-    out = []
-    for op in (np.maximum, np.minimum):
-        head = op.accumulate(blocks, axis=1).ravel()
-        tail = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-        out.append(op(tail[: n - w + 1], head[w - 1 : n]))
-    return out[0], out[1]
+    hi = lo = v
+    k = 1
+    while 2 * k <= w:
+        hi = np.maximum(hi[:-k], hi[k:])
+        lo = np.minimum(lo[:-k], lo[k:])
+        k *= 2
+    if w > k:
+        hi = np.maximum(hi[: k - w], hi[w - k :])
+        lo = np.minimum(lo[: k - w], lo[w - k :])
+    return hi, lo
 
 
 def modulus(f: Function, delta: float, resolution: int) -> float:
@@ -148,6 +151,21 @@ def _gap_bounds(lower, upper, spans, slope, slack):
         return _up(_up(ends + _up(spans * slope)) + _up(3.0 * slack))
 
 
+def _curvature_bounds(lower, upper, squares, curv, slack):
+    """G2 = ((m_a + m_c)(1 + 2u) + (c^2 - a^2) curv) / 2 + 3 slack for arrays
+    of the ends' max |c| and of c^2 - a^2, each operation rounded up; where
+    the lower end's is inf (it was not formed), the upper end's bound alone,
+    m_c (1 + 2u) + (c^2 - a^2) curv + 3 slack."""
+    u = 2.0**-53
+    alone = np.isinf(lower)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the upper end alone is the mean of 2 m_c and twice the squares
+        ends = _up(_up(np.where(alone, upper, lower) + upper)
+                   * (1.0 + 2.0 * u))
+        rise = _up(np.where(alone, 2.0, 1.0) * squares * curv)
+        return _up(_up(_up(ends + rise) * 0.5) + _up(3.0 * slack))
+
+
 def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
     """Second-order modulus: grid sup of |f(x+2h) - 2f(x+h) + f(x)|.
 
@@ -162,8 +180,9 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
     raise it and are never formed.  If B(dmax) > max, the walk forms step
     dmax and starts from the one gap (0, dmax); step 0 has D2_0 g = 0.
     Each formed step keeps its own max |c|, and each gap (a, c) between
-    formed steps is tested with a bound G(a, c) on the steps inside it.
-    It skips the gap when G <= max or B(c - 1) <= max; otherwise it forms
+    formed steps is tested with two bounds on the steps inside it, G(a, c)
+    from the first differences and G2(a, c) from the second.  It skips the
+    gap when min(G, G2) <= max or B(c - 1) <= max; otherwise it forms
     the gap whole if it holds at most _WHOLE steps, and else forms its
     middle step and tests the two halves in the next round.  Every round
     bounds its gaps in one numpy pass.  Each step is formed at most once,
@@ -209,10 +228,31 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
                               + 2 (u S + rho) <= G(a, c)
     with G = max(m_a, m_c)(1 + 2u) + (c - a) slope + 3 slack, slope >= 2 L
     and slack >= u S + rho.  So G <= max gives |c| <= max at every step of
-    the gap.  Each operation that evaluates B or G is rounded up by one ulp
-    (_up), so the float bounds are at least the real ones.  An overflow
-    makes a bound inf, and an inf first difference makes it inf or nan;
-    neither ever rules out a step while the max is finite.
+    the gap.
+
+    Curvature lemma.  Take lattice steps a < d < c and x in d's domain.
+    Each term D2_1 g(x + i + j), i, j < a, of D2_a g(x) is a term of
+    D2_d g(x), and x lies in a's domain, so
+        |D2_d g(x)| <= |D2_a g(x)| + (d^2 - a^2) M.
+    With t as in the gap lemma for the steps d < c, 0 <= t <= 2(c - d), so
+    t = t1 + t2 with 0 <= t1, t2 <= c - d.  Then (i, j) -> (i + t1, j + t2)
+    maps the terms of D2_d g(x) one to one onto terms of D2_c g(x - t), the
+    same points x + i + j, and
+        |D2_d g(x)| <= |D2_c g(x - t)| + (c^2 - d^2) M.
+    The smaller of the two bounds is at most their mean, and the rounding
+    terms are those of G, so
+        |fl(a - b) + g(x)| <= (1 + u)(m_a + m_c) / 2 + (c^2 - a^2) M / 2
+                              + 2 (u S + rho) <= G2(a, c)
+    with G2 = ((m_a + m_c)(1 + 2u) + (c^2 - a^2) curv) / 2 + 3 slack and
+    curv >= M.  Where m_a is inf (a was ruled out by B but not formed, or
+    its max overflowed), the second bound alone, with d > a, gives
+    G2 = m_c (1 + 2u) + (c^2 - a^2) curv + 3 slack.  So min(G, G2) <= max
+    gives |c| <= max at every step of the gap.
+
+    Each operation that evaluates B, G or G2 is rounded up by one ulp (_up),
+    so the float bounds are at least the real ones.  An overflow makes a
+    bound inf, and an inf first difference makes it inf or nan; neither
+    ever rules out a step while the max is finite.
     """
     if not (0.0 < step_bound <= 0.5):
         raise ValueError("step bound must lie in (0, 1/2]")
@@ -300,11 +340,17 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
             form([dmax])
             gaps = [(0, dmax)]
         while gaps:
-            # a lower end that was ruled out, not formed, bounds nothing
-            gap_bounds = _gap_bounds(
-                np.array([peak.get(a, math.inf) for a, _ in gaps]),
-                np.array([peak[c] for _, c in gaps]),
-                np.array([c - a for a, c in gaps]), slope, slack)
+            # a lower end that was ruled out, not formed, is inf: G is inf
+            # and G2 takes the upper end alone
+            lower = np.array([peak.get(a, math.inf) for a, _ in gaps])
+            upper = np.array([peak[c] for _, c in gaps])
+            gap_bounds = np.fmin(
+                _gap_bounds(lower, upper, np.array([c - a for a, c in gaps]),
+                            slope, slack),
+                _curvature_bounds(
+                    lower, upper,
+                    np.array([c * c - a * a for a, c in gaps], dtype=float),
+                    curv, slack))
             halves = []
             for (a, c), bound in zip(gaps, gap_bounds.tolist()):
                 a = max(a, out)

@@ -40,10 +40,12 @@ __all__ = [
 ]
 
 _BLOCK = 256
-# Block 0 (terms 1 .. _BLOCK) runs in sub-passes of _FIRST, 2 * _FIRST, ...
-# terms over the rows still running, the last one cut at the block's end: most
-# rows stop early in block 0, and a row that stops computes no more of it than
-# the sub-pass that holds its stop.
+# Block 0 (terms 1 .. _BLOCK) of a chunk of more than _ROWS * _FIRST /
+# _BLOCK = 64 rows runs in sub-passes of _FIRST, 2 * _FIRST, ... terms over the
+# rows still running, the last one cut at the block's end: most rows stop early
+# in block 0, and a row that stops computes no more of it than the sub-pass
+# that holds its stop.  A chunk of at most 64 rows runs block 0 in one pass,
+# which holds no more terms than the first sub-pass of a full chunk.
 _FIRST = 32
 # Rows (plan, x) run the recurrence together this many at a time.  A later
 # pass holds nb blocks of each running row, nb * rows <= _ROWS, so at most
@@ -288,10 +290,12 @@ def _stops(cums: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _first_block(pieces, bounds, xs, w0, rows, target, size):
     """Weights 1..size (size <= _BLOCK) of the given rows of a chunk, sorted,
-    in sub-passes of _FIRST, 2 * _FIRST, ... terms over the rows still
-    running.  Returns (wb, stopped, ends, sums): wb[i] = [w_0 | weights] of
-    rows[i], whether it reaches target, the column of its last weight kept
-    and the running sum there.
+    in sub-passes over the rows still running.  The first sub-pass holds the
+    whole block when rows * _BLOCK <= _ROWS * _FIRST (at most 64 rows), and
+    else _FIRST terms; each later one holds twice the terms of the one
+    before, the last cut at size.  Returns (wb, stopped, ends, sums): wb[i] =
+    [w_0 | weights] of rows[i], whether it reaches target, the column of its
+    last weight kept and the running sum there.
 
     Every row reads its plan's e1 and e2 from one table of the chunk.  A
     sub-pass multiplies the in-block running product carried from the last
@@ -299,7 +303,7 @@ def _first_block(pieces, bounds, xs, w0, rows, target, size):
     carried in-block running sum (0.0 at first) to its first weight before
     its cumsum: the steps a cumprod and a cumsum over the whole block take
     there.  w_0 is the block's start weight and start sum, so every weight
-    and sum is that of the one-block pass.
+    and sum is that of the one-block pass, whatever the widths.
     """
     for piece in pieces:
         piece[1].grow(size + 1)
@@ -316,7 +320,7 @@ def _first_block(pieces, bounds, xs, w0, rows, target, size):
     piece = np.repeat(np.arange(len(pieces)), np.diff(bounds))[rows]
     x, start = xs[rows, None], w0[rows, None]
     prod, run_sum = np.ones(a), np.zeros(a)
-    lo, width = 1, _FIRST
+    lo, width = 1, _BLOCK if a * _BLOCK <= _ROWS * _FIRST else _FIRST
     while pos.size and lo <= size:
         hi = min(lo + width, size + 1)
         buf = np.multiply(x, e1[piece, lo:hi])
@@ -368,8 +372,9 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
     block-end cumsums), the same products and sums in the same order as one
     block at a time.  nb is the blocks made so far, at most _BATCH, _ROWS //
     rows and the full blocks left before max_terms; a last partial block
-    runs alone.  A row alone runs sub-passes of 32, 64, 128 and 32 terms,
-    then 1, 2, 4, 8, 16, 16, ... blocks per pass.  tail_tol may be -inf here
+    runs alone.  A chunk of at most 64 rows runs block 0 in one pass, and a
+    larger one in sub-passes of 32, 64, 128 and 32 terms; a row alone then
+    runs 1, 2, 4, 8, 16, 16, ... blocks per pass.  tail_tol may be -inf here
     (internal use: fixed-length partial sums): no running sum reaches 1 -
     tail_tol = inf, so every row holds max_terms weights.
     """

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pqmkz.bounds import (
+    _curvature_bounds,
     _gap_bounds,
     _window_extrema,
     bound_report,
@@ -191,8 +192,11 @@ class TestSecondModulusLargeResolution:
         step = 1.0 / (resolution - 1)
         # dmax 0, 1, 2, 3 and 5 leave every remainder of the steps that
         # share one max and min
+        # 0.16 is about the step bound of the benchmark's finest lattices,
+        # where the curvature bound rules out most gaps of 1/(1+x) and the
+        # cubic
         bounds = [0.5 * step, step, 2 * step, 3 * step, 5 * step, 2.5 * step,
-                  0.05, 0.2, 0.5]
+                  0.05, 0.16, 0.2, 0.5]
         bounds = [b for b in bounds if b <= 0.5]
         got = [second_modulus(f, b, resolution) for b in bounds]
         assert got == reference_second_moduli(f, bounds, resolution)
@@ -223,6 +227,16 @@ class TestSecondModulusLargeResolution:
             f, [0.2], 16385)[0]
         assert len(formed) <= 1000
         assert len(set(formed)) == len(formed)
+        # smooth f whose largest second difference is at the largest step:
+        # of 2621 steps, G alone would form 79 and 43, and min(G, G2) forms
+        # 15 and 14
+        for spec, most in (("1/(1+x)", 15), ("paper_cubic", 14)):
+            formed.clear()
+            f = resolve_function(spec)
+            assert second_modulus(f, 0.16, 16385) == step_loop_second_moduli(
+                f, [0.16], 16385)[0]
+            assert len(formed) <= most
+            assert len(set(formed)) == len(formed)
         # a kink close to x = 1: no gap can be ruled out, and no step is
         # formed twice
         formed.clear()
@@ -260,6 +274,30 @@ class TestGapBound:
                                 np.array([span]), slope, slack)[0])
         need = ((1 + Fraction(2) ** -53) * Fraction(max(lower, upper))
                 + span * Fraction(slope) + 2 * Fraction(slack))
+        assert got == math.inf or Fraction(got) >= need
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(_BOUND_INPUTS | st.just(math.inf), _BOUND_INPUTS,
+           st.integers(0, 10**4), st.integers(2, 10**4), _BOUND_INPUTS,
+           _BOUND_INPUTS)
+    def test_curvature_bound_covers_the_proof(self, lower, upper, a, span,
+                                              curv, slack):
+        # the proof needs G2 >= (1 + u)(m_a + m_c) / 2 + (c^2 - a^2) M / 2
+        # + 2 (u S + rho), and with m_a inf (a not formed) G2 >= (1 + u) m_c
+        # + (c^2 - a^2) M + 2 (u S + rho), given curv >= M and
+        # slack >= u S + rho
+        c = a + span
+        got = float(_curvature_bounds(np.array([lower]), np.array([upper]),
+                                      np.array([float(c * c - a * a)]), curv,
+                                      slack)[0])
+        u = Fraction(2) ** -53
+        if lower == math.inf:
+            need = (1 + u) * Fraction(upper) + (c * c - a * a) * Fraction(curv)
+        else:
+            need = ((1 + u) * (Fraction(lower) + Fraction(upper))
+                    + (c * c - a * a) * Fraction(curv)) / 2
+        need += 2 * Fraction(slack)
         assert got == math.inf or Fraction(got) >= need
 
 
@@ -328,17 +366,57 @@ _ENTRIES = st.one_of(
 )
 
 
+# powers of two and their neighbours: the doubling's last pass is empty at
+# 2^k and overlaps its two halves in all but one entry at 2^k + 1
+_DOUBLING_WIDTHS = [w for k in range(1, 9) for w in (2**k - 1, 2**k, 2**k + 1)]
+
+
+def window_reduction_modulus(f, delta, resolution):
+    """modulus with each window's max and min reduced over the window."""
+    xs = np.linspace(0.0, 1.0, resolution)
+    fv = f.values(xs)
+    windows = sliding_window_view(
+        fv, int(math.floor(delta / (1.0 / (resolution - 1)) + 1e-9)) + 1)
+    best = float(np.max(windows.max(axis=1) - windows.min(axis=1)))
+    mask = xs + delta <= 1.0 + 1e-12
+    if np.any(mask):
+        shifted = f.values(np.minimum(xs[mask] + delta, 1.0))
+        best = max(best, float(np.max(np.abs(shifted - fv[mask]))))
+    return best
+
+
 class TestWindowExtrema:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(_ENTRIES, min_size=1, max_size=300), st.data())
-    def test_equals_window_reduction(self, values, data):
-        v = np.array(values)
-        w = data.draw(st.integers(1, len(v)))
+    @staticmethod
+    def assert_window_reduction(v, w):
         hi, lo = _window_extrema(v, w)
         windows = sliding_window_view(v, w)
         # ==, with nan equal to nan: the two may differ in the sign of a zero
         assert np.array_equal(hi, windows.max(axis=1), equal_nan=True)
         assert np.array_equal(lo, windows.min(axis=1), equal_nan=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ENTRIES, min_size=1, max_size=300), st.data())
+    def test_equals_window_reduction(self, values, data):
+        v = np.array(values)
+        self.assert_window_reduction(v, data.draw(st.integers(1, len(v))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_DOUBLING_WIDTHS), st.data())
+    def test_widths_at_powers_of_two(self, w, data):
+        v = np.array(data.draw(st.lists(_ENTRIES, min_size=w, max_size=w + 8)))
+        self.assert_window_reduction(v, w)
+
+    @pytest.mark.parametrize("spec", ["(x-0.5)*0", "abs(x-0.97)"])
+    def test_modulus_equals_window_reduction(self, spec):
+        # (x-0.5)*0 is -0.0 left of 1/2 and 0.0 from there: the modulus is
+        # the zero of the window reduction, sign included
+        f = resolve_function(spec)
+        for resolution in (2, 3, 17, 1025, 4097):
+            step = 1.0 / (resolution - 1)
+            for delta in (step, 3 * step, 1 / 16, 0.1, 0.25, 0.5, 1.0):
+                if delta <= 1.0:
+                    assert modulus(f, delta, resolution).hex() == (
+                        window_reduction_modulus(f, delta, resolution).hex())
 
 
 class TestOverflowAndNonFinite:

@@ -611,19 +611,38 @@ class TestBlockBatches:
         assert all(a * width <= 8 * engine._BLOCK for a, width in passes)
         assert {width // engine._BLOCK for _, width in passes} >= {1, 2, 4, 8}
 
-    def test_pass_schedule_of_one_long_row(self, monkeypatch):
-        # a row alone runs block 0 in sub-passes of 32, 64, 128 and 32 terms,
-        # then 1, 2, 4, 8, then 16 blocks per pass
-        widths = []
+    @staticmethod
+    def record_passes(monkeypatch):
+        # (rows, terms) of every pass
+        passes = []
         stops = engine._stops
 
         def recorded(cums, target):
-            widths.append(cums.shape[1])
+            passes.append(cums.shape)
             return stops(cums, target)
 
         monkeypatch.setattr(engine, "_stops", recorded)
+        return passes
+
+    def test_pass_schedule_of_one_long_row(self, monkeypatch):
+        # a row alone runs block 0 in one pass of 256 terms, then 1, 2, 4, 8,
+        # then 16 blocks per pass
+        passes = self.record_passes(monkeypatch)
         self.assert_rows_are_ref([(_Plan(SLOW), [0.999])], 1e-12, 100_000)
-        assert widths[:10] == [32, 64, 128, 32, 256, 512, 1024, 2048, 4096, 4096]
+        assert [terms for _, terms in passes[:7]] == [
+            256, 256, 512, 1024, 2048, 4096, 4096]
+
+    @pytest.mark.parametrize("rows, first", [(64, 256), (65, 32), (512, 32)])
+    def test_block_zero_opens_by_the_rows_of_the_chunk(self, monkeypatch, rows,
+                                                       first):
+        # block 0 runs in one pass while it holds at most 512 * 32 terms;
+        # more rows open with a 32-term sub-pass, then 64, 128 and 32
+        passes = self.record_passes(monkeypatch)
+        xs = np.linspace(0.9, 0.999, rows).tolist()
+        self.assert_rows_are_ref([(_Plan(SLOW), xs)], 1e-12, 100_000)
+        assert passes[0] == (rows, first)
+        if first < engine._BLOCK:
+            assert [terms for _, terms in passes[:4]] == [32, 64, 128, 32]
 
     @pytest.mark.parametrize("k_max", [32, 33, 96, 97, 224, 225, 256, 257, 258])
     def test_first_block_sub_passes_of_several_plans(self, k_max):
