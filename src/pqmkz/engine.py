@@ -39,24 +39,19 @@ __all__ = [
     "normalization_partial_sums",
 ]
 
-_BLOCK = 256
-# Block 0 (terms 1 .. _BLOCK) of a chunk of more than _ROWS * _FIRST /
-# _BLOCK = 64 rows runs in sub-passes of _FIRST, 2 * _FIRST, ... terms over the
-# rows still running, the last one cut at the block's end: most rows stop early
-# in block 0, and a row that stops computes no more of it than the sub-pass
-# that holds its stop.  A chunk of at most 64 rows runs block 0 in one pass,
-# which holds no more terms than the first sub-pass of a full chunk.
+# A row of weights is one scan, in passes over the rows of a chunk still
+# running.  A pass runs terms lo .. lo + width - 1 of each row, width the
+# larger of the terms made so far and the first pass's width: _SPAN terms
+# when a chunk opens with at most _ROWS * _FIRST / _SPAN = 64 running rows,
+# else _FIRST, so that most rows, which stop early, compute little past their
+# stop.  A pass holds at most _WIDTH terms per row (a row that stops early in
+# a pass wastes the rest of it) and _ROWS * _SPAN terms in all (about 1 MB
+# per temporary).  A pass costs calls whatever its number of rows, so larger
+# chunks and passes amortize them.
 _FIRST = 32
-# Rows (plan, x) run the recurrence together this many at a time.  A later
-# pass holds nb blocks of each running row, nb * rows <= _ROWS, so at most
-# _ROWS * _BLOCK terms (about 1 MB per temporary), as block 0 of a full chunk
-# does.  A pass costs calls whatever its number of rows, so larger chunks and
-# passes amortize them.
+_SPAN = 256
 _ROWS = 512
-# At most this many blocks per pass.  A row's passes grow with the blocks it
-# has made, and a row that stops early in a pass wastes the rest of it:
-# without a cap, long rows ran slower than with caps of 4 to 16.
-_BATCH = 16
+_WIDTH = 4096
 # Below this log-magnitude the leading weight underflows double precision and
 # the tau-form recurrence cannot recover; refuse rather than return garbage.
 _LOG_W0_FLOOR = -650.0
@@ -209,13 +204,13 @@ class _Plan:
 
     def grow(self, count: int) -> None:
         """Hold at least count entries of e1, e2 and nodes, and at least
-        twice as many as before (4 blocks at first): a growth costs more
-        calls than the extra entries do."""
+        twice as many as before (1024 at first): a growth costs more calls
+        than the extra entries do."""
         held = len(self.nodes)
         if count <= held:
             return
         n, pq = self.params.n, self.params.pq
-        size = max(count, 2 * held, 4 * _BLOCK)
+        size = max(count, 2 * held, 4 * _SPAN)
         # e[j] = expm1(j log tau) (j in classical mode), so e1 = e[n:] and
         # e2 = e[:size]; only the j not held yet are computed
         js = np.arange(len(self.e), n + size)
@@ -236,10 +231,11 @@ class _Plan:
             log_w0 = [(n + 1) * math.log1p(-x) if x > 0.0 else 0.0
                       for x in xs.tolist()]
         else:
-            # slices of at most _ROWS * _BLOCK factors (one x when n + 1 is
-            # more); each x's sum is the same whatever its slice
+            # slices of at most _ROWS * _SPAN factors, the terms of a full
+            # pass (one x when n + 1 is more); each x's sum is the same
+            # whatever its slice
             log_w0 = []
-            step = max(1, _ROWS * _BLOCK // len(self.neg_tau_s))
+            step = max(1, _ROWS * _SPAN // len(self.neg_tau_s))
             for i in range(0, len(xs), step):
                 log_w0 += np.sum(np.log1p(np.multiply.outer(
                     xs[i: i + step], self.neg_tau_s)), axis=1).tolist()
@@ -267,17 +263,38 @@ def _plan_major(segments):
         yield chunk
 
 
-def _ratios(pieces, bounds, xs, rows, block, out):
-    """x * e1[block] / e2[block] for the given rows of a chunk (sorted), each
-    row with the e1 and e2 of its own plan, into out; rows
-    bounds[i]:bounds[i+1] of the chunk belong to pieces[i]."""
-    cut = np.searchsorted(rows, bounds).tolist()
-    for piece, a, b in zip(pieces, cut, cut[1:]):
-        if a < b:
-            plan = piece[1]
-            plan.grow(block.stop)
-            np.multiply(xs[rows[a:b], None], plan.e1[block], out=out[a:b])
-            np.divide(out[a:b], plan.e2[block], out=out[a:b])
+class _Factors:
+    """The ratio factors e1 and e2 of the rows of one chunk: a pass whose rows
+    share one plan reads that plan's arrays; else one stacked table of the
+    plans still running, from the pass start to its end or to size, rebuilt
+    only when a pass outruns it."""
+
+    def __init__(self, pieces, size: int) -> None:
+        self.plans, self.size = [p[1] for p in pieces], size
+        self.ids, self.lo = None, 0
+
+    def ratios(self, piece: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """x * e1[lo:hi] / e2[lo:hi] of each row's plan, as one (rows, hi -
+        lo) array; piece (sorted) holds each row's index in pieces."""
+        if piece[0] == piece[-1]:
+            plan = self.plans[piece[0]]
+            plan.grow(hi)
+            buf = np.multiply(x, plan.e1[lo:hi])
+            return np.divide(buf, plan.e2[lo:hi], out=buf)
+        if self.ids is None or self.lo + self.e1.shape[1] < hi:
+            # bincount, not np.unique, which imports numpy.ma (about 1 MB)
+            self.ids, self.lo = np.flatnonzero(np.bincount(piece)), lo
+            plans = [self.plans[i] for i in self.ids.tolist()]
+            end = max(hi, self.size)
+            for plan in plans:
+                plan.grow(end)
+            self.e1 = np.stack([plan.e1[lo:end] for plan in plans])
+            self.e2 = np.stack([plan.e2[lo:end] for plan in plans])
+        slot = np.searchsorted(self.ids, piece)
+        cols = slice(lo - self.lo, hi - self.lo)
+        # one gathered temporary at a time
+        buf = np.multiply(x, self.e1[slot, cols])
+        return np.divide(buf, self.e2[slot, cols], out=buf)
 
 
 def _stops(cums: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
@@ -286,64 +303,6 @@ def _stops(cums: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
     reached = cums >= target
     stopped = reached.any(axis=1)
     return stopped, np.where(stopped, reached.argmax(axis=1), cums.shape[1] - 1)
-
-
-def _first_block(pieces, bounds, xs, w0, rows, target, size):
-    """Weights 1..size (size <= _BLOCK) of the given rows of a chunk, sorted,
-    in sub-passes over the rows still running.  The first sub-pass holds the
-    whole block when rows * _BLOCK <= _ROWS * _FIRST (at most 64 rows), and
-    else _FIRST terms; each later one holds twice the terms of the one
-    before, the last cut at size.  Returns (wb, stopped, ends, sums): wb[i] =
-    [w_0 | weights] of rows[i], whether it reaches target, the column of its
-    last weight kept and the running sum there.
-
-    Every row reads its plan's e1 and e2 from one table of the chunk.  A
-    sub-pass multiplies the in-block running product carried from the last
-    one (1.0 at first) into its first ratio before its cumprod, and adds the
-    carried in-block running sum (0.0 at first) to its first weight before
-    its cumsum: the steps a cumprod and a cumsum over the whole block take
-    there.  w_0 is the block's start weight and start sum, so every weight
-    and sum is that of the one-block pass, whatever the widths.
-    """
-    for piece in pieces:
-        piece[1].grow(size + 1)
-    e1 = np.stack([p[1].e1[: size + 1] for p in pieces])
-    e2 = np.stack([p[1].e2[: size + 1] for p in pieces])
-    a = rows.size
-    wb = np.empty((a, 1 + size))
-    wb[:, 0] = w0[rows]
-    stopped = np.zeros(a, dtype=bool)
-    ends, sums = np.empty(a, dtype=int), np.empty(a)
-    # the rows still running: their rows of wb, pieces, x, w_0, and the
-    # in-block running product and sum
-    pos = np.arange(a)
-    piece = np.repeat(np.arange(len(pieces)), np.diff(bounds))[rows]
-    x, start = xs[rows, None], w0[rows, None]
-    prod, run_sum = np.ones(a), np.zeros(a)
-    lo, width = 1, _BLOCK if a * _BLOCK <= _ROWS * _FIRST else _FIRST
-    while pos.size and lo <= size:
-        hi = min(lo + width, size + 1)
-        buf = np.multiply(x, e1[piece, lo:hi])
-        np.divide(buf, e2[piece, lo:hi], out=buf)
-        buf[:, 0] *= prod
-        np.cumprod(buf, axis=1, out=buf)
-        prod = buf[:, -1].copy()
-        np.multiply(start, buf, out=buf)
-        wb[pos, lo:hi] = buf
-        buf[:, 0] += run_sum
-        np.cumsum(buf, axis=1, out=buf)
-        run_sum = buf[:, -1].copy()
-        cums = np.add(start, buf, out=buf)
-        hit, at = _stops(cums, target)
-        ends[pos] = lo + at
-        sums[pos] = cums[np.arange(pos.size), at]
-        stopped[pos] = hit
-        if hit.any():
-            keep = ~hit
-            pos, piece, x, start = pos[keep], piece[keep], x[keep], start[keep]
-            prod, run_sum = prod[keep], run_sum[keep]
-        lo, width = hi, 2 * width
-    return wb, stopped, ends, sums
 
 
 def _weight_chunks(segments, tail_tol: float, max_terms: int):
@@ -356,88 +315,85 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
     start), ws[r] holds row r's weights up to its stopping index and total[r]
     their running sum.
 
-    Each row runs the recurrence of its x alone: from k = 1, blocks of _BLOCK
-    ratios of its own plan, each block a cumprod scaled by the last weight,
-    until the running sum reaches 1 - tail_tol or max_terms weights exist.
-    Every row keeps those block boundaries and that order of operations, so
-    rows that share a block run as one array and still get the one-point
-    arithmetic bit for bit.  Block 0 runs in the sub-passes of _first_block
-    into one (rows, 1 + _BLOCK) array whose column 0 is w_0, so a row that
-    ends there is the view [w_0 | weights] of it; a row that ends at w_0, or
-    may hold one weight only, is a view of w0, and a longer row is its parts
-    put end to end once it ends.  Later passes run the rows still running nb
-    blocks at a time as one (rows, nb * _BLOCK) array: the blocks' start
-    weights and start sums are sequential scans over the block axis
-    (multiply.accumulate of the block-end cumprods, add.accumulate of the
-    block-end cumsums), the same products and sums in the same order as one
-    block at a time.  nb is the blocks made so far, at most _BATCH, _ROWS //
-    rows and the full blocks left before max_terms; a last partial block
-    runs alone.  A chunk of at most 64 rows runs block 0 in one pass, and a
-    larger one in sub-passes of 32, 64, 128 and 32 terms; a row alone then
-    runs 1, 2, 4, 8, 16, 16, ... blocks per pass.  tail_tol may be -inf here
-    (internal use: fixed-length partial sums): no running sum reaches 1 -
-    tail_tol = inf, so every row holds max_terms weights.
+    A row is one scan: w_k = w_0 * (r_1 * ... * r_k) with r_k = x * e1[k] /
+    e2[k] of its own plan, and S_k = w_0 + (w_1 + ... + w_k), each taken in
+    order, until S_k reaches 1 - tail_tol or max_terms weights exist.  The
+    rows still running go through it in passes (see _FIRST); a pass
+    multiplies the running product into its first ratio before its cumprod
+    and adds the running sum into its first weight before its cumsum, so
+    every weight and sum is the same double whatever the pass widths.  The
+    product is never rescaled: it stays below 1 / w_0 <= exp(-_LOG_W0_FLOOR),
+    so it cannot overflow.  Terms up to _SPAN go into one (rows, 1 + _SPAN)
+    array whose column 0 is w_0, so a row that ends there is the view [w_0 |
+    weights] of it; a row that ends at w_0, or may hold one weight only, is
+    a view of w0, and a longer row is its parts put end to end once it ends.
+    tail_tol may be -inf here (internal use: fixed-length partial sums): no
+    running sum reaches 1 - tail_tol = inf, so every row holds max_terms
+    weights.
     """
     target = 1.0 - tail_tol
     for pieces in _plan_major(segments):
         bounds = np.cumsum([0] + [len(p[2]) for p in pieces])
         xs = np.concatenate([p[2] for p in pieces])
         w0 = np.concatenate([p[3] for p in pieces])
-        last, total = w0.copy(), w0.copy()
+        total = w0.copy()
         idle = (total >= target) | (max_terms == 1)
         ws = [None] * len(xs)
         for r in np.flatnonzero(idle).tolist():
             ws[r] = w0[r: r + 1]
-        active = np.flatnonzero(~idle)
+        # the rows still running: their rows of the chunk and of head, their
+        # pieces, x and w_0, and their running product and sum
+        run = np.flatnonzero(~idle)
+        span = min(_SPAN, max_terms - 1)
+        head = np.empty((run.size, 1 + span))
+        head[:, 0] = w0[run]
+        pos = np.arange(run.size)
+        piece = np.repeat(np.arange(len(pieces)), np.diff(bounds))[run]
+        x, start = xs[run, None], w0[run, None]
+        prod, run_sum = np.ones(run.size), np.zeros(run.size)
+        factors = _Factors(pieces, 1 + span)
         parts: dict[int, list] = {}
-        produced = 1
-        while active.size:
-            a, left = active.size, max_terms - produced
-            if produced == 1:
-                size = min(_BLOCK, left)
-                wb, stopped, ends, sums = _first_block(
-                    pieces, bounds, xs, w0, active, target, size)
-                total[active] = sums
-                produced += size
+        lo = 1
+        first = _SPAN if run.size * _SPAN <= _ROWS * _FIRST else _FIRST
+        while run.size:
+            a = run.size
+            width = min(max(first, lo - 1), _WIDTH, _ROWS * _SPAN // a)
+            hi = min(lo + width, 1 + span if lo <= span else max_terms)
+            buf = factors.ratios(piece, x, lo, hi)
+            buf[:, 0] *= prod
+            np.cumprod(buf, axis=1, out=buf)
+            prod = buf[:, -1].copy()
+            np.multiply(start, buf, out=buf)
+            in_head = hi <= 1 + span
+            if in_head:
+                head[pos, lo:hi] = buf
+                sums = buf
             else:
-                nb = min((produced - 1) // _BLOCK, _BATCH, _ROWS // a,
-                         left // _BLOCK)
-                # with no full block left, the last partial block runs alone
-                nb, k = (nb, _BLOCK) if nb else (1, left)
-                wb = np.empty((a, nb * k))
-                _ratios(pieces, bounds, xs, active,
-                        slice(produced, produced + nb * k), wb)
-                starts = last[active, None]
-                cp = wb.reshape(a, nb, k)
-                np.cumprod(cp, axis=2, out=cp)
-                # block j starts from starts[:, j] and sums[:, j], the last
-                # weight and the running sum at the end of block j - 1
-                if nb > 1:
-                    starts = np.multiply.accumulate(
-                        np.concatenate([starts, cp[:, :-1, -1]], axis=1), axis=1)
-                np.multiply(starts[:, :, None], cp, out=cp)
-                cs = np.cumsum(cp, axis=2)
-                sums = total[active, None]
-                if nb > 1:
-                    sums = np.add.accumulate(
-                        np.concatenate([sums, cs[:, :-1, -1]], axis=1), axis=1)
-                cums = np.add(sums[:, :, None], cs, out=cs).reshape(a, -1)
-                stopped, ends = _stops(cums, target)
-                total[active] = cums[np.arange(a), ends]
-                produced += nb * k
-            # only a row that runs on reads its last weight again
-            last[active] = wb[:, -1]
-            done = stopped if produced < max_terms else np.ones(a, dtype=bool)
-            for row, r, end, fin in zip(wb, active.tolist(), ends.tolist(),
-                                        done.tolist()):
-                if not fin:
-                    # a row still running holds all of this pass
-                    parts.setdefault(r, []).append(row)
-                elif r in parts:
-                    ws[r] = np.concatenate([*parts.pop(r), row[: end + 1]])
-                else:
-                    ws[r] = row[: end + 1]
-            active = active[~done]
+                sums = buf.copy()
+            sums[:, 0] += run_sum
+            np.cumsum(sums, axis=1, out=sums)
+            run_sum = sums[:, -1].copy()
+            np.add(start, sums, out=sums)
+            done, at = _stops(sums, target)
+            total[run] = sums[np.arange(a), at]
+            done |= hi == max_terms
+            if in_head:
+                for r, p, end in zip(run[done].tolist(), pos[done].tolist(),
+                                     at[done].tolist()):
+                    ws[r] = head[p, : lo + end + 1]
+            else:
+                for row, r, p, end, fin in zip(buf, run.tolist(), pos.tolist(),
+                                               at.tolist(), done.tolist()):
+                    part = parts.setdefault(r, [head[p]])
+                    part.append(row[: end + 1] if fin else row)
+                    if fin:
+                        ws[r] = np.concatenate(parts.pop(r))
+            if done.any():
+                keep = ~done
+                run, pos, piece, x, start = (
+                    run[keep], pos[keep], piece[keep], x[keep], start[keep])
+                prod, run_sum = prod[keep], run_sum[keep]
+            lo = hi
         yield pieces, bounds.tolist(), ws, total
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pqmkz
 from pqmkz import bounds, engine, moments, pqcore, statistical
@@ -321,32 +323,23 @@ def ref_nodes(params, count):
 
 
 def ref_weights_nodes(params, x, tail_tol, max_terms):
+    """The row of x as one scan: w_k = w_0 * (r_1 * ... * r_k) and S_k = w_0
+    + (w_1 + ... + w_k), each taken in order, up to the first k with S_k >=
+    1 - tail_tol, or k = max_terms - 1."""
     w0 = math.exp(ref_log_w0(params, x))
-    target = 1.0 - tail_tol
-    chunks = [np.array([w0])]
-    total = w0
-    w_last = w0
-    produced = 1
-    done = total >= target
-    while not done and produced < max_terms:
-        m = min(256, max_terms - produced)
-        wb = w_last * np.cumprod(
-            ref_ratios(params, x, np.arange(produced, produced + m))
-        )
-        cums = total + np.cumsum(wb)
-        hit = int(np.searchsorted(cums, target))
-        if hit < m:
-            wb = wb[: hit + 1]
-            total = float(cums[hit])
-            done = True
-        else:
-            total = float(cums[-1])
-        chunks.append(wb)
-        w_last = float(wb[-1])
-        produced += len(wb)
-    w = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    tail = max(0.0, 1.0 - total)
-    return w, ref_nodes(params, len(w)), tail, tail <= tail_tol
+    size = 0
+    while size < max_terms:
+        # a longer scan only appends to a shorter one
+        size = min(max(4 * size, 256), max_terms)
+        prods = np.cumprod(ref_ratios(params, x, np.arange(1, size)))
+        w = np.concatenate([[w0], w0 * prods])
+        sums = np.concatenate([[w0], w0 + np.cumsum(w[1:])])
+        k = int(np.searchsorted(sums, 1.0 - tail_tol))
+        if k < size:
+            break
+    k = min(k, size - 1)
+    tail = max(0.0, 1.0 - float(sums[k]))
+    return w[: k + 1], ref_nodes(params, k + 1), tail, tail <= tail_tol
 
 
 def ref_rows(params, xs, tail_tol, max_terms):
@@ -557,35 +550,35 @@ class TestRowKernelEqualsPerX:
             normalization_defects(deep, [0.0, 0.99, 1.0])
 
 
-# Rows that outlive the first block run in batches of 1, 2, 4, 8, 16, 16, ...
-# blocks of 256, so with few rows a batch ends after 513, 1025, 2049, 4097,
-# 8193, 12289, ... terms; SLOW's rows near x = 1 need up to 20k terms.
+# A row alone runs passes of 256, 256, 512, 1024, 2048, 4096, 4096, ...
+# terms, so with few rows a pass ends after 257, 513, 1025, 2049, 4097, 8193,
+# 12289, ... weights; SLOW's rows near x = 1 need up to 20k terms.
 SLOW = PQParams(5, PQPair(1.0, 0.999))
 SLOW_XS = [0.9, 0.99, 0.995, 0.999]
 
 
 class TestBlockBatches:
-    """Rows run several blocks per pass and still equal the per-x reference
-    bit for bit."""
+    """Rows run in passes of growing widths and still equal the one-scan
+    reference bit for bit."""
 
     assert_rows_are_ref = staticmethod(TestRowKernelEqualsPerX.assert_rows_are_ref)
 
     @pytest.mark.parametrize("k_max", [2049, 2050, 4097, 4098])
     def test_k_max_at_and_past_a_batch_end(self, k_max):
-        # 2049 and 4097 end the 4- and 8-block batches; one term more runs
-        # a one-term block alone
+        # 2049 and 4097 weights end the passes of 1024 and 2048 terms; one
+        # weight more runs a one-term pass
         self.assert_rows_are_ref([(_Plan(SLOW), SLOW_XS)], 1e-12, k_max)
 
     @pytest.mark.parametrize("k_max", [3000, 10_077])
     def test_k_max_off_the_block_grid(self, k_max):
-        # the last batch holds the full blocks left, then a partial block
+        # the last pass is cut at k_max
         self.assert_rows_are_ref([(_Plan(SLOW), SLOW_XS)], 1e-12, k_max)
 
     def test_rows_stop_in_different_blocks_of_one_batch(self):
         xs = np.linspace(0.995, 0.999, 24).tolist()
         lens = [len(ref_weights_nodes(SLOW, x, 1e-12, 100_000)[0]) for x in xs]
-        # the last term k of a row sits in block (k - 1) // 256; two rows end
-        # in different blocks of the batch that holds terms 8193..12288
+        # two rows end in different 256-term stretches of the one pass that
+        # holds terms 8193..12288
         batch = {(n - 2) // 256 for n in lens if 8193 < n <= 12289}
         assert len(batch) >= 2
         self.assert_rows_are_ref([(_Plan(SLOW), xs)], 1e-12, 100_000)
@@ -596,20 +589,13 @@ class TestBlockBatches:
         self.assert_rows_are_ref([(_Plan(SLOW), [0.999])], 1e-12, 100_000)
 
     def test_rows_per_chunk_bound_the_batch(self, monkeypatch):
-        # with _ROWS = 8, a pass of a rows holds at most 8 // a blocks
+        # with _ROWS = 8, a pass of a rows holds at most 8 * 256 // a terms
         monkeypatch.setattr(engine, "_ROWS", 8)
-        passes = []
-        ratios = engine._ratios
-
-        def recorded(pieces, bounds, xs, rows, block, out):
-            passes.append((len(rows), block.stop - block.start))
-            return ratios(pieces, bounds, xs, rows, block, out)
-
-        monkeypatch.setattr(engine, "_ratios", recorded)
+        passes = self.record_passes(monkeypatch)
         xs = np.linspace(0.99, 0.999, 20).tolist()
         self.assert_rows_are_ref([(_Plan(SLOW), xs)], 1e-12, 100_000)
-        assert all(a * width <= 8 * engine._BLOCK for a, width in passes)
-        assert {width // engine._BLOCK for _, width in passes} >= {1, 2, 4, 8}
+        assert all(a * width <= 8 * engine._SPAN for a, width in passes)
+        assert {width // engine._SPAN for _, width in passes} >= {1, 2, 4, 8}
 
     @staticmethod
     def record_passes(monkeypatch):
@@ -625,8 +611,8 @@ class TestBlockBatches:
         return passes
 
     def test_pass_schedule_of_one_long_row(self, monkeypatch):
-        # a row alone runs block 0 in one pass of 256 terms, then 1, 2, 4, 8,
-        # then 16 blocks per pass
+        # a row alone opens with one pass of 256 terms, then each pass holds
+        # the terms made so far, at most 4096
         passes = self.record_passes(monkeypatch)
         self.assert_rows_are_ref([(_Plan(SLOW), [0.999])], 1e-12, 100_000)
         assert [terms for _, terms in passes[:7]] == [
@@ -635,20 +621,22 @@ class TestBlockBatches:
     @pytest.mark.parametrize("rows, first", [(64, 256), (65, 32), (512, 32)])
     def test_block_zero_opens_by_the_rows_of_the_chunk(self, monkeypatch, rows,
                                                        first):
-        # block 0 runs in one pass while it holds at most 512 * 32 terms;
-        # more rows open with a 32-term sub-pass, then 64, 128 and 32
+        # a chunk opens with one pass of 256 terms while that holds at most
+        # 512 * 32 terms; more rows open with 32 terms, then 32, 64 and 128
         passes = self.record_passes(monkeypatch)
         xs = np.linspace(0.9, 0.999, rows).tolist()
         self.assert_rows_are_ref([(_Plan(SLOW), xs)], 1e-12, 100_000)
         assert passes[0] == (rows, first)
-        if first < engine._BLOCK:
-            assert [terms for _, terms in passes[:4]] == [32, 64, 128, 32]
+        if first < engine._SPAN:
+            assert [terms for _, terms in passes[:4]] == [32, 32, 64, 128]
 
-    @pytest.mark.parametrize("k_max", [32, 33, 96, 97, 224, 225, 256, 257, 258])
+    @pytest.mark.parametrize("k_max", [32, 33, 64, 65, 96, 97, 128, 129, 224,
+                                       225, 256, 257, 258])
     def test_first_block_sub_passes_of_several_plans(self, k_max):
-        # block 0's sub-passes hold terms 1-32, 33-96, 97-224 and 225-256;
-        # k_max ends block 0 one term before or at a sub-pass end, and rows
-        # of five plans in one chunk stop in every sub-pass
+        # the 170 rows open with passes of terms 1-32, 33-64, 65-128 and
+        # 129-256, each reading one table of the five plans; k_max ends the
+        # rows one term before or at a pass end, or inside a pass, and rows
+        # stop throughout terms 1-256
         xs = np.linspace(0.0, 0.99, 34)
         plans_xs = [(_Plan(params), xs) for params in (
             PARAMS, CLASSICAL3, PQParams(1, PQPair(1.0, 0.5)),
@@ -662,9 +650,32 @@ class TestBlockBatches:
             self.assert_rows_are_ref(plans_xs, tol, k_max)
 
 
+# rows of four plans, from w_0 alone (x = 0) to thousands of terms
+SCAN_PLANS = [PARAMS, CLASSICAL3, PQParams(9, PQPair(0.97, 0.9)), SLOW]
+SCAN_XS = [0.0, 0.5, 0.9, 0.99]
+
+
+class TestPassWidths:
+    """The pass widths are a pure speed choice: with any first width, span,
+    chunk size and width cap, every row is the one-scan reference bit for
+    bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 300), st.integers(1, 12),
+           st.integers(1, 600), st.sampled_from([1, 2, 40, 300, 3000]),
+           st.sampled_from([0.0, 1e-8, 1e-12]))
+    def test_rows_equal_the_scan_bitwise(self, first, span, rows, width, k_max, tol):
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in (("_FIRST", first), ("_SPAN", span),
+                                ("_ROWS", rows), ("_WIDTH", width)):
+                patch.setattr(engine, name, value)
+            TestRowKernelEqualsPerX.assert_rows_are_ref(
+                [(_Plan(params), SCAN_XS) for params in SCAN_PLANS], tol, k_max)
+
+
 class TestLeadingWeights:
     """_Plan.leading_weights sums log w_0 over slices of at most _ROWS *
-    _BLOCK factors."""
+    _SPAN factors."""
 
     @pytest.mark.parametrize("rows", [1, 8])
     def test_slices_equal_reference_bitwise(self, monkeypatch, rows):

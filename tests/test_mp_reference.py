@@ -1,5 +1,7 @@
 """The engine against the 30-digit mpmath series at pinned points."""
 
+import math
+
 import pytest
 
 import mp_reference as mr
@@ -28,8 +30,20 @@ def point(request):
 
 
 def test_weights_relative_error(point):
-    # measured: at most 4.7e-15, 3.5e-14 and 2.0e-15
+    # measured: at most 5.7e-15, 2.9e-14 and 3.2e-15
     _, _, got, weights, _ = point
+    worst = max(abs(ctx.mpf(g) - w) / w for g, w in zip(got, weights))
+    assert worst <= 1e-13
+
+
+def test_weights_at_the_floor():
+    # log w_0 is about -504, near _LOG_W0_FLOOR, and the scan's running
+    # product w_k / w_0 reaches 1.05e214 unscaled; measured: 1.26e-14
+    n, p, q, x = 300, 1.0, 0.998, 0.99999
+    [w] = _weight_rows(PQParams(n, PQPair(p, q)), [x], 1e-12, 5000)
+    got = w.tolist()
+    assert len(got) == 5000 and all(map(math.isfinite, got))
+    weights, _ = mr.row(n, p, q, x, len(got))
     worst = max(abs(ctx.mpf(g) - w) / w for g, w in zip(got, weights))
     assert worst <= 1e-13
 

@@ -65,8 +65,8 @@ EDGE = [
      "--format", "json"],
     ["identity", *_SMALL, "--grid", "3:0:0.99", "--kmax", "2", "--format", "json"],
     ["eval", *_SMALL, "--fn", "x^2", "--grid", "64:0:0.999", "--kmax", "257"],
-    # 64 rows, the most that run block 0 in one pass; k_max ends block 0 at
-    # term 96 or 224, where a larger chunk's second or third sub-pass ends
+    # 64 rows, the most that open with one pass of 256 terms; k_max ends
+    # that pass at term 96 or 224
     ["eval", *_SMALL, "--fn", "x^2", "--grid", "64:0:0.999", "--kmax", "97"],
     ["eval", *_SMALL, "--fn", "x^2", "--grid", "64:0:0.999", "--kmax", "225"],
     ["eval", "--n", "3", "--p", "1", "--q", "1", "--fn", "x^2", "--grid", "9:0:0.9",
@@ -167,12 +167,16 @@ EDGE = [
      "--grid", "5:0:0.9", "--resolution", "16385"],
     # -0.0 left of 1/2 and 0.0 from there: the sign of a zero modulus
     ["bounds", *_SMALL, "--fn", "(x-0.5)*0", "--grid", "5:0:0.9"],
-    # long rows near x = 1 that run many blocks per pass: k_max ends some
-    # rows mid-batch (exit 1 with the rows written), and rows of 10k-40k
+    # long rows near x = 1 that run thousands of terms per pass: k_max ends
+    # some rows mid-pass (exit 1 with the rows written), and rows of 10k-40k
     # terms
     ["eval", *_LONG, "--fn", "paper_cubic", "--grid", "9:0:0.999", "--kmax", "3000"],
-    # one long row alone: block 0 in one pass, then block batches
+    # one long row alone: one pass of 256 terms, then passes of up to 4096
     ["eval", *_LONG, "--fn", "paper_cubic", "--x", "0.999"],
+    # 65 rows open with passes of 32 terms and run on past term 256
+    ["eval", *_LONG, "--fn", "paper_cubic", "--grid", "65:0.98:0.999", "--kmax", "4097"],
+    # rows past 20k terms
+    ["eval", *_LONG, "--fn", "paper_cubic", "--grid", "3:0.99:0.999"],
     ["identity", *_LONG, "--grid", "9:0:0.999", "--kmax", "3000"],
     ["moments", "--n", "6", "--p", "0.999", "--q", "0.998", "--grid", "5:0.9:0.999",
      "--kmax", "40000"],
