@@ -38,9 +38,6 @@ SCHEMA_VERSION = 1
 # second-difference steps formed in one pass of the rows buffer; groups of
 # 1-2 steps ran slower than 4, and 8 or 16 no faster
 _STEPS_PER_PASS = 4
-# second_modulus forms a gap between formed steps whole when it holds at most
-# _WHOLE steps
-_WHOLE = 8
 
 
 @dataclass(frozen=True)
@@ -182,12 +179,12 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
     Each formed step keeps its own max |c|, and each gap (a, c) between
     formed steps is tested with two bounds on the steps inside it, G(a, c)
     from the first differences and G2(a, c) from the second.  It skips the
-    gap when min(G, G2) <= max or B(c - 1) <= max; otherwise it forms
-    the gap whole if it holds at most _WHOLE steps, and else forms its
+    gap when min(G, G2) <= max or B(c - 1) <= max; otherwise it forms its
     middle step and tests the two halves in the next round.  Every round
-    bounds its gaps in one numpy pass.  Each step is formed at most once,
-    and the max is the max over every step, bit for bit.  When no gap can
-    be ruled out, as with a kink close to x = 1, every step is formed.
+    forms its steps in ascending order and bounds its gaps in one numpy
+    pass.  Each step is formed at most once, and the max is the max over
+    every step, bit for bit.  When no gap can be ruled out, as with a kink
+    close to x = 1, every step is formed.
 
     Proof.  Let g and m be the lattice values the sums run on (g = f and
     m = 2 f, or g = f/2 and m = f), and r = m - 2 g: r = 0, or |r| <= rho,
@@ -295,75 +292,50 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
             return _up(np.fmin(_up(_up(d * d) * curv), _up(d * slope)) + slack)
 
         step_bounds = step_bounds_at(np.arange(1.0, dmax + 1.0)).tolist()
-    # out: steps 1..out have B <= best; peak: the max |c| of step 0, which
-    # is 0, and of each formed step
+    # out: steps 1..out have B <= best; peak[d]: the max |c| of step d, 0 for
+    # step 0 and inf for a step never formed
     out = bisect.bisect_right(step_bounds, best)
-    peak = {0: 0.0}
+    peak = np.full(dmax + 1, math.inf)
+    peak[0] = 0.0
     rows = np.empty((_STEPS_PER_PASS, n))
-    pending: list[int] = []
-
-    def form(steps: list[int]) -> None:
-        # one pass of the rows buffer over at most _STEPS_PER_PASS steps
-        nonlocal best, out
-        width = n - 2 * min(steps)
-        for row, d in zip(rows, steps):
-            # f(x+2h) - 2 f(x+h) + f(x) in that order; a 0 past the row's
-            # end leaves its max |c| unchanged
-            m = n - 2 * d
-            np.subtract(outer[2 * d:], middle[d:-d], out=row[:m])
-            np.add(row[:m], outer[: -2 * d], out=row[:m])
-            row[m:width] = 0.0
-        group = rows[: len(steps), :width]
-        hi = group.max(axis=1).tolist()
-        lo = group.min(axis=1).tolist()
-        for d, h, l in zip(steps, hi, lo):
-            peak[d] = max(h, -l)
-        top = max(max(hi), -min(lo))
-        if top > best:
-            best = top
-            out = bisect.bisect_right(step_bounds, best)
-
-    def queue(steps) -> None:
-        pending.extend(steps)
-        while len(pending) >= _STEPS_PER_PASS:
-            form(pending[:_STEPS_PER_PASS])
-            del pending[:_STEPS_PER_PASS]
-
-    def flush() -> None:
-        if pending:
-            form(pending)
-            pending.clear()
-
+    # the steps of a round, ascending, and the gaps (lower, upper) they split
+    steps = [dmax] if dmax > out else []
+    lower, upper = np.array([0]), np.array([dmax])
     with np.errstate(over="ignore"):
-        gaps = []
-        if dmax > out:
-            form([dmax])
-            gaps = [(0, dmax)]
-        while gaps:
+        while steps:
+            # one pass of the rows buffer per _STEPS_PER_PASS steps; sorted
+            # steps keep the zero padding of a pass short
+            for i in range(0, len(steps), _STEPS_PER_PASS):
+                group = steps[i: i + _STEPS_PER_PASS]
+                width = n - 2 * group[0]
+                for row, d in zip(rows, group):
+                    # f(x+2h) - 2 f(x+h) + f(x) in that order; a 0 past the
+                    # row's end leaves its max |c| unchanged
+                    m = n - 2 * d
+                    np.subtract(outer[2 * d:], middle[d:-d], out=row[:m])
+                    np.add(row[:m], outer[: -2 * d], out=row[:m])
+                    row[m:width] = 0.0
+                block = rows[: len(group), :width]
+                hi = block.max(axis=1).tolist()
+                lo = block.min(axis=1).tolist()
+                for d, h, l in zip(group, hi, lo):
+                    peak[d] = max(h, -l)
+                top = max(max(hi), -min(lo))
+                if top > best:
+                    best = top
+                    out = bisect.bisect_right(step_bounds, best)
             # a lower end that was ruled out, not formed, is inf: G is inf
             # and G2 takes the upper end alone
-            lower = np.array([peak.get(a, math.inf) for a, _ in gaps])
-            upper = np.array([peak[c] for _, c in gaps])
-            gap_bounds = np.fmin(
-                _gap_bounds(lower, upper, np.array([c - a for a, c in gaps]),
-                            slope, slack),
-                _curvature_bounds(
-                    lower, upper,
-                    np.array([c * c - a * a for a, c in gaps], dtype=float),
-                    curv, slack))
-            halves = []
-            for (a, c), bound in zip(gaps, gap_bounds.tolist()):
-                a = max(a, out)
-                if c - a < 2 or bound <= best:
-                    continue
-                if c - a - 1 <= _WHOLE:
-                    queue(range(c - 1, a, -1))
-                else:
-                    mid = (a + c) // 2
-                    queue([mid])
-                    halves += [(mid, c), (a, mid)]
-            flush()
-            gaps = halves
+            m_a, m_c = peak[lower], peak[upper]
+            squares = (upper * upper - lower * lower).astype(float)
+            bound = np.fmin(_gap_bounds(m_a, m_c, upper - lower, slope, slack),
+                            _curvature_bounds(m_a, m_c, squares, curv, slack))
+            lower = np.maximum(lower, out)
+            keep = (upper - lower >= 2) & ~(bound <= best)
+            lower, upper = lower[keep], upper[keep]
+            mid = (lower + upper) // 2
+            steps = np.sort(mid).tolist()
+            lower, upper = np.concatenate([mid, lower]), np.concatenate([upper, mid])
     return best * scale
 
 

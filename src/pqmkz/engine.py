@@ -263,38 +263,17 @@ def _plan_major(segments):
         yield chunk
 
 
-class _Factors:
-    """The ratio factors e1 and e2 of the rows of one chunk: a pass whose rows
-    share one plan reads that plan's arrays; else one stacked table of the
-    plans still running, from the pass start to its end or to size, rebuilt
-    only when a pass outruns it."""
-
-    def __init__(self, pieces, size: int) -> None:
-        self.plans, self.size = [p[1] for p in pieces], size
-        self.ids, self.lo = None, 0
-
-    def ratios(self, piece: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """x * e1[lo:hi] / e2[lo:hi] of each row's plan, as one (rows, hi -
-        lo) array; piece (sorted) holds each row's index in pieces."""
-        if piece[0] == piece[-1]:
-            plan = self.plans[piece[0]]
-            plan.grow(hi)
-            buf = np.multiply(x, plan.e1[lo:hi])
-            return np.divide(buf, plan.e2[lo:hi], out=buf)
-        if self.ids is None or self.lo + self.e1.shape[1] < hi:
-            # bincount, not np.unique, which imports numpy.ma (about 1 MB)
-            self.ids, self.lo = np.flatnonzero(np.bincount(piece)), lo
-            plans = [self.plans[i] for i in self.ids.tolist()]
-            end = max(hi, self.size)
-            for plan in plans:
-                plan.grow(end)
-            self.e1 = np.stack([plan.e1[lo:end] for plan in plans])
-            self.e2 = np.stack([plan.e2[lo:end] for plan in plans])
-        slot = np.searchsorted(self.ids, piece)
-        cols = slice(lo - self.lo, hi - self.lo)
-        # one gathered temporary at a time
-        buf = np.multiply(x, self.e1[slot, cols])
-        return np.divide(buf, self.e2[slot, cols], out=buf)
+def _ratios(plans, piece, cuts, x, lo, hi) -> np.ndarray:
+    """x * e1[lo:hi] / e2[lo:hi] of each row's plan, as one (rows, hi - lo)
+    array; rows cuts[i]:cuts[i + 1] share the plan plans[piece[cuts[i]]]."""
+    buf = np.empty((len(piece), hi - lo))
+    for i, j in zip(cuts, cuts[1:]):
+        plan = plans[piece[i]]
+        plan.grow(hi)
+        part = buf[i:j]
+        np.multiply(x[i:j], plan.e1[lo:hi], out=part)
+        np.divide(part, plan.e2[lo:hi], out=part)
+    return buf
 
 
 def _stops(cums: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
@@ -318,15 +297,17 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
     A row is one scan: w_k = w_0 * (r_1 * ... * r_k) with r_k = x * e1[k] /
     e2[k] of its own plan, and S_k = w_0 + (w_1 + ... + w_k), each taken in
     order, until S_k reaches 1 - tail_tol or max_terms weights exist.  The
-    rows still running go through it in passes (see _FIRST); a pass
-    multiplies the running product into its first ratio before its cumprod
-    and adds the running sum into its first weight before its cumsum, so
-    every weight and sum is the same double whatever the pass widths.  The
-    product is never rescaled: it stays below 1 / w_0 <= exp(-_LOG_W0_FLOOR),
-    so it cannot overflow.  Terms up to _SPAN go into one (rows, 1 + _SPAN)
-    array whose column 0 is w_0, so a row that ends there is the view [w_0 |
-    weights] of it; a row that ends at w_0, or may hold one weight only, is
-    a view of w0, and a longer row is its parts put end to end once it ends.
+    rows still running go through it in passes (see _FIRST).  A pass reads
+    its ratios plan by plan, one numpy multiply and divide per run of rows
+    that share a plan.  It multiplies the running product into its first
+    ratio before its cumprod and adds the running sum into its first weight
+    before its cumsum, so every weight and sum is the same double whatever
+    the pass widths.  The product is never rescaled: it stays below
+    1 / w_0 <= exp(-_LOG_W0_FLOOR), so it cannot overflow.  Terms up to
+    _SPAN go into one (rows, 1 + _SPAN) array whose column 0 is w_0, so a
+    row that ends there is the view [w_0 | weights] of it; a row that ends
+    at w_0, or may hold one weight only, is a view of w0, and a longer row
+    is its parts put end to end once it ends.
     tail_tol may be -inf here (internal use: fixed-length partial sums): no
     running sum reaches 1 - tail_tol = inf, so every row holds max_terms
     weights.
@@ -351,15 +332,20 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
         piece = np.repeat(np.arange(len(pieces)), np.diff(bounds))[run]
         x, start = xs[run, None], w0[run, None]
         prod, run_sum = np.ones(run.size), np.zeros(run.size)
-        factors = _Factors(pieces, 1 + span)
+        plans, cuts = [p[1] for p in pieces], None
         parts: dict[int, list] = {}
         lo = 1
         first = _SPAN if run.size * _SPAN <= _ROWS * _FIRST else _FIRST
         while run.size:
             a = run.size
+            if cuts is None:
+                # the runs of rows that share a plan (!= and nonzero cost
+                # less than np.diff and flatnonzero)
+                splits = (piece[1:] != piece[:-1]).nonzero()[0] + 1
+                cuts = [0, *splits.tolist(), a]
             width = min(max(first, lo - 1), _WIDTH, _ROWS * _SPAN // a)
             hi = min(lo + width, 1 + span if lo <= span else max_terms)
-            buf = factors.ratios(piece, x, lo, hi)
+            buf = _ratios(plans, piece, cuts, x, lo, hi)
             buf[:, 0] *= prod
             np.cumprod(buf, axis=1, out=buf)
             prod = buf[:, -1].copy()
@@ -392,7 +378,7 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
                 keep = ~done
                 run, pos, piece, x, start = (
                     run[keep], pos[keep], piece[keep], x[keep], start[keep])
-                prod, run_sum = prod[keep], run_sum[keep]
+                prod, run_sum, cuts = prod[keep], run_sum[keep], None
             lo = hi
         yield pieces, bounds.tolist(), ws, total
 
