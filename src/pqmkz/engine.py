@@ -188,40 +188,24 @@ class Function:
 class _Plan:
     """The part of the series that does not depend on x, for one PQParams.
 
-    The weight ratio is w_k / w_{k-1} = x * e1[k] / e2[k] and the node is
-    e2[k] / e1[k], with e1[k] = expm1((n+k) log tau) and e2[k] = expm1(k log
-    tau) (n + k and k in classical mode); neg_tau_s holds -tau^s, s = 0..n,
-    for log w_0.  A plan lives while its rows are in flight and grows on
-    demand.
+    The weight ratio is w_k / w_{k-1} = x * e(n + k) / e(k) and the node is
+    e(k) / e(n + k), with e(j) = expm1(j log tau) (j in classical mode, whose
+    log_tau is 0.0); neg_tau_s holds -tau^s, s = 0..n, for log w_0.  A plan
+    holds no tables: each kernel pass computes the factors of its own
+    columns for all of its plans at once (_factors), and so does each chunk
+    for the nodes of its rows (_nodes).
     """
 
     def __init__(self, params: PQParams) -> None:
         self.params = params
-        self.e = self.e1 = self.e2 = self.nodes = np.empty(0)
+        self.log_tau = params.pq.log_tau
         if not params.pq.classical_mode:
             s = np.arange(params.n + 1)
-            self.neg_tau_s = -np.exp(s * params.pq.log_tau)
+            self.neg_tau_s = -np.exp(s * self.log_tau)
 
-    def grow(self, count: int) -> None:
-        """Hold at least count entries of e1, e2 and nodes, and at least
-        twice as many as before (1024 at first): a growth costs more calls
-        than the extra entries do."""
-        held = len(self.nodes)
-        if count <= held:
-            return
-        n, pq = self.params.n, self.params.pq
-        size = max(count, 2 * held, 4 * _SPAN)
-        # e[j] = expm1(j log tau) (j in classical mode), so e1 = e[n:] and
-        # e2 = e[:size]; only the j not held yet are computed
-        js = np.arange(len(self.e), n + size)
-        new = js.astype(float) if pq.classical_mode else np.expm1(js * pq.log_tau)
-        e = self.e = np.concatenate([self.e, new])
-        with np.errstate(invalid="ignore"):
-            nodes = e[held:size] / e[n + held: n + size]
-        if not held:
-            nodes[0] = 0.0
-        self.e1, self.e2 = e[n:], e[:size]
-        self.nodes = np.concatenate([self.nodes, nodes])
+    def nodes(self, count: int) -> np.ndarray:
+        """Nodes 0 .. count - 1, count >= 1."""
+        return _nodes([self], [count])
 
     def leading_weights(self, xs: np.ndarray) -> np.ndarray:
         """w_0(x) = prod_{s=0..n} (1 - tau^s x) for each x of xs in [0, 1);
@@ -263,25 +247,66 @@ def _plan_major(segments):
         yield chunk
 
 
+def _columns(plans) -> list[np.ndarray]:
+    """The n, log_tau and classical flag of each of plans, as three arrays."""
+    return [np.array(v) for v in zip(*[
+        (p.params.n, p.log_tau, p.params.pq.classical_mode) for p in plans])]
+
+
+def _factors(ns, log_taus, classical, ks) -> tuple[np.ndarray, np.ndarray]:
+    """e(n + k) and e(k) of the plans (ns, log_taus, classical), one plan
+    per row of these one-column arrays, for k of the range ks."""
+    if len(ns) == 1 and ns[0, 0] < len(ks) and not classical[0, 0]:
+        # one plan whose e(k) and e(n + k) overlap: one range holds both
+        n = int(ns[0, 0])
+        e = np.expm1(np.arange(ks[0], ks[-1] + n + 1) * log_taus)
+        return e[:, n:], e[:, :len(ks)]
+    # n + k is added in integers, so each product is the double (n + k) *
+    # log_tau whatever the table's shape
+    js = ns + ks
+    e1, e2 = np.expm1(js * log_taus), np.expm1(ks * log_taus)
+    if classical.any():
+        e1, e2 = np.where(classical, js, e1), np.where(classical, ks, e2)
+    return e1, e2
+
+
+def _nodes(plans, counts) -> np.ndarray:
+    """Nodes 0 .. counts[i] - 1 of each plans[i], end to end, each counts[i]
+    >= 1: node k is e(k) / e(n + k), and node 0 is 0.0."""
+    ks = np.arange(max(counts))
+    e1, e2 = _factors(*(a[:, None] for a in _columns(plans)), ks)
+    with np.errstate(invalid="ignore"):
+        nodes = e2 / e1
+    nodes[:, 0] = 0.0
+    return nodes[ks < np.asarray(counts)[:, None]]
+
+
 def _ratios(plans, piece, cuts, x, lo, hi) -> np.ndarray:
-    """x * e1[lo:hi] / e2[lo:hi] of each row's plan, as one (rows, hi - lo)
-    array; rows cuts[i]:cuts[i + 1] share the plan plans[piece[cuts[i]]]."""
-    buf = np.empty((len(piece), hi - lo))
-    for i, j in zip(cuts, cuts[1:]):
-        plan = plans[piece[i]]
-        plan.grow(hi)
-        part = buf[i:j]
-        np.multiply(x[i:j], plan.e1[lo:hi], out=part)
-        np.divide(part, plan.e2[lo:hi], out=part)
-    return buf
+    """x * e(n + k) / e(k), k = lo .. hi - 1, of each row's plan, as one
+    (rows, hi - lo) array; plans is _columns of the chunk's pieces, and rows
+    cuts[i]:cuts[i + 1] are of piece piece[cuts[i]].  The factors of all of
+    these runs of rows come from one (runs, hi - lo) table each, repeated
+    to the runs' rows."""
+    runs = piece[cuts[:-1]]
+    e1, e2 = _factors(*(a[runs, None] for a in plans), np.arange(lo, hi))
+    if len(cuts) > 2:
+        counts = np.diff(cuts)
+        e1, e2 = np.repeat(e1, counts, axis=0), np.repeat(e2, counts, axis=0)
+    # a repeated e1 has a row per row, so it can take the product in place
+    buf = np.multiply(x, e1, out=e1 if len(cuts) > 2 else None)
+    return np.divide(buf, e2, out=buf)
 
 
 def _stops(cums: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
     """For each row of running sums: whether it reaches target, and the
-    first index where it does (its last index where it does not)."""
+    first index where it does (its last index where it does not).  Running
+    sums never decrease, so a row reaches target iff its last sum does, and
+    no row needs an any() over its columns."""
     reached = cums >= target
-    stopped = reached.any(axis=1)
-    return stopped, np.where(stopped, reached.argmax(axis=1), cums.shape[1] - 1)
+    stopped = reached[:, -1]
+    at = reached.argmax(axis=1)
+    at[~stopped] = cums.shape[1] - 1
+    return stopped, at
 
 
 def _weight_chunks(segments, tail_tol: float, max_terms: int):
@@ -289,25 +314,24 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
 
     segments yields (key, plan, xs, w0): rows of one plan with x in [0, 1)
     and w_0 at each.  Rows go through plan-major in chunks of at most _ROWS,
-    and each chunk is yielded as (pieces, bounds, ws, total): rows
-    bounds[i]:bounds[i+1] of the chunk are pieces[i] = (key, plan, xs, w0,
-    start), ws[r] holds row r's weights up to its stopping index and total[r]
-    their running sum.
+    and each chunk is yielded as (pieces, bounds, (head, lens, longs),
+    total): rows bounds[i]:bounds[i+1] of the chunk are pieces[i] = (key,
+    plan, xs, w0, start), row r holds lens[r] weights with running sum
+    total[r], and they are head[r, :lens[r]] when lens[r] <= head.shape[1],
+    else longs[r].
 
-    A row is one scan: w_k = w_0 * (r_1 * ... * r_k) with r_k = x * e1[k] /
-    e2[k] of its own plan, and S_k = w_0 + (w_1 + ... + w_k), each taken in
-    order, until S_k reaches 1 - tail_tol or max_terms weights exist.  The
-    rows still running go through it in passes (see _FIRST).  A pass reads
-    its ratios plan by plan, one numpy multiply and divide per run of rows
-    that share a plan.  It multiplies the running product into its first
-    ratio before its cumprod and adds the running sum into its first weight
-    before its cumsum, so every weight and sum is the same double whatever
-    the pass widths.  The product is never rescaled: it stays below
-    1 / w_0 <= exp(-_LOG_W0_FLOOR), so it cannot overflow.  Terms up to
-    _SPAN go into one (rows, 1 + _SPAN) array whose column 0 is w_0, so a
-    row that ends there is the view [w_0 | weights] of it; a row that ends
-    at w_0, or may hold one weight only, is a view of w0, and a longer row
-    is its parts put end to end once it ends.
+    A row is one scan: w_k = w_0 * (r_1 * ... * r_k) with r_k = x * e(n +
+    k) / e(k) of its own plan, and S_k = w_0 + (w_1 + ... + w_k), each taken
+    in order, until S_k reaches 1 - tail_tol or max_terms weights exist.
+    The rows still running go through it in passes (see _FIRST).  A pass
+    computes its ratios for all of its plans at once (see _ratios).  It
+    multiplies the running product into its first ratio before its cumprod
+    and adds the running sum into its first weight before its cumsum, so
+    every weight and sum is the same double whatever the pass widths.  The
+    product is never rescaled: it stays below 1 / w_0 <= exp(-_LOG_W0_FLOOR),
+    so it cannot overflow.  Terms 0 to _SPAN go into head, one (rows, 1 +
+    _SPAN) array whose column 0 is w_0; a longer row is its parts put end to
+    end once it ends.
     tail_tol may be -inf here (internal use: fixed-length partial sums): no
     running sum reaches 1 - tail_tol = inf, so every row holds max_terms
     weights.
@@ -317,22 +341,20 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
         bounds = np.cumsum([0] + [len(p[2]) for p in pieces])
         xs = np.concatenate([p[2] for p in pieces])
         w0 = np.concatenate([p[3] for p in pieces])
+        plans = _columns([p[1] for p in pieces])
         total = w0.copy()
-        idle = (total >= target) | (max_terms == 1)
-        ws = [None] * len(xs)
-        for r in np.flatnonzero(idle).tolist():
-            ws[r] = w0[r: r + 1]
-        # the rows still running: their rows of the chunk and of head, their
-        # pieces, x and w_0, and their running product and sum
-        run = np.flatnonzero(~idle)
+        lens = np.ones(len(xs), dtype=int)
         span = min(_SPAN, max_terms - 1)
-        head = np.empty((run.size, 1 + span))
-        head[:, 0] = w0[run]
-        pos = np.arange(run.size)
+        head = np.empty((len(xs), 1 + span))
+        head[:, 0] = w0
+        longs: dict[int, np.ndarray] = {}
+        # the rows still running: their rows of the chunk, their pieces, x
+        # and w_0, and their running product and sum
+        run = np.flatnonzero((total < target) & (max_terms > 1))
         piece = np.repeat(np.arange(len(pieces)), np.diff(bounds))[run]
         x, start = xs[run, None], w0[run, None]
         prod, run_sum = np.ones(run.size), np.zeros(run.size)
-        plans, cuts = [p[1] for p in pieces], None
+        cuts = None
         parts: dict[int, list] = {}
         lo = 1
         first = _SPAN if run.size * _SPAN <= _ROWS * _FIRST else _FIRST
@@ -352,7 +374,7 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
             np.multiply(start, buf, out=buf)
             in_head = hi <= 1 + span
             if in_head:
-                head[pos, lo:hi] = buf
+                head[run, lo:hi] = buf
                 sums = buf
             else:
                 sums = buf.copy()
@@ -363,33 +385,27 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
             done, at = _stops(sums, target)
             total[run] = sums[np.arange(a), at]
             done |= hi == max_terms
-            if in_head:
-                for r, p, end in zip(run[done].tolist(), pos[done].tolist(),
-                                     at[done].tolist()):
-                    ws[r] = head[p, : lo + end + 1]
-            else:
-                for row, r, p, end, fin in zip(buf, run.tolist(), pos.tolist(),
-                                               at.tolist(), done.tolist()):
-                    part = parts.setdefault(r, [head[p]])
+            lens[run[done]] = lo + 1 + at[done]
+            if not in_head:
+                for row, r, end, fin in zip(buf, run.tolist(), at.tolist(),
+                                            done.tolist()):
+                    part = parts.setdefault(r, [head[r]])
                     part.append(row[: end + 1] if fin else row)
                     if fin:
-                        ws[r] = np.concatenate(parts.pop(r))
+                        longs[r] = np.concatenate(parts.pop(r))
             if done.any():
                 keep = ~done
-                run, pos, piece, x, start = (
-                    run[keep], pos[keep], piece[keep], x[keep], start[keep])
+                run, piece, x, start = run[keep], piece[keep], x[keep], start[keep]
                 prod, run_sum, cuts = prod[keep], run_sum[keep], None
             lo = hi
-        yield pieces, bounds.tolist(), ws, total
+        yield pieces, bounds.tolist(), (head, lens, longs), total
 
 
 def node(params: PQParams, k: int) -> float:
     """Evaluation abscissa p^n [k] / [n+k], always in [0, 1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    plan = _Plan(params)
-    plan.grow(k + 1)
-    return float(plan.nodes[k])
+    return float(_Plan(params).nodes(k + 1)[k])
 
 
 def weight(params: PQParams, k: int, x: float) -> float:
@@ -511,21 +527,19 @@ class _Sweep:
             out.append(rows)
             yield rows, plan, xs[ok], w0[ok]
 
-    def take(self, pieces, bounds, ws, total) -> None:
-        """Values, tails, terms, flags and statuses of one chunk of rows."""
+    def take(self, pieces, bounds, rows, total) -> None:
+        """Values, tails, terms, flags and statuses of one chunk of rows, as
+        _weight_chunks yields it."""
         fs, nf = self.fs, len(self.fs)
-        lens = np.array([len(w) for w in ws])
-        needs = [int(lens[a:b].max()) for a, b in zip(bounds, bounds[1:])]
-        for piece, need in zip(pieces, needs):
-            piece[1].grow(need)
-        offs = np.cumsum([0] + needs).tolist()
-        row_off = np.repeat(offs[:-1], np.diff(bounds)).tolist()
-        nodes = np.concatenate([p[1].nodes[:need] for p, need in zip(pieces, needs)])
+        head, lens, longs = rows
+        needs = np.maximum.reduceat(lens, bounds[:-1])
+        nodes = _nodes([p[1] for p in pieces], needs)
+        row_off = np.repeat(np.cumsum(needs) - needs, np.diff(bounds))
         # fvals[i] holds fs[i] at each piece's node prefix; fail_at[r] is the
         # first f that fails row r (nf for none), in the one-x order: for
         # each f its values, then its sup bound
         fvals = np.empty((nf, len(nodes)))
-        fail_at = np.full(len(ws), nf)
+        fail_at = np.full(len(lens), nf)
         raised: dict[int, Exception] = {}
         for i, f in enumerate(fs):
             live = fail_at == nf
@@ -545,11 +559,13 @@ class _Sweep:
                 live = fail_at == nf
             if live.any() and isinstance(self.sup(i), Exception):
                 fail_at[live] = i
-        values = np.full((len(ws), nf), math.nan)
-        for r in np.flatnonzero(fail_at == nf).tolist():
+        values = np.full((len(lens), nf), math.nan)
+        ok = np.flatnonzero(fail_at == nf)
+        cap = head.shape[1]
+        for r, o, k in zip(ok.tolist(), row_off[ok].tolist(), lens[ok].tolist()):
             # one BLAS dot per f, in one call per row
-            o, w = row_off[r], ws[r]
-            np.vecdot(fvals[:, o: o + len(w)], w, out=values[r])
+            w = head[r, :k] if k <= cap else longs[r]
+            np.vecdot(fvals[:, o: o + k], w, out=values[r])
         tail = np.maximum(0.0, 1.0 - total)
         flag = tail <= self.policy.tail_tol
         failed = fail_at < nf
@@ -670,8 +686,13 @@ def _weight_rows(
     bad = np.flatnonzero(np.isnan(w0))
     if bad.size:
         raise ValueError(_UNDERFLOW if inside[bad[0]] else "x must lie in [0, 1)")
-    chunks = _weight_chunks([(None, plan, xs, w0)], tail_tol, max_terms)
-    return [w for _, _, ws, _ in chunks for w in ws]
+    out = []
+    for _, _, (head, lens, longs), _ in _weight_chunks(
+            [(None, plan, xs, w0)], tail_tol, max_terms):
+        cap = head.shape[1]
+        out += [head[r, :k] if k <= cap else longs[r]
+                for r, k in enumerate(lens.tolist())]
+    return out
 
 
 def normalization_partial_sums(

@@ -46,8 +46,10 @@ def kernel_rows(cases, tail_tol, max_terms):
         xs = np.asarray(xs, dtype=float)
         segments.append((None, plan, xs, plan.leading_weights(xs)))
     out = []
-    for _, _, ws, total in _weight_chunks(segments, tail_tol, max_terms):
-        for w, t in zip(ws, total.tolist()):
+    for _, _, (head, lens, longs), total in _weight_chunks(
+            segments, tail_tol, max_terms):
+        for r, (k, t) in enumerate(zip(lens.tolist(), total.tolist())):
+            w = head[r, :k] if k <= head.shape[1] else longs[r]
             tail = max(0.0, 1.0 - t)
             out.append((w, tail, tail <= tail_tol))
     return out
@@ -123,7 +125,7 @@ class TestNode:
     def test_matches_kernel_nodes(self):
         plan = _Plan(PARAMS)
         [(w, _, _)] = kernel_rows([(plan, [0.5])], 0.0, 300)
-        nodes = plan.nodes[: len(w)]
+        nodes = plan.nodes(len(w))
         for k in range(300):
             assert nodes[k] == node(PARAMS, k)
 
@@ -422,8 +424,7 @@ class TestRowKernelEqualsPerX:
         ):
             assert w.tobytes() == w_ref.tobytes()
             assert tail == tail_ref and flag == flag_ref
-            plan.grow(len(w))
-            assert plan.nodes[: len(w)].tobytes() == nodes_ref.tobytes()
+            assert plan.nodes(len(w)).tobytes() == nodes_ref.tobytes()
 
     @pytest.mark.parametrize("degree", REF_DEGREES)
     def test_weights_tail_flag_bitwise(self, degree):
@@ -671,6 +672,53 @@ class TestPassWidths:
                 patch.setattr(engine, name, value)
             TestRowKernelEqualsPerX.assert_rows_are_ref(
                 [(_Plan(params), SCAN_XS) for params in SCAN_PLANS], tol, k_max)
+
+
+def stops_by_any(cums, target):
+    """The stop rule that reads every column: whether any running sum
+    reaches target, and the first that does (else the last index)."""
+    reached = cums >= target
+    stopped = reached.any(axis=1)
+    return stopped, np.where(stopped, reached.argmax(axis=1), cums.shape[1] - 1)
+
+
+class TestStops:
+    """_stops decides by each row's last running sum, which on the kernel's
+    nondecreasing rows is the any/argmax rule."""
+
+    @staticmethod
+    def assert_is_any_rule(cums, target):
+        stopped, at = engine._stops(cums, target)
+        ref_stopped, ref_at = stops_by_any(cums, target)
+        assert stopped.tolist() == ref_stopped.tolist()
+        assert at.tolist() == ref_at.tolist()
+
+    def test_edge_rows(self):
+        cums = np.array([
+            [0.1, 0.2, 0.3, 0.4],  # never reaches the target
+            [0.5, 0.6, 0.7, 0.8],  # reaches it at column 0
+            [0.1, 0.2, 0.3, 0.6],  # at the last column
+            [0.1, 0.5, 0.5, 0.5],  # ties it exactly, from column 1 on
+            [0.1, 0.2, 0.3, 0.5],  # ties it at the last column only
+        ])
+        stopped, at = engine._stops(cums, 0.5)
+        assert stopped.tolist() == [False, True, True, True, True]
+        assert at.tolist() == [3, 0, 3, 1, 3]
+        for target in (0.5, 0.1, 0.8, 0.0, math.inf):
+            self.assert_is_any_rule(cums, target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 40), st.data())
+    def test_cumsums_of_nonnegative_rows(self, rows, cols, data):
+        # a row's sums start from w_0 and add nonnegative weights, as in
+        # the kernel; the target is drawn freely or as one of the sums
+        weights = data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows))
+        cums = np.cumsum(np.array(weights), axis=1)
+        target = data.draw(st.one_of(st.floats(0.0, float(cols)),
+                                     st.sampled_from(cums.ravel().tolist())))
+        self.assert_is_any_rule(cums, target)
 
 
 class TestLeadingWeights:
