@@ -3,8 +3,8 @@
 CSV prints numbers with 17 significant digits and JSON prints Python's
 shortest round-trip repr, so doubles round-trip in both; every truncated
 value is emitted next to its tail mass and convergence flag.  Row-shaped
-outputs are written a column at a time.  All output is deterministic for
-fixed inputs.
+outputs take their columns whole, fill one row template per table, and are
+written a row at a time.  All output is deterministic for fixed inputs.
 
 Exit codes: 0 success, 1 a point that did not converge (rows written) or a
 closed stdout, 2 usage and evaluation errors and unwritable output.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -46,18 +47,33 @@ DEFAULT_POLICY = TruncationPolicy()
 DEFAULT_GRID = "101:0:0.99"
 
 
-def _csv_column(col) -> list[str]:
-    """The CSV fields of one column, by its numpy dtype: floats as "%.17g"
-    (the text of format(v, ".17g")), bools as true/false, ints and str as
-    str."""
+def _csv_field(text: str, alone: bool) -> str:
+    """text as csv.writer writes it as a field, quoted by csv's own rule,
+    which differs across Pythons (3.13 quotes "\\r", 3.10-3.12 do not).  An
+    empty text is '""' only as its row's one field (alone), as csv writes
+    that row, and empty otherwise."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text])
+    return out.getvalue()[:-1] if text or alone else ""
+
+
+def _csv_column(col, alone: bool = False) -> tuple[list, str]:
+    """The values of one column and their field format, by its numpy dtype:
+    floats for "%.17g" (the text of format(v, ".17g")), ints for "%d" (the
+    text of str), bools as true/false and str quoted as csv quotes them
+    (see _csv_field), both for "%s"."""
     col = np.asarray(col)
     kind = col.dtype.kind
     if kind == "f":
-        return list(map("%.17g".__mod__, col.tolist()))
+        return col.tolist(), "%.17g"
+    if kind in "iu":
+        return col.tolist(), "%d"
     if kind == "b":
-        return np.where(col, "true", "false").tolist()
-    if kind in "iuU":
-        return list(map(str, col.tolist()))
+        return np.where(col, "true", "false").tolist(), "%s"
+    if kind == "U":
+        texts = col.tolist()
+        quoted = {text: _csv_field(text, alone) for text in set(texts)}
+        return [quoted[text] for text in texts], "%s"
     raise TypeError(f"no CSV column of dtype {col.dtype}")
 
 
@@ -73,37 +89,41 @@ def _json_column(col) -> list[str]:
     return json.dumps(col.tolist(), separators=(",", ":"))[1:-1].split(",")
 
 
-def _write_text(path, text: str) -> None:
+def _write_lines(path, lines) -> None:
+    """lines to stdout, or to a file opened with newline="", in one
+    writelines call: each line is its own write, so a reader that closes
+    the pipe meets the next one whatever the buffering."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
-        Path(path).write_text(text)
+        with open(path, "w", newline="") as out:
+            out.writelines(lines)
 
 
 def _write_csv(path, header: Sequence[str], columns) -> None:
-    """A header row, then one row per index of the columns."""
-    out = sys.stdout if path is None else open(path, "w", newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*map(_csv_column, columns)))
-    finally:
-        if path is not None:
-            out.close()
+    """The bytes of csv.writer(lineterminator="\\n"): a header row, then one
+    row per index of the columns, each from one format template."""
+    fields = [_csv_column(col, len(columns) == 1) for col in columns]
+    row = ",".join(fmt for _, fmt in fields) + "\n"
+    lines = [",".join(_csv_field(name, len(header) == 1) for name in header) + "\n",
+             *map(row.__mod__, zip(*(values for values, _ in fields)))]
+    _write_lines(path, lines)
 
 
 def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_lines(path, [json.dumps(payload, indent=2) + "\n"])
 
 
 def _write_json_rows(path, key: str, header: Sequence[str], columns) -> None:
     """The bytes of _write_json({"schema_version": ..., key: rows}), rows
-    holding one object per index of the columns."""
+    holding one object per index of the columns, each its own line."""
     names = [json.dumps(name).replace("%", "%%") for name in header]
-    row = "    {" + ",".join(f"\n      {name}: %s" for name in names) + "\n    }"
-    body = ",\n".join(row % tokens for tokens in zip(*map(_json_column, columns)))
+    row = "    {" + ",".join(f"\n      {name}: %s" for name in names) + "\n    },\n"
     head = f'{{\n  "schema_version": {SCHEMA_VERSION},\n  {json.dumps(key)}: ['
-    _write_text(path, f"{head}\n{body}\n  ]\n}}\n" if body else f"{head}]\n}}\n")
+    lines = [f"{head}\n", *map(row.__mod__, zip(*map(_json_column, columns)))]
+    # the last row ends the list and the object; no row: an empty list
+    lines[-1] = lines[-1][:-2] + "\n  ]\n}\n" if len(lines) > 1 else f"{head}]\n}}\n"
+    _write_lines(path, lines)
 
 
 def _write_rows(args, key: str, header: Sequence[str], columns) -> None:
@@ -209,7 +229,8 @@ def _cmd_eval(args) -> int:
     columns, ok = _eval_columns(params, f, grid, policy)
     if args.x is not None and args.out is None and args.format == "csv":
         for name, col in zip(EVAL_COLUMNS, columns):
-            print(f"{name}={_csv_column(col)[0]}")
+            values, fmt = _csv_column(col)
+            print(f"{name}={fmt % values[0]}")
     else:
         _write_rows(args, "results", EVAL_COLUMNS, columns)
     return 0 if ok else 1

@@ -560,12 +560,23 @@ class _Sweep:
             if live.any() and isinstance(self.sup(i), Exception):
                 fail_at[live] = i
         values = np.full((len(lens), nf), math.nan)
-        ok = np.flatnonzero(fail_at == nf)
+        # a run is rows a:b that pass every f and share a piece (so a node
+        # prefix) and a weight count k in head: one call dots them all, each
+        # (f, row) still one BLAS dot over the same k doubles; a lone row or
+        # a long one keeps the cheaper one-row call
+        ok = fail_at == nf
         cap = head.shape[1]
-        for r, o, k in zip(ok.tolist(), row_off[ok].tolist(), lens[ok].tolist()):
-            # one BLAS dot per f, in one call per row
-            w = head[r, :k] if k <= cap else longs[r]
-            np.vecdot(fvals[:, o: o + k], w, out=values[r])
+        joins = (ok[1:] & ok[:-1] & (lens[1:] == lens[:-1])
+                 & (row_off[1:] == row_off[:-1]) & (lens[1:] <= cap))
+        starts = np.flatnonzero(ok & np.append(True, ~joins))
+        ends = np.flatnonzero(ok & np.append(~joins, True)) + 1
+        for a, b, o, k in zip(starts.tolist(), ends.tolist(),
+                              row_off[starts].tolist(), lens[starts].tolist()):
+            if b - a > 1:
+                np.vecdot(fvals[:, None, o: o + k], head[a:b, :k], out=values[a:b].T)
+            else:
+                w = head[a, :k] if k <= cap else longs[a]
+                np.vecdot(fvals[:, o: o + k], w, out=values[a])
         tail = np.maximum(0.0, 1.0 - total)
         flag = tail <= self.policy.tail_tol
         failed = fail_at < nf

@@ -640,6 +640,22 @@ class TestColumnarWriter:
         with pytest.raises(TypeError, match="no JSON column"):
             _stdout_lines(cli._write_json_rows, "rows", ["s"], [column])
 
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("text", ["a,b", 'a"b', "a\nb", "a\rb", ""],
+                             ids=["comma", "quote", "newline", "return", "empty"])
+    def test_csv_quotes_text_as_csv_writer_does(self, text, width):
+        """Text fields are quoted by the running Python's csv.writer, as
+        values and as header names: 3.13 quotes "\\r" and 3.10-3.12 do not.
+        An empty text is '""' as its row's one field, and empty beside
+        others."""
+        header = ["s", "x", "n"][:width]
+        columns = [[text, "b", text], [0.5, 1.0, 2.0], [1, 2, 3]][:width]
+        assert _stdout_lines(cli._write_csv, header, columns) == (
+            _reference_csv(header, columns).split("\n"))
+        header = [text, "x", "n"][:width]
+        assert _stdout_lines(cli._write_csv, header, columns) == (
+            _reference_csv(header, columns).split("\n"))
+
     @pytest.mark.parametrize("column", [[None], [2**64], [b"a"]])
     def test_csv_rejects_columns_of_no_table_dtype(self, column):
         with pytest.raises(TypeError, match="no CSV column"):
@@ -664,17 +680,27 @@ class TestDeterminism:
 
 
 class TestClosedStdout:
-    def test_reader_closing_the_pipe_exits_1_quietly(self):
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt, first", [("csv", b"x,value,"), ("json", b"{")],
+                             ids=["csv", "json"])
+    def test_reader_closing_the_pipe_exits_1_quietly(self, fmt, first, unbuffered):
         # 20 000 rows fill the pipe long before the run ends, so the writer
-        # meets the closed pipe mid-output
+        # meets the closed pipe mid-output.  Unbuffered, a write the pipe
+        # takes only in part loses its rest silently, so only a later write
+        # meets the closed pipe: every row must be its own write
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "pqmkz.cli", "eval", "--n", "5", "--p",
-             "0.95", "--q", "0.9", "--fn=-x", "--grid", "20000:0:0.9"],
+             "0.95", "--q", "0.9", "--fn=-x", "--grid", "20000:0:0.9",
+             "--format", fmt],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
-        assert proc.stdout.readline().startswith(b"x,value,")
+        assert proc.stdout.readline().startswith(first)
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 1

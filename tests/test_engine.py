@@ -1065,6 +1065,57 @@ class TestSweep:
         assert res.error_bound[0, 32] != res.error_bound[0, 32]
 
 
+class TestDotsByRuns:
+    """_Sweep.take dots a run of rows (one piece, one weight count in head)
+    in one call, and every value is still the double of its own row's
+    dot."""
+
+    def test_take_equals_row_by_row_dots(self, monkeypatch):
+        # a synthetic chunk, head 12 weights wide.  Piece a (n = 3): a run of
+        # 3 rows, a row of 9 weights that fails on f0, a run of 2, and two
+        # lone rows; piece b (n = 20) opens with a run of 5-weight rows like
+        # a's last row, over other nodes, then two long rows of one length
+        # and a lone row
+        rng = np.random.default_rng(25)
+        plan_a, plan_b = _Plan(PARAMS), _Plan(PQParams(20, PQPair(0.95, 0.9)))
+        edge = plan_a.nodes(9)[8]
+        assert plan_b.nodes(15)[-1] < edge
+
+        def past_edge(ts):
+            if np.any(ts >= edge):
+                raise ArithmeticError("past the edge")
+            return 1.0 - 0.5 * ts
+
+        fs = [Function(past_edge, "edge", 1.0),
+              Function(lambda ts: ts * ts + 0.25 * ts, "poly", 2.0)]
+        lens = np.array([4, 4, 4, 9, 4, 4, 6, 5, 5, 5, 5, 15, 15, 7])
+        cap = 12
+        head = rng.random((len(lens), cap))
+        longs = {r: rng.random(15) for r in (11, 12)}
+        sweep = engine._Sweep(fs, np.linspace(0.0, 0.5, len(lens)), TruncationPolicy())
+        rows_a = engine._PlanRows(sweep.template, np.arange(8))
+        rows_b = engine._PlanRows(sweep.template, np.arange(8, 14))
+        pieces = [(rows_a, plan_a, None, None, 0), (rows_b, plan_b, None, None, 0)]
+        calls = []
+        vecdot = np.vecdot
+        with monkeypatch.context() as m:
+            m.setattr(np, "vecdot", lambda *a, **k: calls.append(1) or vecdot(*a, **k))
+            sweep.take(pieces, [0, 8, 14], (head, lens, longs), np.ones(len(lens)))
+        got = np.hstack([rows_a.values[:, :8], rows_b.values[:, 8:]])
+        want = np.full((len(fs), len(lens)), math.nan)
+        for r, k in enumerate(lens.tolist()):
+            if r == 3:
+                continue
+            nodes = (plan_a if r < 8 else plan_b).nodes(k)
+            w = head[r, :k] if k <= cap else longs[r]
+            want[:, r] = np.vecdot(np.array([f.values(nodes) for f in fs]), w)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert rows_a.code[3] == engine._ST_F_ERROR
+        assert str(rows_a.f_error) == "past the edge"
+        # runs 0:3, 4:6 and 8:11, lone rows 6, 7 and 13, long rows 11 and 12
+        assert len(calls) == 8
+
+
 class TestQMKZReduction:
     @pytest.mark.parametrize("q", [0.5, 0.9])
     @pytest.mark.parametrize("n", [1, 3, 7])

@@ -21,6 +21,15 @@ runs on, or ends at k_max).  So kept counts every weight past w_0 of every
 row that any kernel path (``evaluate_sweep_values``, ``weight``, the
 normalization sums) returns, once; computed minus kept is the work past the
 stops.  Passes are split by their width, their terms per row.
+
+It also counts the dots of ``_Sweep.take``, which turns every chunk into
+values, by wrapping ``numpy.vecdot`` while a ``take`` call runs, and prints
+for each call the rows dotted and the calls made.  A call whose output has
+two axes dots a run of rows (one piece, one weight count in the chunk's
+head), its rows being the output's second axis; any other call dots one
+row, long when its weights are longer than the head.  The rule reads only
+the calls, so it reads the same on any tree whose ``take`` dots through
+``numpy.vecdot``.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,8 +61,10 @@ def _cycle(workload: str, seed: int) -> list[list[str]]:
 
 
 def count(src: Path, argvs: list[list[str]]) -> dict:
-    """Kernel calls, rows, and per pass width [passes, rows, computed,
-    kept], over argvs run through pqmkz.cli.main of the tree src."""
+    """Kernel calls, rows, per pass width [passes, rows, computed, kept],
+    and per _Sweep.take call [rows dotted, vecdot calls, runs, rows in runs,
+    one-row calls in head, long rows], over argvs run through
+    pqmkz.cli.main of the tree src."""
     sys.path.insert(0, str(src / "src"))
     from pqmkz import cli, engine
 
@@ -75,7 +88,36 @@ def count(src: Path, argvs: list[list[str]]) -> dict:
         entry[3] += int(at.sum()) + rows
         return stopped, at
 
+    # per take call: rows dotted, vecdot calls, runs, rows in runs, one-row
+    # calls in head, long rows
+    takes: list[list[int]] = []
+    take, vecdot = engine._Sweep.take, np.vecdot
+    cap = 0
+
+    def counted_vecdot(fvals, weights, *args, out, **kwargs):
+        entry = takes[-1]
+        entry[1] += 1
+        if out.ndim == 2:
+            entry[0] += out.shape[1]
+            entry[2] += 1
+            entry[3] += out.shape[1]
+        else:
+            entry[0] += 1
+            entry[5 if weights.shape[-1] > cap else 4] += 1
+        return vecdot(fvals, weights, *args, out=out, **kwargs)
+
+    def counted_take(self, pieces, bounds, rows, total):
+        nonlocal cap
+        takes.append([0] * 6)
+        cap = rows[0].shape[1]
+        np.vecdot = counted_vecdot
+        try:
+            return take(self, pieces, bounds, rows, total)
+        finally:
+            np.vecdot = vecdot
+
     engine._weight_chunks, engine._stops = counted_chunks, counted_stops
+    engine._Sweep.take = counted_take
     home = os.getcwd()
     try:
         for argv in argvs:
@@ -89,7 +131,8 @@ def count(src: Path, argvs: list[list[str]]) -> dict:
                     os.chdir(home)
     finally:
         engine._weight_chunks, engine._stops = chunks, stops
-    return {**totals, "widths": dict(sorted(widths.items()))}
+        engine._Sweep.take = take
+    return {**totals, "widths": dict(sorted(widths.items())), "takes": takes}
 
 
 def main() -> int:
@@ -109,6 +152,13 @@ def main() -> int:
     print(f"{'width':>6} {'passes':>7} {'rows':>8} {'computed':>10} {'kept':>10}")
     for row in rows:
         print(f"{row[0]:>6} {row[1]:>7} {row[2]:>8} {row[3]:>10} {row[4]:>10}")
+    takes = counts["takes"]
+    takes.append([sum(t[i] for t in takes) for i in range(6)])
+    print(f"{'take':>6} {'rows':>7} {'vecdots':>8} {'runs':>6} {'in runs':>8} "
+          f"{'lone':>6} {'long':>6}")
+    for i, t in enumerate(takes, 1):
+        name = "all" if i == len(takes) else str(i)
+        print(f"{name:>6} {t[0]:>7} {t[1]:>8} {t[2]:>6} {t[3]:>8} {t[4]:>6} {t[5]:>6}")
     return 0
 
 
