@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -58,18 +58,9 @@ class BoundReport:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "empirical_sup_error": self.empirical_sup_error,
-            "max_truncation_bound": self.max_truncation_bound,
-            "thm33_bound": self.thm33_bound,
-            "omega2_sup": self.omega2_sup,
-            "omega2_ratio": self.omega2_ratio,
-            "lipschitz_bound": self.lipschitz_bound,
-            "empirical_within_thm33": self.empirical_within_thm33,
-            "grid_size": self.grid_size,
-            "resolution": self.resolution,
-        }
+        return {"schema_version": SCHEMA_VERSION,
+                **{field.name: getattr(self, field.name)
+                   for field in fields(self) if field.name != "converged"}}
 
 
 def _lattice(f: Function, width: float, resolution: int):

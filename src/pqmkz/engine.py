@@ -185,60 +185,38 @@ class Function:
         return 2.0 * float(np.max(np.abs(self.values(xs))))
 
 
-class _Plan:
-    """The part of the series that does not depend on x, for one PQParams.
-
-    The weight ratio is w_k / w_{k-1} = x * e(n + k) / e(k) and the node is
-    e(k) / e(n + k), with e(j) = expm1(j log tau) (j in classical mode, whose
-    log_tau is 0.0); neg_tau_s holds -tau^s, s = 0..n, for log w_0.  A plan
-    holds no tables: each kernel pass computes the factors of its own
-    columns for all of its plans at once (_factors), and so does each chunk
-    for the nodes of its rows (_nodes).
-    """
-
-    def __init__(self, params: PQParams) -> None:
-        self.params = params
-        self.log_tau = params.pq.log_tau
-        if not params.pq.classical_mode:
-            s = np.arange(params.n + 1)
-            self.neg_tau_s = -np.exp(s * self.log_tau)
-
-    def nodes(self, count: int) -> np.ndarray:
-        """Nodes 0 .. count - 1, count >= 1."""
-        return _nodes([self], [count])
-
-    def leading_weights(self, xs: np.ndarray) -> np.ndarray:
-        """w_0(x) = prod_{s=0..n} (1 - tau^s x) for each x of xs in [0, 1);
-        nan where it underflows double precision."""
-        if self.params.pq.classical_mode:
-            n = self.params.n
-            log_w0 = [(n + 1) * math.log1p(-x) if x > 0.0 else 0.0
-                      for x in xs.tolist()]
-        else:
-            # slices of at most _ROWS * _SPAN factors, the terms of a full
-            # pass (one x when n + 1 is more); each x's sum is the same
-            # whatever its slice
-            log_w0 = []
-            step = max(1, _ROWS * _SPAN // len(self.neg_tau_s))
-            for i in range(0, len(xs), step):
-                log_w0 += np.sum(np.log1p(np.multiply.outer(
-                    xs[i: i + step], self.neg_tau_s)), axis=1).tolist()
-        # math.exp, not np.exp: the two can differ in the last ulp
-        return np.array([math.exp(v) if v >= _LOG_W0_FLOOR else math.nan
-                         for v in log_w0])
+def _leading_weights(params: PQParams, xs: np.ndarray) -> np.ndarray:
+    """w_0(x) = prod_{s=0..n} (1 - tau^s x) for each x of xs in [0, 1); nan
+    where it underflows double precision."""
+    n, pq = params.n, params.pq
+    if pq.classical_mode:
+        log_w0 = [(n + 1) * math.log1p(-x) if x > 0.0 else 0.0 for x in xs.tolist()]
+    else:
+        # slices of at most _ROWS * _SPAN factors, the terms of a full pass
+        # (one x when n + 1 is more); each x's sum is the same whatever its
+        # slice
+        neg_tau_s = -np.exp(np.arange(n + 1) * pq.log_tau)
+        log_w0 = []
+        step = max(1, _ROWS * _SPAN // (n + 1))
+        for i in range(0, len(xs), step):
+            log_w0 += np.sum(np.log1p(np.multiply.outer(
+                xs[i: i + step], neg_tau_s)), axis=1).tolist()
+    # math.exp, not np.exp: the two can differ in the last ulp
+    return np.array([math.exp(v) if v >= _LOG_W0_FLOOR else math.nan
+                     for v in log_w0])
 
 
 def _plan_major(segments):
-    """Cut segments (key, plan, xs, w0) into chunks of at most _ROWS rows,
-    in order: lists of (key, plan, xs, w0, start), the rows start.. of one
+    """Cut segments (params, xs, w0) into chunks of at most _ROWS rows, in
+    order: lists of pieces (params, xs, w0), consecutive rows of one
     segment."""
     chunk, room = [], _ROWS
-    for key, plan, xs, w0 in segments:
+    for params, xs, w0 in segments:
         start = 0
         while start < len(xs):
             take = min(room, len(xs) - start)
             stop = start + take
-            chunk.append((key, plan, xs[start:stop], w0[start:stop], start))
+            chunk.append((params, xs[start:stop], w0[start:stop]))
             start, room = stop, room - take
             if not room:
                 yield chunk
@@ -247,15 +225,19 @@ def _plan_major(segments):
         yield chunk
 
 
-def _columns(plans) -> list[np.ndarray]:
-    """The n, log_tau and classical flag of each of plans, as three arrays."""
+def _columns(params) -> list[np.ndarray]:
+    """The n, log_tau and classical flag of each PQParams of params, as
+    three arrays."""
     return [np.array(v) for v in zip(*[
-        (p.params.n, p.log_tau, p.params.pq.classical_mode) for p in plans])]
+        (p.n, p.pq.log_tau, p.pq.classical_mode) for p in params])]
 
 
 def _factors(ns, log_taus, classical, ks) -> tuple[np.ndarray, np.ndarray]:
     """e(n + k) and e(k) of the plans (ns, log_taus, classical), one plan
-    per row of these one-column arrays, for k of the range ks."""
+    per row of these one-column arrays, for k of the range ks, with e(j) =
+    expm1(j log tau) (j in classical mode, whose log_tau is 0.0): the weight
+    ratio w_k / w_{k-1} is x * e(n + k) / e(k) and node k is e(k) / e(n +
+    k)."""
     if len(ns) == 1 and ns[0, 0] < len(ks) and not classical[0, 0]:
         # one plan whose e(k) and e(n + k) overlap: one range holds both
         n = int(ns[0, 0])
@@ -270,14 +252,14 @@ def _factors(ns, log_taus, classical, ks) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _nodes(plans, counts) -> np.ndarray:
-    """Nodes 0 .. counts[i] - 1 of each plans[i], end to end, each counts[i]
-    >= 1: node k is e(k) / e(n + k), and node 0 is 0.0."""
+def _nodes(params, counts) -> np.ndarray:
+    """Nodes 0 .. counts[i] - 1 of each PQParams params[i], end to end:
+    node k is e(k) / e(n + k), and node 0 is 0.0."""
     ks = np.arange(max(counts))
-    e1, e2 = _factors(*(a[:, None] for a in _columns(plans)), ks)
+    e1, e2 = _factors(*(a[:, None] for a in _columns(params)), ks)
     with np.errstate(invalid="ignore"):
         nodes = e2 / e1
-    nodes[:, 0] = 0.0
+    nodes[:, :1] = 0.0
     return nodes[ks < np.asarray(counts)[:, None]]
 
 
@@ -310,15 +292,16 @@ def _stops(cums: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weight_chunks(segments, tail_tol: float, max_terms: int):
-    """Weights of rows (plan, x), yielded one chunk of rows at a time.
+    """Weights of rows (params, x), yielded one chunk of rows at a time.
 
-    segments yields (key, plan, xs, w0): rows of one plan with x in [0, 1)
-    and w_0 at each.  Rows go through plan-major in chunks of at most _ROWS,
-    and each chunk is yielded as (pieces, bounds, (head, lens, longs),
-    total): rows bounds[i]:bounds[i+1] of the chunk are pieces[i] = (key,
-    plan, xs, w0, start), row r holds lens[r] weights with running sum
-    total[r], and they are head[r, :lens[r]] when lens[r] <= head.shape[1],
-    else longs[r].
+    segments yields (params, xs, w0): rows of one PQParams with x in [0, 1)
+    and w_0 at each, nan where it underflows.  Rows go through plan-major in
+    chunks of at most _ROWS, and each chunk is yielded as (pieces, bounds,
+    (head, lens, longs), total): rows bounds[i]:bounds[i+1] of the chunk
+    are pieces[i] = (params, xs, w0), row r holds lens[r] weights with
+    running sum total[r], and they are head[r, :lens[r]] when lens[r] <=
+    head.shape[1], else longs[r].  A row whose w_0 is nan never runs: it
+    holds no weights, and its total is nan.
 
     A row is one scan: w_k = w_0 * (r_1 * ... * r_k) with r_k = x * e(n +
     k) / e(k) of its own plan, and S_k = w_0 + (w_1 + ... + w_k), each taken
@@ -338,12 +321,12 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
     """
     target = 1.0 - tail_tol
     for pieces in _plan_major(segments):
-        bounds = np.cumsum([0] + [len(p[2]) for p in pieces])
-        xs = np.concatenate([p[2] for p in pieces])
-        w0 = np.concatenate([p[3] for p in pieces])
-        plans = _columns([p[1] for p in pieces])
+        bounds = np.cumsum([0] + [len(p[1]) for p in pieces])
+        xs = np.concatenate([p[1] for p in pieces])
+        w0 = np.concatenate([p[2] for p in pieces])
+        plans = _columns([p[0] for p in pieces])
         total = w0.copy()
-        lens = np.ones(len(xs), dtype=int)
+        lens = np.where(np.isnan(w0), 0, 1)
         span = min(_SPAN, max_terms - 1)
         head = np.empty((len(xs), 1 + span))
         head[:, 0] = w0
@@ -405,7 +388,7 @@ def node(params: PQParams, k: int) -> float:
     """Evaluation abscissa p^n [k] / [n+k], always in [0, 1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return float(_Plan(params).nodes(k + 1)[k])
+    return float(_nodes([params], [k + 1])[k])
 
 
 def weight(params: PQParams, k: int, x: float) -> float:
@@ -457,53 +440,43 @@ _STATUSES = np.array(["ok", "k_max", "underflow", "f_error", "range"])
 _ST_OK, _ST_K_MAX, _ST_UNDERFLOW, _ST_F_ERROR, _ST_RANGE = range(len(_STATUSES))
 
 
-class _PlanRows:
-    """The columns of one plan of a sweep, filled while its rows are in
-    flight; cols are the grid indices of its kernel rows, in order, of which
-    left are not taken yet."""
-
-    def __init__(self, template: dict, cols: np.ndarray) -> None:
-        for name, column in template.items():
-            setattr(self, name, column.copy())
-        self.cols = cols
-        self.left = len(cols)
-        self.f_error: Exception | None = None
-
-
 class _Sweep:
     """The state one evaluate_sweep_values call shares across its plans: the
-    grid, f(1) for each f, and each f's sup bound once asked for."""
+    grid, each f's sup bound once asked for, and the kernel rows taken and
+    not yet handed out.
+
+    A plan's kernel rows are its x below 1, in grid order, so plan i is
+    kernel rows i * nb .. (i + 1) * nb - 1, nb = len(below).  template holds
+    the columns every plan starts from, f(1) and its error at x = 1
+    included; kept holds values, tail, terms, flag, status and error, one
+    entry per kernel row taken and not yet handed out."""
 
     def __init__(self, fs: Sequence[Function], xs: np.ndarray,
                  policy: TruncationPolicy) -> None:
-        self.fs, self.xs, self.policy = list(fs), xs, policy
+        self.fs, self.policy = list(fs), policy
         self.sups: dict[int, tuple[float, bool] | Exception] = {}
         nf, nx = len(self.fs), len(xs)
         in_range = (xs >= 0.0) & (xs <= 1.0)
         self.below = np.flatnonzero(in_range & (xs < 1.0))
-        self.at_one = np.flatnonzero(xs == 1.0)
-        # a row below x = 1 that reaches no kernel chunk underflows
-        self.template = t = {
-            "values": np.full((nf, nx), math.nan),
-            "tail_mass": np.full(nx, math.nan),
-            "terms_used": np.zeros(nx, dtype=int),
-            "converged": np.zeros(nx, dtype=bool),
-            "code": np.where(in_range, _ST_UNDERFLOW, _ST_RANGE),
-        }
-        self.one_error: Exception | None = None
-        if self.at_one.size:
+        at_one = np.flatnonzero(xs == 1.0)
+        # the columns below x = 1 are the kernel's
+        self.template = values, tail, terms, flag, code, errors = (
+            np.full((nf, nx), math.nan), np.full(nx, math.nan),
+            np.zeros(nx, dtype=int), np.zeros(nx, dtype=bool),
+            np.where(in_range, _ST_OK, _ST_RANGE), np.full(nx, None))
+        self.kept = [column[..., :0].swapaxes(0, -1) for column in self.template]
+        if at_one.size:
             # x = 1: f(1) for each f, until one raises
-            t["tail_mass"][self.at_one] = 0.0
-            t["terms_used"][self.at_one] = 1
-            t["converged"][self.at_one] = True
-            t["code"][self.at_one] = _ST_OK
+            tail[at_one] = 0.0
+            terms[at_one] = 1
+            flag[at_one] = True
             for i, f in enumerate(self.fs):
                 try:
-                    t["values"][i, self.at_one] = float(f(1.0))
+                    values[i, at_one] = float(f(1.0))
                 except Exception as exc:
-                    self.one_error = exc
-                    t["values"][:, self.at_one] = math.nan
-                    t["code"][self.at_one] = _ST_F_ERROR
+                    values[:, at_one] = math.nan
+                    code[at_one] = _ST_F_ERROR
+                    errors[at_one] = exc
                     break
 
     def sup(self, i: int) -> tuple[float, bool] | Exception:
@@ -515,32 +488,22 @@ class _Sweep:
                 self.sups[i] = exc
         return self.sups[i]
 
-    def segments(self, params_seq: Sequence[PQParams], out: list):
-        """The kernel rows of each plan: its x below 1 whose leading weight
-        does not underflow; each plan's _PlanRows is appended to out."""
-        xs = self.xs[self.below]
-        for params in params_seq:
-            plan = _Plan(params)
-            w0 = plan.leading_weights(xs)
-            ok = ~np.isnan(w0)
-            rows = _PlanRows(self.template, self.below[ok])
-            out.append(rows)
-            yield rows, plan, xs[ok], w0[ok]
-
-    def take(self, pieces, bounds, rows, total) -> None:
-        """Values, tails, terms, flags and statuses of one chunk of rows, as
-        _weight_chunks yields it."""
+    def take(self, pieces, bounds, rows, total) -> list[GridValues]:
+        """Keeps the values, tails, terms, flags, statuses and errors of one
+        chunk of rows, as _weight_chunks yields it, and hands out the
+        GridValues of every plan whose rows are all taken now."""
         fs, nf = self.fs, len(self.fs)
         head, lens, longs = rows
         needs = np.maximum.reduceat(lens, bounds[:-1])
-        nodes = _nodes([p[1] for p in pieces], needs)
+        nodes = _nodes([p[0] for p in pieces], needs)
         row_off = np.repeat(np.cumsum(needs) - needs, np.diff(bounds))
         # fvals[i] holds fs[i] at each piece's node prefix; fail_at[r] is the
-        # first f that fails row r (nf for none), in the one-x order: for
-        # each f its values, then its sup bound
+        # first f that fails row r (nf for none, -1 for a row with no
+        # weights), in the one-x order: for each f its values, then its sup
+        # bound; errors[r] is what it raises
         fvals = np.empty((nf, len(nodes)))
-        fail_at = np.full(len(lens), nf)
-        raised: dict[int, Exception] = {}
+        fail_at = np.where(lens > 0, nf, -1)
+        errors = np.empty(len(lens), dtype=object)
         for i, f in enumerate(fs):
             live = fail_at == nf
             if not live.any():
@@ -555,10 +518,10 @@ class _Sweep:
                     try:
                         fvals[i, o: o + k] = f.values(nodes[o: o + k])
                     except Exception as exc:
-                        fail_at[r], raised[r] = i, exc
+                        fail_at[r], errors[r] = i, exc
                 live = fail_at == nf
             if live.any() and isinstance(self.sup(i), Exception):
-                fail_at[live] = i
+                fail_at[live], errors[live] = i, self.sup(i)
         values = np.full((len(lens), nf), math.nan)
         # a run is rows a:b that pass every f and share a piece (so a node
         # prefix) and a weight count k in head: one call dots them all, each
@@ -579,49 +542,60 @@ class _Sweep:
                 np.vecdot(fvals[:, o: o + k], w, out=values[a])
         tail = np.maximum(0.0, 1.0 - total)
         flag = tail <= self.policy.tail_tol
-        failed = fail_at < nf
         code = np.where(flag, _ST_OK, _ST_K_MAX)
-        code[failed] = _ST_F_ERROR
-        for (rows, _, _, _, start), a, b in zip(pieces, bounds, bounds[1:]):
-            cols = rows.cols[start: start + b - a]
-            rows.values[:, cols] = values[a:b].T
-            rows.tail_mass[cols] = tail[a:b]
-            rows.terms_used[cols] = lens[a:b]
-            rows.converged[cols] = flag[a:b]
-            rows.code[cols] = code[a:b]
-            rows.left -= b - a
-            if rows.f_error is None and failed[a:b].any():
-                # the plan's first row to fail on f: what that x raises alone
-                r = a + int(np.argmax(failed[a:b]))
-                rows.f_error = raised[r] if r in raised else self.sup(int(fail_at[r]))
+        code[fail_at < nf] = _ST_F_ERROR
+        code[fail_at < 0] = _ST_UNDERFLOW
+        taken = [values, tail, lens, flag, code, errors]
+        if len(self.kept[1]):
+            taken = [np.concatenate(pair) for pair in zip(self.kept, taken)]
+        self.kept = taken
+        done = len(taken[1]) // len(self.below)
+        return self.results(done) if done else []
 
-    def result(self, rows: _PlanRows) -> GridValues:
-        nf = len(self.fs)
-        bound = np.zeros(nf)
-        heuristic = np.zeros(nf, dtype=bool)
-        if rows.cols.size:
-            for i in range(nf):
-                sup = self.sups.get(i)
-                if isinstance(sup, tuple):
-                    bound[i], heuristic[i] = sup
-        valued = rows.code <= _ST_K_MAX
-        error = np.multiply.outer(bound, rows.tail_mass)
-        error[:, self.at_one] = 0.0
-        error[:, ~valued] = math.nan
-        failure = None
-        if not valued.all():
-            j = int(np.argmin(valued))
-            code = rows.code[j]
-            if code == _ST_RANGE:
-                exc = ValueError("x must lie in [0, 1]")
-            elif code == _ST_UNDERFLOW:
-                exc = ValueError(_UNDERFLOW)
-            else:
-                exc = self.one_error if self.xs[j] == 1.0 else rows.f_error
-            failure = (j, exc)
-        return GridValues(rows.values, rows.tail_mass, rows.terms_used,
-                          rows.converged, bound, heuristic, error,
-                          _STATUSES[rows.code], failure)
+    def results(self, count: int) -> list[GridValues]:
+        """The GridValues of the next count plans, from their kernel rows,
+        the first count * nb rows kept: each column of all of them is one
+        (count, ...) table, filled with one indexed assignment."""
+        nb = len(self.below)
+        cut = count * nb
+        rows = [column[:cut] for column in self.kept]
+        self.kept = [column[cut:] for column in self.kept]
+
+        def table(k):
+            out = self.template[k][None].repeat(count, axis=0)
+            out[..., self.below] = rows[k].reshape(
+                count, nb, *rows[k].shape[1:]).swapaxes(1, -1)
+            return out
+
+        # the errors' table is made only for a plan that fails on f
+        values, tail, terms, flag, code = map(table, range(5))
+        # a plan holds the sup bounds asked for once one of its rows has
+        # weights
+        sups = [self.sups.get(i) for i in range(len(self.fs))]
+        sups = [s if isinstance(s, tuple) else (0.0, False) for s in sups]
+        ran = (rows[2].reshape(count, nb) > 0).any(axis=1)[:, None]
+        bound = np.where(ran, [s[0] for s in sups], 0.0)
+        heuristic = ran & np.array([s[1] for s in sups], dtype=bool)
+        valued = code <= _ST_K_MAX
+        # 0.0 at x = 1, whose tail is 0.0
+        error = np.where(valued[:, None, :], bound[:, :, None] * tail[:, None, :],
+                         math.nan)
+        statuses = _STATUSES[code]
+        out = []
+        for i, fails in enumerate((~valued.all(axis=1)).tolist()):
+            failure = None
+            if fails:
+                j = int(np.argmin(valued[i]))
+                if code[i, j] == _ST_RANGE:
+                    exc = ValueError("x must lie in [0, 1]")
+                elif code[i, j] == _ST_UNDERFLOW:
+                    exc = ValueError(_UNDERFLOW)
+                else:
+                    exc = table(5)[i, j]
+                failure = (j, exc)
+            out.append(GridValues(values[i], tail[i], terms[i], flag[i], bound[i],
+                                  heuristic[i], error[i], statuses[i], failure))
+        return out
 
 
 def evaluate_sweep_values(
@@ -649,18 +623,19 @@ def evaluate_sweep_values(
     if len(xs) == 0:
         raise ValueError("grid must be nonempty")
     sweep = _Sweep(fs, xs, policy)
-    plans: list[_PlanRows] = []
+    below = xs[sweep.below]
+    chunks = _weight_chunks(((params, below, _leading_weights(params, below))
+                             for params in params_seq), policy.tail_tol, policy.k_max)
+    if below.size:
+        done = itertools.chain.from_iterable(sweep.take(*chunk) for chunk in chunks)
+    else:
+        # no kernel rows: every plan is done at once
+        done = sweep.results(len(params_seq))
     out: list[GridValues] = []
-    chunks = _weight_chunks(sweep.segments(params_seq, plans),
-                            policy.tail_tol, policy.k_max)
-    for chunk in itertools.chain(chunks, [None]):
-        if chunk is not None:
-            sweep.take(*chunk)
-        # chunks are plan-major, so only the plan in flight has rows left
-        while len(out) < len(plans) and not plans[len(out)].left:
-            out.append(sweep.result(plans[len(out)]))
-            if stop is not None and stop(out[-1]):
-                return out
+    for res in done:
+        out.append(res)
+        if stop is not None and stop(res):
+            break
     return out
 
 
@@ -691,15 +666,14 @@ def _weight_rows(
     failing x raises."""
     xs = np.array([float(x) for x in grid], dtype=float)
     inside = (xs >= 0.0) & (xs < 1.0)
-    plan = _Plan(params)
     w0 = np.full(len(xs), math.nan)
-    w0[inside] = plan.leading_weights(xs[inside])
+    w0[inside] = _leading_weights(params, xs[inside])
     bad = np.flatnonzero(np.isnan(w0))
     if bad.size:
         raise ValueError(_UNDERFLOW if inside[bad[0]] else "x must lie in [0, 1)")
     out = []
     for _, _, (head, lens, longs), _ in _weight_chunks(
-            [(None, plan, xs, w0)], tail_tol, max_terms):
+            [(params, xs, w0)], tail_tol, max_terms):
         cap = head.shape[1]
         out += [head[r, :k] if k <= cap else longs[r]
                 for r, k in enumerate(lens.tolist())]

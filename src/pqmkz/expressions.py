@@ -192,17 +192,17 @@ _ARRAY_FUNCS = {
 }
 
 
-def _eval_array(node: Node, var: str, xs: np.ndarray) -> np.ndarray:
+def _eval_array(node: Node, xs: np.ndarray) -> np.ndarray:
     if isinstance(node, Num):
         return np.full_like(xs, node.value, dtype=float)
     if isinstance(node, Var):
         return np.asarray(xs, dtype=float)
     if isinstance(node, Neg):
-        return -_eval_array(node.arg, var, xs)
+        return -_eval_array(node.arg, xs)
     if isinstance(node, Call):
-        return _ARRAY_FUNCS[node.func](_eval_array(node.arg, var, xs))
-    a = _eval_array(node.left, var, xs)
-    b = _eval_array(node.right, var, xs)
+        return _ARRAY_FUNCS[node.func](_eval_array(node.arg, xs))
+    a = _eval_array(node.left, xs)
+    b = _eval_array(node.right, xs)
     if node.op == "+":
         return a + b
     if node.op == "-":
@@ -235,7 +235,7 @@ class Expression:
         """The one evaluator: values at every point of xs, same shape."""
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             try:
-                return _eval_array(self.root, self.var, np.asarray(xs, dtype=float))
+                return _eval_array(self.root, np.asarray(xs, dtype=float))
             except FloatingPointError as exc:
                 raise EvalError(str(exc)) from exc
 

@@ -107,6 +107,18 @@ class TestEval:
         want = resolve_function(fn).values(xs)
         assert f_x.view(np.int64).tolist() == want.view(np.int64).tolist()
 
+    def test_readme_quotes_the_printed_tail_mass(self, capsys):
+        # README.md quotes this argv's tail_mass line, so a drift in the
+        # last bits must update the quote too
+        code, out, _ = run(
+            capsys, "eval", "--n", "10", "--p", "1", "--q", "0.999",
+            "--fn", "one", "--x", "0.99",
+        )
+        assert code == 0
+        [line] = [s for s in out.splitlines() if s.startswith("tail_mass=")]
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        assert f"`{line}`" in readme.read_text()
+
 
 class TestSupBound:
     def test_sup_bound_replaces_the_preset_bound(self, capsys):

@@ -17,7 +17,8 @@ from pqmkz.engine import (
     PQParams,
     TruncationPolicy,
     _UNDERFLOW,
-    _Plan,
+    _leading_weights,
+    _nodes,
     _weight_chunks,
     evaluate,
     evaluate_grid_values,
@@ -40,17 +41,18 @@ CLASSICAL3 = PQParams(3, PQPair.classical())
 
 def kernel_rows(cases, tail_tol, max_terms):
     """(weights, tail, flag) of each row of one _weight_chunks call over
-    cases, a list of (plan, xs) whose leading weights do not underflow."""
+    cases, a list of (params, xs); a row whose leading weight underflows
+    holds no weights, and its tail is nan."""
     segments = []
-    for plan, xs in cases:
+    for params, xs in cases:
         xs = np.asarray(xs, dtype=float)
-        segments.append((None, plan, xs, plan.leading_weights(xs)))
+        segments.append((params, xs, _leading_weights(params, xs)))
     out = []
     for _, _, (head, lens, longs), total in _weight_chunks(
             segments, tail_tol, max_terms):
         for r, (k, t) in enumerate(zip(lens.tolist(), total.tolist())):
             w = head[r, :k] if k <= head.shape[1] else longs[r]
-            tail = max(0.0, 1.0 - t)
+            tail = max(0.0, 1.0 - t) if k else math.nan
             out.append((w, tail, tail <= tail_tol))
     return out
 
@@ -123,9 +125,8 @@ class TestNode:
             assert node(params, 2000) == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_kernel_nodes(self):
-        plan = _Plan(PARAMS)
-        [(w, _, _)] = kernel_rows([(plan, [0.5])], 0.0, 300)
-        nodes = plan.nodes(len(w))
+        [(w, _, _)] = kernel_rows([(PARAMS, [0.5])], 0.0, 300)
+        nodes = _nodes([PARAMS], [len(w)])
         for k in range(300):
             assert nodes[k] == node(PARAMS, k)
 
@@ -161,7 +162,7 @@ class TestWeightStream:
 
     @staticmethod
     def kernel(x, count):
-        [(w, _, _)] = kernel_rows([(_Plan(PARAMS), [x])], 0.0, count)
+        [(w, _, _)] = kernel_rows([(PARAMS, [x])], 0.0, count)
         assert len(w) == count
         return w
 
@@ -403,40 +404,39 @@ class TestRowKernelEqualsPerX:
 
     @staticmethod
     def assert_rows_are_ref(plans_xs, tol, k_max):
-        """One kernel call over (plan, xs) pairs: the x whose leading weight
-        underflows are those the reference refuses, and every other x's
-        weights, tail, flag and nodes are the reference's bit for bit."""
-        cases, refs = [], []
-        for plan, xs in plans_xs:
-            w0 = plan.leading_weights(np.asarray(xs, dtype=float))
-            ok = []
+        """One kernel call over (params, xs) pairs: the x whose leading
+        weight underflows are those the reference refuses, and hold no
+        weights and a nan tail; every other x's weights, tail, flag and
+        nodes are the reference's bit for bit."""
+        refs = []
+        for params, xs in plans_xs:
+            w0 = _leading_weights(params, np.asarray(xs, dtype=float))
             for x, v in zip(xs, w0.tolist()):
-                [ref] = ref_rows(plan.params, [float(x)], tol, k_max) or [None]
+                [ref] = ref_rows(params, [float(x)], tol, k_max) or [None]
                 assert math.isnan(v) == (ref is None)
-                if ref is not None:
-                    ok.append(float(x))
-                    refs.append((plan, ref))
-            cases.append((plan, ok))
-        rows = kernel_rows(cases, tol, k_max)
+                refs.append((params, ref))
+        rows = kernel_rows(plans_xs, tol, k_max)
         assert len(rows) == len(refs)
-        for (w, tail, flag), (plan, (w_ref, nodes_ref, tail_ref, flag_ref)) in zip(
-            rows, refs
-        ):
+        for (w, tail, flag), (params, ref) in zip(rows, refs):
+            if ref is None:
+                assert len(w) == 0 and math.isnan(tail) and not flag
+                continue
+            w_ref, nodes_ref, tail_ref, flag_ref = ref
             assert w.tobytes() == w_ref.tobytes()
             assert tail == tail_ref and flag == flag_ref
-            assert plan.nodes(len(w)).tobytes() == nodes_ref.tobytes()
+            assert _nodes([params], [len(w)]).tobytes() == nodes_ref.tobytes()
 
     @pytest.mark.parametrize("degree", REF_DEGREES)
     def test_weights_tail_flag_bitwise(self, degree):
         for params, tol, k_max, xs in ref_cases(degree):
-            self.assert_rows_are_ref([(_Plan(params), xs)], tol, k_max)
+            self.assert_rows_are_ref([(params, xs)], tol, k_max)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-8, 1e-12])
     @pytest.mark.parametrize("k_max", REF_KMAX)
     def test_rows_of_several_plans_in_one_call(self, tol, k_max):
         # the cases of every degree with this tol and k_max, their plans'
         # rows side by side in chunks of one kernel call
-        plans_xs = [(_Plan(params), xs)
+        plans_xs = [(params, xs)
                     for degree in REF_DEGREES
                     for params, t, k, xs in ref_cases(degree)
                     if (t, k) == (tol, k_max)]
@@ -568,12 +568,12 @@ class TestBlockBatches:
     def test_k_max_at_and_past_a_batch_end(self, k_max):
         # 2049 and 4097 weights end the passes of 1024 and 2048 terms; one
         # weight more runs a one-term pass
-        self.assert_rows_are_ref([(_Plan(SLOW), SLOW_XS)], 1e-12, k_max)
+        self.assert_rows_are_ref([(SLOW, SLOW_XS)], 1e-12, k_max)
 
     @pytest.mark.parametrize("k_max", [3000, 10_077])
     def test_k_max_off_the_block_grid(self, k_max):
         # the last pass is cut at k_max
-        self.assert_rows_are_ref([(_Plan(SLOW), SLOW_XS)], 1e-12, k_max)
+        self.assert_rows_are_ref([(SLOW, SLOW_XS)], 1e-12, k_max)
 
     def test_rows_stop_in_different_blocks_of_one_batch(self):
         xs = np.linspace(0.995, 0.999, 24).tolist()
@@ -582,19 +582,19 @@ class TestBlockBatches:
         # holds terms 8193..12288
         batch = {(n - 2) // 256 for n in lens if 8193 < n <= 12289}
         assert len(batch) >= 2
-        self.assert_rows_are_ref([(_Plan(SLOW), xs)], 1e-12, 100_000)
+        self.assert_rows_are_ref([(SLOW, xs)], 1e-12, 100_000)
 
     def test_row_of_twenty_thousand_terms(self):
         [(w, _, _, flag)] = ref_rows(SLOW, [0.999], 1e-12, 100_000)
         assert len(w) >= 20_000 and flag
-        self.assert_rows_are_ref([(_Plan(SLOW), [0.999])], 1e-12, 100_000)
+        self.assert_rows_are_ref([(SLOW, [0.999])], 1e-12, 100_000)
 
     def test_rows_per_chunk_bound_the_batch(self, monkeypatch):
         # with _ROWS = 8, a pass of a rows holds at most 8 * 256 // a terms
         monkeypatch.setattr(engine, "_ROWS", 8)
         passes = self.record_passes(monkeypatch)
         xs = np.linspace(0.99, 0.999, 20).tolist()
-        self.assert_rows_are_ref([(_Plan(SLOW), xs)], 1e-12, 100_000)
+        self.assert_rows_are_ref([(SLOW, xs)], 1e-12, 100_000)
         assert all(a * width <= 8 * engine._SPAN for a, width in passes)
         assert {width // engine._SPAN for _, width in passes} >= {1, 2, 4, 8}
 
@@ -615,7 +615,7 @@ class TestBlockBatches:
         # a row alone opens with one pass of 256 terms, then each pass holds
         # the terms made so far, at most 4096
         passes = self.record_passes(monkeypatch)
-        self.assert_rows_are_ref([(_Plan(SLOW), [0.999])], 1e-12, 100_000)
+        self.assert_rows_are_ref([(SLOW, [0.999])], 1e-12, 100_000)
         assert [terms for _, terms in passes[:7]] == [
             256, 256, 512, 1024, 2048, 4096, 4096]
 
@@ -626,7 +626,7 @@ class TestBlockBatches:
         # 512 * 32 terms; more rows open with 32 terms, then 32, 64 and 128
         passes = self.record_passes(monkeypatch)
         xs = np.linspace(0.9, 0.999, rows).tolist()
-        self.assert_rows_are_ref([(_Plan(SLOW), xs)], 1e-12, 100_000)
+        self.assert_rows_are_ref([(SLOW, xs)], 1e-12, 100_000)
         assert passes[0] == (rows, first)
         if first < engine._SPAN:
             assert [terms for _, terms in passes[:4]] == [32, 32, 64, 128]
@@ -639,11 +639,11 @@ class TestBlockBatches:
         # rows one term before or at a pass end, or inside a pass, and rows
         # stop throughout terms 1-256
         xs = np.linspace(0.0, 0.99, 34)
-        plans_xs = [(_Plan(params), xs) for params in (
+        plans_xs = [(params, xs) for params in (
             PARAMS, CLASSICAL3, PQParams(1, PQPair(1.0, 0.5)),
             PQParams(9, PQPair(0.97, 0.9)), PQParams(40, PQPair(1.0, 0.99)))]
-        lens = [len(ref_weights_nodes(plan.params, x, 1e-12, 100_000)[0])
-                for plan, _ in plans_xs for x in xs.tolist()]
+        lens = [len(ref_weights_nodes(params, x, 1e-12, 100_000)[0])
+                for params, _ in plans_xs for x in xs.tolist()]
         # a row of n weights ends at term n - 1
         sub = np.searchsorted([32, 96, 224, 256], [n - 1 for n in lens if 1 < n <= 257])
         assert set(sub.tolist()) == {0, 1, 2, 3}
@@ -671,7 +671,7 @@ class TestPassWidths:
                                 ("_ROWS", rows), ("_WIDTH", width)):
                 patch.setattr(engine, name, value)
             TestRowKernelEqualsPerX.assert_rows_are_ref(
-                [(_Plan(params), SCAN_XS) for params in SCAN_PLANS], tol, k_max)
+                [(params, SCAN_XS) for params in SCAN_PLANS], tol, k_max)
 
 
 def stops_by_any(cums, target):
@@ -722,7 +722,7 @@ class TestStops:
 
 
 class TestLeadingWeights:
-    """_Plan.leading_weights sums log w_0 over slices of at most _ROWS *
+    """_leading_weights sums log w_0 over slices of at most _ROWS *
     _SPAN factors."""
 
     @pytest.mark.parametrize("rows", [1, 8])
@@ -741,15 +741,15 @@ class TestLeadingWeights:
                         want.append(math.exp(ref_log_w0(params, x)))
                     except ValueError:
                         want.append(math.nan)
-                got = _Plan(params).leading_weights(xs)
+                got = _leading_weights(params, xs)
                 assert got.tobytes() == np.array(want).tobytes()
 
     def test_temporaries_are_bounded(self):
         # one outer product of 1001 x and 20 001 factors would hold 160 MB
-        plan = _Plan(PQParams(20_000, PQPair(1.0, 0.5)))
+        params = PQParams(20_000, PQPair(1.0, 0.5))
         tracemalloc.start()
         try:
-            w0 = plan.leading_weights(np.linspace(0.0, 0.9, 1001))
+            w0 = _leading_weights(params, np.linspace(0.0, 0.9, 1001))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1012,13 +1012,13 @@ class TestSweep:
         policy = TruncationPolicy(1e-10, 3000)
         full = evaluate_sweep_values(SWEEP_PARAMS, fs, grid, policy)
         started = []
-        plan_init = engine._Plan.__init__
+        leading = engine._leading_weights
 
-        def recorded(plan, params):
+        def recorded(params, xs):
             started.append(params)
-            plan_init(plan, params)
+            return leading(params, xs)
 
-        monkeypatch.setattr(engine._Plan, "__init__", recorded)
+        monkeypatch.setattr(engine, "_leading_weights", recorded)
         seen = []
         part = evaluate_sweep_values(
             SWEEP_PARAMS, fs, grid, policy,
@@ -1027,6 +1027,53 @@ class TestSweep:
         for got, want in zip(part, full):
             assert_same_columns(got, want)
         assert started == SWEEP_PARAMS[: 4 if rows else len(SWEEP_PARAMS)]
+
+    def test_a_plan_of_underflow_rows_between_two(self, monkeypatch):
+        # DEEP's w_0 underflows at every x of this grid below 1, so with
+        # _ROWS = 5 its 12 kernel rows, between those of two plans that
+        # converge, fill a whole chunk of underflow rows; stop sees DEEP's
+        # element in order, with no sup bound
+        monkeypatch.setattr(engine, "_ROWS", 5)
+        totals = []
+        chunks = engine._weight_chunks
+
+        def recorded(*args):
+            for chunk in chunks(*args):
+                totals.append(chunk[3].copy())
+                yield chunk
+
+        monkeypatch.setattr(engine, "_weight_chunks", recorded)
+        fs = [ONE, resolve_function("x^2+sin(3*x)")]
+        grid = np.linspace(0.9, 0.99, 12).tolist() + [1.0]
+        seq = [PARAMS, DEEP, CLASSICAL3]
+        policy = TruncationPolicy()
+        seen = []
+        sweep = evaluate_sweep_values(seq, fs, grid, policy,
+                                      stop=lambda res: seen.append(res) or False)
+        assert seen == sweep and len(sweep) == 3
+        assert any(np.isnan(t).all() for t in totals)
+        first, deep, last = sweep
+        for params, got in ((PARAMS, first), (CLASSICAL3, last)):
+            assert got.failure is None
+            assert_same_columns(got, evaluate_grid_values(params, fs, grid, policy))
+        with pytest.raises(ValueError, match=_UNDERFLOW) as raised:
+            evaluate_grid_values(DEEP, fs, grid, policy)
+        j, exc = deep.failure
+        assert j == 0 and type(exc) is ValueError and str(exc) == str(raised.value)
+        assert deep.status.tolist() == ["underflow"] * 12 + ["ok"]
+        assert np.isnan(deep.values[:, :12]).all()
+        assert np.isnan(deep.tail_mass[:12]).all()
+        assert np.isnan(deep.error_bound[:, :12]).all()
+        assert deep.terms_used[:12].tolist() == [0] * 12
+        assert not deep.converged[:12].any()
+        # x = 1 is the same column in every plan
+        for name in ("values", "tail_mass", "terms_used", "converged",
+                     "error_bound", "status"):
+            column = getattr(deep, name)[..., 12]
+            assert column.tobytes() == getattr(first, name)[..., 12].tobytes(), name
+        assert deep.sup_bound.tolist() == [0.0, 0.0]
+        assert deep.heuristic_bound.tolist() == [False, False]
+        assert first.heuristic_bound.tolist() == [False, True]
 
     @pytest.mark.parametrize("k", [1, 2, 255, 256, 257, 300])
     def test_a_row_fails_once_it_holds_the_first_failing_node(self, k):
@@ -1077,9 +1124,9 @@ class TestDotsByRuns:
         # a's last row, over other nodes, then two long rows of one length
         # and a lone row
         rng = np.random.default_rng(25)
-        plan_a, plan_b = _Plan(PARAMS), _Plan(PQParams(20, PQPair(0.95, 0.9)))
-        edge = plan_a.nodes(9)[8]
-        assert plan_b.nodes(15)[-1] < edge
+        params_a, params_b = PARAMS, PQParams(20, PQPair(0.95, 0.9))
+        edge = _nodes([params_a], [9])[8]
+        assert _nodes([params_b], [15])[-1] < edge
 
         def past_edge(ts):
             if np.any(ts >= edge):
@@ -1092,26 +1139,26 @@ class TestDotsByRuns:
         cap = 12
         head = rng.random((len(lens), cap))
         longs = {r: rng.random(15) for r in (11, 12)}
+        # a grid of 14 x below 1, so the chunk's 14 rows complete one plan
         sweep = engine._Sweep(fs, np.linspace(0.0, 0.5, len(lens)), TruncationPolicy())
-        rows_a = engine._PlanRows(sweep.template, np.arange(8))
-        rows_b = engine._PlanRows(sweep.template, np.arange(8, 14))
-        pieces = [(rows_a, plan_a, None, None, 0), (rows_b, plan_b, None, None, 0)]
+        pieces = [(params_a, None, None), (params_b, None, None)]
         calls = []
         vecdot = np.vecdot
         with monkeypatch.context() as m:
             m.setattr(np, "vecdot", lambda *a, **k: calls.append(1) or vecdot(*a, **k))
-            sweep.take(pieces, [0, 8, 14], (head, lens, longs), np.ones(len(lens)))
-        got = np.hstack([rows_a.values[:, :8], rows_b.values[:, 8:]])
+            [res] = sweep.take(pieces, [0, 8, 14], (head, lens, longs),
+                               np.ones(len(lens)))
         want = np.full((len(fs), len(lens)), math.nan)
         for r, k in enumerate(lens.tolist()):
             if r == 3:
                 continue
-            nodes = (plan_a if r < 8 else plan_b).nodes(k)
+            nodes = _nodes([params_a if r < 8 else params_b], [k])
             w = head[r, :k] if k <= cap else longs[r]
             want[:, r] = np.vecdot(np.array([f.values(nodes) for f in fs]), w)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert rows_a.code[3] == engine._ST_F_ERROR
-        assert str(rows_a.f_error) == "past the edge"
+        assert np.array_equal(res.values, want, equal_nan=True)
+        assert res.status[3] == "f_error"
+        j, exc = res.failure
+        assert j == 3 and str(exc) == "past the edge"
         # runs 0:3, 4:6 and 8:11, lone rows 6, 7 and 13, long rows 11 and 12
         assert len(calls) == 8
 

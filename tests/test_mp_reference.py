@@ -16,7 +16,12 @@ ctx = mr.ctx
 POINTS = [(10, 1.0, 0.999, 0.99), (10, 0.999, 0.998, 0.999),
           (24, 0.9712, 0.912928, 0.9)]
 # f with sup |f| = 1 on [0, 1], as f of an mpf node
-FUNCTIONS = {"x^2": lambda t: t * t, "1/(1+x)": lambda t: 1 / (1 + t)}
+FUNCTIONS = {"x^2": lambda t: t * t, "1/(1+x)": lambda t: 1 / (1 + t),
+             "one": lambda t: ctx.one}
+# tail_mass is 1 - the computed sum, not a bound on the exact tail (ROADMAP
+# item 1): measured, f = one misses its error_bound by 1.0062e-12 >
+# 9.9687e-13, 1.0040e-12 > 9.9953e-13 and 9.9898e-13 > 9.9887e-13
+ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 
 
 @pytest.fixture(scope="module", params=POINTS, ids=lambda c: "n{}-p{}-q{}-x{}".format(*c))
@@ -48,7 +53,9 @@ def test_weights_at_the_floor():
     assert worst <= 1e-13
 
 
-@pytest.mark.parametrize("spec", FUNCTIONS)
+@pytest.mark.parametrize(
+    "spec", [pytest.param(spec, marks=ITEM_1) if spec == "one" else spec
+             for spec in FUNCTIONS])
 def test_value_within_error_bound(point, spec):
     # the operator's value lies within exact tail * sup |f| of the reference
     # sum over the engine's terms, so this bounds the engine's whole error
@@ -59,3 +66,14 @@ def test_value_within_error_bound(point, spec):
     partial = ctx.fsum(w * f(t) for w, t in zip(weights, nodes))
     error = abs(ctx.mpf(out.value) - partial) + mr.exact_tail(weights)
     assert error <= out.error_bound
+
+
+def test_exact_tail_within_tail_mass(point, request):
+    # measured: 9.8598e-13 <= 9.9953e-13 at the 30k-term row and 9.9675e-13
+    # <= 9.9887e-13 at the 300-term row, but 1.0020e-12 > 9.9687e-13 at the
+    # 3.9k-term row
+    if request.node.callspec.params["point"] == POINTS[0]:
+        request.applymarker(ITEM_1)
+    params, x, _, weights, _ = point
+    out = evaluate(params, resolve_function("one"), x)
+    assert mr.exact_tail(weights) <= out.tail_mass

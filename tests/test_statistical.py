@@ -150,13 +150,13 @@ class TestKorovkinCheck:
         # f first fails at n = 16 (above); a sweep to n = 400 ends with the
         # chunk of rows that holds n = 16, so no plan past that chunk starts
         started = []
-        plan_init = engine._Plan.__init__
+        leading = engine._leading_weights
 
-        def recorded(plan, params):
+        def recorded(params, xs):
             started.append(params.n)
-            plan_init(plan, params)
+            return leading(params, xs)
 
-        monkeypatch.setattr(engine._Plan, "__init__", recorded)
+        monkeypatch.setattr(engine, "_leading_weights", recorded)
         f = resolve_function("sqrt(abs(x-0.3004)-0.0003)")
         with pytest.raises(EvalError, match="invalid value encountered in sqrt"):
             st_korovkin_check(scheme_paper(), f, 0.2, [400])
@@ -198,11 +198,11 @@ class TestKorovkinCheck:
             return wrapper
 
         leading = []
-        plan_w0 = engine._Plan.leading_weights
+        plan_w0 = engine._leading_weights
 
-        def recorded(plan, xs):
+        def recorded(params, xs):
             leading.append(len(xs))
-            return plan_w0(plan, xs)
+            return plan_w0(params, xs)
 
         monkeypatch.setattr(statistical, "evaluate_sweep_values", counted(
             "sweep", statistical.evaluate_sweep_values))
@@ -210,7 +210,7 @@ class TestKorovkinCheck:
             "kernel", engine._weight_chunks))
         monkeypatch.setattr(engine, "evaluate_grid_values", counted(
             "grid", engine.evaluate_grid_values))
-        monkeypatch.setattr(engine._Plan, "leading_weights", recorded)
+        monkeypatch.setattr(engine, "_leading_weights", recorded)
         policy = TruncationPolicy(1e-8, 1000)
         reports = st_korovkin_check(
             scheme_constant(1.0, 0.999), ONE, 0.2, [380], policy=policy)

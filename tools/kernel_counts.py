@@ -14,10 +14,12 @@ It counts by wrapping two functions of ``pqmkz.engine``, so it reads the
 same on any tree whose kernel has them: ``_weight_chunks`` (one kernel call
 each, and the rows of every chunk it yields) and ``_stops``, which every
 pass calls once with its running sums, one row per running row and one
-column per term.  A pass's terms computed are the size of those sums.  Its
-terms kept are, for each row, the terms up to and including the one where
-the row stops, or all of them when the row does not stop in the pass (it
-runs on, or ends at k_max).  So kept counts every weight past w_0 of every
+column per term.  The rows count the rows whose leading weight underflows
+on a tree whose kernel takes them (their w_0 is nan): they enter no pass
+and are dotted by no ``take``.  A pass's terms computed are the size of
+its running sums.  Its terms kept are, for each row, the terms up to and
+including the one where the row stops, or all of them when the row does
+not stop in the pass (it runs on, or ends at k_max).  So kept counts every weight past w_0 of every
 row that any kernel path (``evaluate_sweep_values``, ``weight``, the
 normalization sums) returns, once; computed minus kept is the work past the
 stops.  Passes are split by their width, their terms per row.
