@@ -369,10 +369,11 @@ def _cmd_stat(args) -> int:
     Ns = [int(s) for s in args.Ns.split(",")]
     policy = _policy_from_args(args)
     reports = stat_mod.st_korovkin_check(scheme, f, args.eps, Ns, policy=policy)
+    names = ("Ns", "member_counts", "densities", "excluded_counts")
     if args.format == "csv":
         labels = [label for label, r in reports.items() for _ in r.Ns]
         columns = [[v for r in reports.values() for v in getattr(r, name)]
-                   for name in ("Ns", "member_counts", "densities", "excluded_counts")]
+                   for name in names]
         _write_csv(args.out, ["g", *stat_mod.DensityReport.CSV_COLUMNS],
                    [labels, *columns])
     else:
@@ -380,15 +381,8 @@ def _cmd_stat(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "epsilon": args.eps,
             "scheme": scheme.name,
-            "reports": {
-                label: {
-                    "Ns": r.Ns,
-                    "member_counts": r.member_counts,
-                    "densities": r.densities,
-                    "excluded_counts": r.excluded_counts,
-                }
-                for label, r in reports.items()
-            },
+            "reports": {label: {name: getattr(r, name) for name in names}
+                        for label, r in reports.items()},
         }
         _write_json(args.out, payload)
     return 0

@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -429,8 +429,7 @@ def evaluate_many(
     g = evaluate_grid_values(params, fs, [x], policy)
     (tail,), (k,), (ok,) = (g.tail_mass.tolist(), g.terms_used.tolist(),
                             g.converged.tolist())
-    below = float(x) < 1.0
-    return [EvalOutcome(v, tail, k, e, ok, h and below)
+    return [EvalOutcome(v, tail, k, e, ok, h)
             for v, e, h in zip(g.values[:, 0].tolist(), g.error_bound[:, 0].tolist(),
                                g.heuristic_bound.tolist())]
 
@@ -599,14 +598,13 @@ class _Sweep:
 
 
 def evaluate_sweep_values(
-    params_seq: Sequence[PQParams],
+    params_seq: Iterable[PQParams],
     fs: Sequence[Function],
     grid: Sequence[float],
     policy: TruncationPolicy = TruncationPolicy(),
-    stop: Callable[[GridValues], bool] | None = None,
-) -> list[GridValues]:
-    """The grid columns of several PQParams at once, one GridValues per
-    element of params_seq, in order.
+) -> Iterator[GridValues]:
+    """The grid columns of several PQParams at once: an iterator of one
+    GridValues per element of params_seq, in order.
 
     Rows (params, x) of every plan go through one row kernel, a chunk at a
     time, and each f is evaluated once per chunk.  Nothing raises for a
@@ -615,28 +613,21 @@ def evaluate_sweep_values(
     returns; when that raises, element i's failure holds the index of the
     first failing x and what that call raises.
 
-    stop, if given, sees each element as soon as its plan's rows are done;
-    once it returns true the sweep ends, and the list ends with that
-    element.
+    params_seq is read only as the kernel fills its chunks, and each element
+    comes out once the chunk that holds its plan's last row is done, so a
+    caller that stops iterating starts no plan past that chunk.
     """
     xs = np.array([float(x) for x in grid], dtype=float)
     if len(xs) == 0:
         raise ValueError("grid must be nonempty")
     sweep = _Sweep(fs, xs, policy)
     below = xs[sweep.below]
+    if not below.size:
+        # no kernel rows: each plan is done as soon as it is read
+        return (res for _ in params_seq for res in sweep.results(1))
     chunks = _weight_chunks(((params, below, _leading_weights(params, below))
                              for params in params_seq), policy.tail_tol, policy.k_max)
-    if below.size:
-        done = itertools.chain.from_iterable(sweep.take(*chunk) for chunk in chunks)
-    else:
-        # no kernel rows: every plan is done at once
-        done = sweep.results(len(params_seq))
-    out: list[GridValues] = []
-    for res in done:
-        out.append(res)
-        if stop is not None and stop(res):
-            break
-    return out
+    return itertools.chain.from_iterable(sweep.take(*chunk) for chunk in chunks)
 
 
 def evaluate_grid_values(

@@ -18,8 +18,8 @@ from .engine import (
     Function,
     PQParams,
     TruncationPolicy,
+    evaluate,
     evaluate_grid_values,
-    evaluate_many,
 )
 from .pqcore import one_minus_tau_pow
 from .presets import IDENTITY, ONE, SQUARE
@@ -101,7 +101,7 @@ def raw_moment(
         f = _MONOMIALS[j]
     else:
         f = Function(lambda ts: ts ** j, f"t^{j}", 1.0)
-    return evaluate_many(params, [f], x, policy)[0]
+    return evaluate(params, f, x, policy)
 
 
 def delta_n_sq(params: PQParams, x: float) -> float:

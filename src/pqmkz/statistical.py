@@ -147,37 +147,39 @@ def st_korovkin_check(
     errors: dict[str, dict[int, float]] = {lab: {} for lab in labels}
     excluded: set[int] = set(range(1, scheme.n_min))
 
-    def fatal(res) -> bool:
-        # an x failed; the scan over x stops at the first x that does not
-        # converge, so the failure counts only if no such x precedes it
-        if res.failure is None:
-            return False
-        j, exc = res.failure
-        return not isinstance(exc, ValueError) or res.converged[:j].all()
+    late: list[Exception] = []
 
-    # every n in one engine call, which ends at the first fatal failure; a
-    # scheme that fails at some n fails the sweep there, after the n before it
-    params_seq, late = [], None
-    for n in range(scheme.n_min, max(Ns) + 1):
-        try:
-            params_seq.append(scheme.params(n))
-        except Exception as exc:
-            late = exc
-            break
-    for params, res in zip(params_seq, evaluate_sweep_values(
-            params_seq, gs, xs, policy, stop=fatal)):
-        if fatal(res):
-            raise res.failure[1]
+    def params_seq():
+        # each n built when the sweep reaches it; a scheme that fails at
+        # some n ends the sweep there and raises after the n before it
+        for n in range(scheme.n_min, max(Ns) + 1):
+            try:
+                params = scheme.params(n)
+            except Exception as exc:
+                late.append(exc)
+                return
+            yield params
+
+    # every n in one engine call, which ends at the first fatal failure
+    sweep = evaluate_sweep_values(params_seq(), gs, xs, policy)
+    for n, res in enumerate(sweep, scheme.n_min):
+        if res.failure is not None:
+            # an x failed; the scan over x stops at the first x that does
+            # not converge, so the failure counts only if no such x
+            # precedes it
+            j, exc = res.failure
+            if not isinstance(exc, ValueError) or res.converged[:j].all():
+                raise exc
         if not res.converged.all():
             # a failure that is not fatal follows a non-converged x
-            excluded.add(params.n)
+            excluded.add(n)
             continue
         # fmax from 0, like a running max(), passes over nan
         worst = np.fmax.reduce(np.abs(res.values - g_at), axis=1, initial=0.0)
         for lab, e in zip(labels, worst.tolist()):
-            errors[lab][params.n] = e
-    if late is not None:
-        raise late
+            errors[lab][n] = e
+    if late:
+        raise late[0]
 
     reports = {}
     for lab in labels:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -954,7 +955,7 @@ class TestSweep:
         below = sum(x < 1.0 for x in grid)
         assert len(SWEEP_PARAMS) * below > 2 * engine._ROWS
         policy = TruncationPolicy(1e-10, 3000)
-        sweep = evaluate_sweep_values(SWEEP_PARAMS, fs, grid, policy)
+        sweep = list(evaluate_sweep_values(SWEEP_PARAMS, fs, grid, policy))
         assert len(sweep) == len(SWEEP_PARAMS)
         statuses = set()
         for params, got in zip(SWEEP_PARAMS, sweep):
@@ -964,7 +965,8 @@ class TestSweep:
         assert statuses == {"ok", "k_max"}
 
     def test_empty_sequence_and_grid(self):
-        assert evaluate_sweep_values([], [ONE], [0.5]) == []
+        assert list(evaluate_sweep_values([], [ONE], [0.5])) == []
+        assert list(evaluate_sweep_values([], [ONE], [1.0])) == []
         with pytest.raises(ValueError, match="grid must be nonempty"):
             evaluate_sweep_values(SWEEP_PARAMS, [ONE], [])
 
@@ -979,7 +981,7 @@ class TestSweep:
         seen = set()
         for i, (params, fs, policy, grid) in enumerate(failure_cases(24)):
             seq = [params, PARAMS, DEEP, CLASSICAL3]
-            sweep = evaluate_sweep_values(seq, fs, grid, policy)
+            sweep = list(evaluate_sweep_values(seq, fs, grid, policy))
             for p, got in zip(seq, sweep):
                 seen.update(got.status.tolist())
                 want = _outcome(lambda: evaluate_grid_values(p, fs, grid, policy))
@@ -1001,16 +1003,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("rows", [7, None])
     def test_stop_ends_the_sweep_with_that_element(self, monkeypatch, rows):
-        # stop sees the elements in order, each once its rows are done; the
-        # list ends with the first it accepts and is that prefix of the full
-        # sweep.  21 rows per plan fill 3 chunks of 7 exactly, so no plan
-        # past the 4th starts; one default chunk holds every plan
+        # the elements come in order, each once its rows are done; taking
+        # the first 4 gives that prefix of the full sweep.  21 rows per plan
+        # fill 3 chunks of 7 exactly, so no plan past the 4th starts; one
+        # default chunk holds every plan
         if rows is not None:
             monkeypatch.setattr(engine, "_ROWS", rows)
         fs = [ONE, PAPER_CUBIC]
         grid = np.linspace(0.0, 0.99, 21).tolist()
         policy = TruncationPolicy(1e-10, 3000)
-        full = evaluate_sweep_values(SWEEP_PARAMS, fs, grid, policy)
+        full = list(evaluate_sweep_values(SWEEP_PARAMS, fs, grid, policy))
         started = []
         leading = engine._leading_weights
 
@@ -1019,20 +1021,42 @@ class TestSweep:
             return leading(params, xs)
 
         monkeypatch.setattr(engine, "_leading_weights", recorded)
-        seen = []
-        part = evaluate_sweep_values(
-            SWEEP_PARAMS, fs, grid, policy,
-            stop=lambda res: seen.append(res) or len(seen) == 4)
-        assert len(part) == 4 and seen == part
+        part = list(itertools.islice(
+            evaluate_sweep_values(SWEEP_PARAMS, fs, grid, policy), 4))
+        assert len(part) == 4
         for got, want in zip(part, full):
             assert_same_columns(got, want)
         assert started == SWEEP_PARAMS[: 4 if rows else len(SWEEP_PARAMS)]
 
+    def test_a_generator_is_read_only_as_chunks_fill(self, monkeypatch):
+        # 5 rows per plan and _ROWS = 7: after k elements the kernel has
+        # done ceil(5 k / 7) chunks, and has read exactly the plans whose
+        # first row lies in them
+        monkeypatch.setattr(engine, "_ROWS", 7)
+        fs = [ONE, PAPER_CUBIC]
+        grid = np.linspace(0.0, 0.9, 5).tolist() + [1.0]
+        policy = TruncationPolicy(1e-10, 3000)
+        full = list(evaluate_sweep_values(SWEEP_PARAMS, fs, grid, policy))
+        read = []
+
+        def params_seq():
+            for params in SWEEP_PARAMS:
+                read.append(params)
+                yield params
+
+        sweep = evaluate_sweep_values(params_seq(), fs, grid, policy)
+        assert read == []
+        for k, want in enumerate(full, 1):
+            assert_same_columns(next(sweep), want)
+            chunks = -(-5 * k // 7)
+            assert read == SWEEP_PARAMS[: -(-chunks * 7 // 5)]
+        assert next(sweep, None) is None
+
     def test_a_plan_of_underflow_rows_between_two(self, monkeypatch):
         # DEEP's w_0 underflows at every x of this grid below 1, so with
         # _ROWS = 5 its 12 kernel rows, between those of two plans that
-        # converge, fill a whole chunk of underflow rows; stop sees DEEP's
-        # element in order, with no sup bound
+        # converge, fill a whole chunk of underflow rows; DEEP's element
+        # comes in order, with no sup bound
         monkeypatch.setattr(engine, "_ROWS", 5)
         totals = []
         chunks = engine._weight_chunks
@@ -1047,10 +1071,8 @@ class TestSweep:
         grid = np.linspace(0.9, 0.99, 12).tolist() + [1.0]
         seq = [PARAMS, DEEP, CLASSICAL3]
         policy = TruncationPolicy()
-        seen = []
-        sweep = evaluate_sweep_values(seq, fs, grid, policy,
-                                      stop=lambda res: seen.append(res) or False)
-        assert seen == sweep and len(sweep) == 3
+        sweep = list(evaluate_sweep_values(seq, fs, grid, policy))
+        assert len(sweep) == 3
         assert any(np.isnan(t).all() for t in totals)
         first, deep, last = sweep
         for params, got in ((PARAMS, first), (CLASSICAL3, last)):
@@ -1090,8 +1112,8 @@ class TestSweep:
         grid = [0.0, 0.99, 0.995]
         for k_max, status in ((k, "k_max"), (k + 1, "f_error")):
             policy = TruncationPolicy(1e-12, k_max)
-            [res] = evaluate_sweep_values([PARAMS, CLASSICAL3], [ONE, f], grid,
-                                          policy)[:1]
+            res = next(evaluate_sweep_values([PARAMS, CLASSICAL3], [ONE, f], grid,
+                                             policy))
             assert res.status.tolist() == ["ok", status, status]
             assert res.terms_used.tolist() == [1, k_max, k_max]
         assert res.failure[0] == 1

@@ -177,6 +177,33 @@ class TestKorovkinCheck:
         f = resolve_function("sqrt(abs(x-0.3004)-0.0003)")
         with pytest.raises(EvalError, match="invalid value encountered in sqrt"):
             st_korovkin_check(scheme, f, 0.2, [60])
+        # n = 17's first rows share the kernel's first chunk with n = 16's
+        # (rows 495-527 against 0-511): a scheme that fails at n = 17
+        # raises alone, and with f the error of n = 16 comes first
+        early = SequenceScheme(
+            "early", lambda n: paper.rule(n) if n < 17 else (0.9, 0.95), n_min=2)
+        with pytest.raises(ValueError, match="violates 0 < q < p <= 1 at n=17"):
+            st_korovkin_check(early, ONE, 0.2, [60])
+        with pytest.raises(EvalError, match="invalid value encountered in sqrt"):
+            st_korovkin_check(early, f, 0.2, [60])
+
+    def test_only_the_n_reached_are_built(self):
+        # f first fails at n = 16 (above), so a sweep to n = 100 000 reads
+        # the scheme only to the end of the chunk of rows that holds n = 16;
+        # the rule runs once more, at n_min, when the scheme is built
+        paper = scheme_paper()
+        calls = []
+
+        def rule(n):
+            calls.append(n)
+            return paper.rule(n)
+
+        scheme = SequenceScheme("counted", rule, n_min=2)
+        f = resolve_function("sqrt(abs(x-0.3004)-0.0003)")
+        with pytest.raises(EvalError, match="invalid value encountered in sqrt"):
+            st_korovkin_check(scheme, f, 0.2, [100_000])
+        assert 16 in calls
+        assert len(calls) <= 16 + engine._ROWS // 33 + 1
 
     def test_sup_bound_error_of_a_parsed_f_raises(self):
         f = resolve_function("1.7976931348623157e308")

@@ -139,8 +139,10 @@ EDGE = [
     ["moments", *_DEEP, "--grid", "4:0:0.99"],
     ["moments", *_SMALL, "--grid", "1"],
     # a sweep that underflows at n = 420 after every x before it converged,
-    # and one whose f first fails at n = 16, past the scheme's first n
+    # the same sweep asked to go on to n = 100 000, and one whose f first
+    # fails at n = 16, past the scheme's first n
     ["stat", "--scheme", "paper", "--Ns", "420"],
+    ["stat", "--scheme", "paper", "--Ns", "100000"],
     ["stat", "--scheme", "paper", "--fn", "sqrt(abs(x-0.3004)-0.0003)", "--Ns", "20"],
     # a scheme that breaks 0 < q < p at n = 50, after the n before it
     ["stat", "--scheme", "expr:1;0.5+0.01*n", "--Ns", "60"],
