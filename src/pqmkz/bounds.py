@@ -12,7 +12,6 @@ step makes omega(t -> t, delta) = delta exact.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -34,10 +33,6 @@ __all__ = [
 
 # the version of the layout of every JSON output, this report's and the CLI's
 SCHEMA_VERSION = 1
-
-# second-difference steps formed in one pass of the rows buffer; groups of
-# 1-2 steps ran slower than 4, and 8 or 16 no faster
-_STEPS_PER_PASS = 4
 
 
 @dataclass(frozen=True)
@@ -172,10 +167,10 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
     from the first differences and G2(a, c) from the second.  It skips the
     gap when min(G, G2) <= max or B(c - 1) <= max; otherwise it forms its
     middle step and tests the two halves in the next round.  Every round
-    forms its steps in ascending order and bounds its gaps in one numpy
-    pass.  Each step is formed at most once, and the max is the max over
-    every step, bit for bit.  When no gap can be ruled out, as with a kink
-    close to x = 1, every step is formed.
+    forms its steps one at a time into one row buffer and bounds its gaps
+    in one numpy pass.  Each step is formed at most once, and the max is
+    the max over every step, bit for bit.  When no gap can be ruled out, as
+    with a kink close to x = 1, every step is formed.
 
     Proof.  Let g and m be the lattice values the sums run on (g = f and
     m = 2 f, or g = f/2 and m = f), and r = m - 2 g: r = 0, or |r| <= rho,
@@ -282,39 +277,27 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
             # curv, from an inf first difference, makes inf anyway
             return _up(np.fmin(_up(_up(d * d) * curv), _up(d * slope)) + slack)
 
-        step_bounds = step_bounds_at(np.arange(1.0, dmax + 1.0)).tolist()
+        step_bounds = step_bounds_at(np.arange(1.0, dmax + 1.0))
     # out: steps 1..out have B <= best; peak[d]: the max |c| of step d, 0 for
     # step 0 and inf for a step never formed
-    out = bisect.bisect_right(step_bounds, best)
+    out = np.searchsorted(step_bounds, best, side="right")
     peak = np.full(dmax + 1, math.inf)
     peak[0] = 0.0
-    rows = np.empty((_STEPS_PER_PASS, n))
-    # the steps of a round, ascending, and the gaps (lower, upper) they split
+    row = np.empty(n)
+    # the steps of a round and the gaps (lower, upper) they split
     steps = [dmax] if dmax > out else []
     lower, upper = np.array([0]), np.array([dmax])
     with np.errstate(over="ignore"):
         while steps:
-            # one pass of the rows buffer per _STEPS_PER_PASS steps; sorted
-            # steps keep the zero padding of a pass short
-            for i in range(0, len(steps), _STEPS_PER_PASS):
-                group = steps[i: i + _STEPS_PER_PASS]
-                width = n - 2 * group[0]
-                for row, d in zip(rows, group):
-                    # f(x+2h) - 2 f(x+h) + f(x) in that order; a 0 past the
-                    # row's end leaves its max |c| unchanged
-                    m = n - 2 * d
-                    np.subtract(outer[2 * d:], middle[d:-d], out=row[:m])
-                    np.add(row[:m], outer[: -2 * d], out=row[:m])
-                    row[m:width] = 0.0
-                block = rows[: len(group), :width]
-                hi = block.max(axis=1).tolist()
-                lo = block.min(axis=1).tolist()
-                for d, h, l in zip(group, hi, lo):
-                    peak[d] = max(h, -l)
-                top = max(max(hi), -min(lo))
-                if top > best:
-                    best = top
-                    out = bisect.bisect_right(step_bounds, best)
+            for d in steps:
+                # f(x+2h) - 2 f(x+h) + f(x) in that order
+                c = row[: n - 2 * d]
+                np.subtract(outer[2 * d:], middle[d:-d], out=c)
+                np.add(c, outer[: -2 * d], out=c)
+                # Python floats: best * scale must not warn on overflow
+                top = max(float(c.max()), -float(c.min()))
+                peak[d], best = top, max(best, top)
+            out = np.searchsorted(step_bounds, best, side="right")
             # a lower end that was ruled out, not formed, is inf: G is inf
             # and G2 takes the upper end alone
             m_a, m_c = peak[lower], peak[upper]
@@ -325,7 +308,7 @@ def second_modulus(f: Function, step_bound: float, resolution: int) -> float:
             keep = (upper - lower >= 2) & ~(bound <= best)
             lower, upper = lower[keep], upper[keep]
             mid = (lower + upper) // 2
-            steps = np.sort(mid).tolist()
+            steps = mid.tolist()
             lower, upper = np.concatenate([mid, lower]), np.concatenate([upper, mid])
     return best * scale
 

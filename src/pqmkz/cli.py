@@ -470,7 +470,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # which it is a subclass
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, ParseError, EvalError, OSError) as exc:
+    except (ValueError, ParseError, EvalError, OSError, MemoryError) as exc:
         # an f with no finite sup bound: name the option that gives one
         hint = ""
         if isinstance(exc, SupBoundError) and hasattr(args, "sup_bound"):

@@ -305,7 +305,8 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
 
     A row is one scan: w_k = w_0 * (r_1 * ... * r_k) with r_k = x * e(n +
     k) / e(k) of its own plan, and S_k = w_0 + (w_1 + ... + w_k), each taken
-    in order, until S_k reaches 1 - tail_tol or max_terms weights exist.
+    in order, until 1 - S_k <= tail_tol, the test of the converged flag,
+    or max_terms weights exist.
     The rows still running go through it in passes (see _FIRST).  A pass
     computes its ratios for all of its plans at once (see _ratios).  It
     multiplies the running product into its first ratio before its cumprod
@@ -319,7 +320,11 @@ def _weight_chunks(segments, tail_tol: float, max_terms: int):
     running sum reaches 1 - tail_tol = inf, so every row holds max_terms
     weights.
     """
+    # the least double S with 1 - S <= tail_tol: fl(1 - tail_tol) can lie
+    # one ulp below it, and a row that stopped there would read k_max
     target = 1.0 - tail_tol
+    while 1.0 - target > tail_tol:
+        target = math.nextafter(target, math.inf)
     for pieces in _plan_major(segments):
         bounds = np.cumsum([0] + [len(p[1]) for p in pieces])
         xs = np.concatenate([p[1] for p in pieces])

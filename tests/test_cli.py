@@ -107,6 +107,21 @@ class TestEval:
         want = resolve_function(fn).values(xs)
         assert f_x.view(np.int64).tolist() == want.view(np.int64).tolist()
 
+    def test_a_row_that_stops_at_the_tail_target_converges(self, capsys):
+        # fl(1 - 1e-8) lies one ulp below the least sum whose tail is within
+        # 1e-8, and w_0 here is that double: a row that stopped at it would
+        # read terms=1 and converged=false
+        code, out, err = run(
+            capsys, "eval", "--n", "1", "--p", "1", "--q", "0.5",
+            "--x", "6.666666677972444e-09", "--tol", "1e-8",
+        )
+        assert code == 0
+        assert err == ""
+        lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert lines["terms"] == "2"
+        assert lines["converged"] == "true"
+        assert float(lines["tail_mass"]) <= 1e-8
+
     def test_readme_quotes_the_printed_tail_mass(self, capsys):
         # README.md quotes this argv's tail_mass line, so a drift in the
         # last bits must update the quote too
@@ -209,6 +224,21 @@ class TestRejections:
         assert out == ""
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+    def test_an_allocation_that_fails_exits_2(self, capsys, monkeypatch):
+        # numpy raises a MemoryError for an array too large for memory, as
+        # at --resolution 1000000000 under a memory limit
+        message = "Unable to allocate 7.45 GiB for an array with shape (1000000000,)"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.bounds_mod, "bound_report", fail)
+        code, out, err = run(capsys, "bounds", "--n", "3", "--p", "0.95", "--q", "0.9",
+                             "--grid", "5:0:0.9", "--resolution", "1000000000")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, message",

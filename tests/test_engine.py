@@ -328,8 +328,8 @@ def ref_nodes(params, count):
 
 def ref_weights_nodes(params, x, tail_tol, max_terms):
     """The row of x as one scan: w_k = w_0 * (r_1 * ... * r_k) and S_k = w_0
-    + (w_1 + ... + w_k), each taken in order, up to the first k with S_k >=
-    1 - tail_tol, or k = max_terms - 1."""
+    + (w_1 + ... + w_k), each taken in order, up to the first k with
+    1 - S_k <= tail_tol, or k = max_terms - 1."""
     w0 = math.exp(ref_log_w0(params, x))
     size = 0
     while size < max_terms:
@@ -338,7 +338,8 @@ def ref_weights_nodes(params, x, tail_tol, max_terms):
         prods = np.cumprod(ref_ratios(params, x, np.arange(1, size)))
         w = np.concatenate([[w0], w0 * prods])
         sums = np.concatenate([[w0], w0 + np.cumsum(w[1:])])
-        k = int(np.searchsorted(sums, 1.0 - tail_tol))
+        reached = np.flatnonzero(1.0 - sums <= tail_tol)
+        k = int(reached[0]) if reached.size else size
         if k < size:
             break
     k = min(k, size - 1)
@@ -720,6 +721,28 @@ class TestStops:
         target = data.draw(st.one_of(st.floats(0.0, float(cols)),
                                      st.sampled_from(cums.ravel().tolist())))
         self.assert_is_any_rule(cums, target)
+
+
+class TestStopRule:
+    """A row stops at the first S_k with 1 - S_k <= tail_tol, the test its
+    flag reads, also where fl(1 - tail_tol) lies below that sum."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_a_row_that_stops_has_its_tail_within_tol(self, tol):
+        params = PQParams(3, PQPair(0.95, 0.9))
+        xs = np.array([1e-9, 1e-9, 0.3, 0.9])
+        w0 = _leading_weights(params, xs)
+        # row 0 starts at fl(1 - tol), whose tail 1 - w_0 is above tol
+        w0[0] = 1.0 - tol
+        assert 1.0 - w0[0] > tol
+        max_terms = 5000
+        [(_, _, (_, lens, _), total)] = _weight_chunks(
+            [(params, xs, w0)], tol, max_terms)
+        tail = np.maximum(0.0, 1.0 - total)
+        stopped = lens < max_terms
+        assert stopped.all()
+        assert (tail[stopped] <= tol).all()
+        assert lens[0] > 1
 
 
 class TestLeadingWeights:

@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_kernel_counts_runs_and_every_kernel_row_is_dotted():
     # bounds_fine has no underflow row, so every row the kernel yields is
-    # dotted by _Sweep.take once
+    # dotted by _Sweep.take once; its five second moduli (seed 1) form the
+    # 141 steps README quotes
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "tools/kernel_counts.py", "bounds_fine"], cwd=ROOT,
@@ -23,3 +24,7 @@ def test_kernel_counts_runs_and_every_kernel_row_is_dotted():
     assert len(alls) == 2
     # the pass table's all line, then the take table's: rows dotted
     assert int(kernel_rows) == int(alls[1][1]) > 0
+    [(calls, steps, total)] = re.findall(
+        r"^second_modulus: (\d+) calls, steps \[(.*)\], sum (\d+)$", lines[-1])
+    assert int(calls) == len(steps.split(", ")) == 5
+    assert sum(map(int, steps.split(", "))) == int(total) == 141

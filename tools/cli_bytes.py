@@ -77,6 +77,10 @@ EDGE = [
     ["eval", *_SMALL, "--fn", "x^2", "--grid", "3:a:b"],
     ["eval", *_SMALL, "--fn", "one", "--grid", "5:0:0.9", "--tol", "1e-18",
      "--kmax", "20000"],
+    # w_0 is fl(1 - 1e-8), one ulp below the least sum whose tail is within
+    # 1e-8: the row runs on to a second term
+    ["eval", "--n", "1", "--p", "1", "--q", "0.5", "--x", "6.666666677972444e-09",
+     "--tol", "1e-8"],
     ["moments", "--n", "3", "--p", "0.9", "--q", "0.8"],
     ["moments", "--n", "3", "--p", "0.9", "--q", "0.8", "--format", "json"],
     ["identity", "--n", "4", "--p", "0.95", "--q", "0.9", "--grid", "5:0:1"],
@@ -164,6 +168,10 @@ EDGE = [
     # domain, where no gap between formed steps can be ruled out
     _FINE + ["--fn", "abs(x-0.97)", "--resolution", "16385"],
     _FINE + ["--fn", "exp(60*(x-1))", "--resolution", "16385"],
+    # the same kink at step bound 0.5 (n = 1): every gap stays open, and the
+    # walk forms 7701 of the 8192 steps
+    ["bounds", "--n", "1", "--p", "1", "--q", "0.5", "--fn", "abs(x-0.97)",
+     "--grid", "5:0:0.9", "--resolution", "16385"],
     # a smooth f on a 5-point grid, whose gaps the curvature bound rules out
     ["bounds", "--n", "39", "--p", "0.96", "--q", "0.9168", "--fn", "1/(1+x)",
      "--grid", "5:0:0.9", "--resolution", "16385"],

@@ -32,6 +32,11 @@ head), its rows being the output's second axis; any other call dots one
 row, long when its weights are longer than the head.  The rule reads only
 the calls, so it reads the same on any tree whose ``take`` dots through
 ``numpy.vecdot``.
+
+It counts the lattice steps that ``pqmkz.bounds.second_modulus`` forms, by
+wrapping it and, while it runs, counting the ``numpy.subtract`` calls that
+pass ``out=``: each formed step is one such call.  It prints each call's
+steps and their sum.
 """
 
 from __future__ import annotations
@@ -64,11 +69,11 @@ def _cycle(workload: str, seed: int) -> list[list[str]]:
 
 def count(src: Path, argvs: list[list[str]]) -> dict:
     """Kernel calls, rows, per pass width [passes, rows, computed, kept],
-    and per _Sweep.take call [rows dotted, vecdot calls, runs, rows in runs,
-    one-row calls in head, long rows], over argvs run through
-    pqmkz.cli.main of the tree src."""
+    per _Sweep.take call [rows dotted, vecdot calls, runs, rows in runs,
+    one-row calls in head, long rows], and per second_modulus call the
+    steps formed, over argvs run through pqmkz.cli.main of the tree src."""
     sys.path.insert(0, str(src / "src"))
-    from pqmkz import cli, engine
+    from pqmkz import bounds, cli, engine
 
     totals = {"calls": 0, "rows": 0}
     widths: dict[int, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
@@ -118,8 +123,26 @@ def count(src: Path, argvs: list[list[str]]) -> dict:
         finally:
             np.vecdot = vecdot
 
+    # per second_modulus call: the steps formed
+    steps: list[int] = []
+    second_modulus, subtract = bounds.second_modulus, np.subtract
+
+    def counted_subtract(*args, **kwargs):
+        if "out" in kwargs:
+            steps[-1] += 1
+        return subtract(*args, **kwargs)
+
+    def counted_second_modulus(*args, **kwargs):
+        steps.append(0)
+        np.subtract = counted_subtract
+        try:
+            return second_modulus(*args, **kwargs)
+        finally:
+            np.subtract = subtract
+
     engine._weight_chunks, engine._stops = counted_chunks, counted_stops
     engine._Sweep.take = counted_take
+    bounds.second_modulus = counted_second_modulus
     home = os.getcwd()
     try:
         for argv in argvs:
@@ -134,7 +157,9 @@ def count(src: Path, argvs: list[list[str]]) -> dict:
     finally:
         engine._weight_chunks, engine._stops = chunks, stops
         engine._Sweep.take = take
-    return {**totals, "widths": dict(sorted(widths.items())), "takes": takes}
+        bounds.second_modulus = second_modulus
+    return {**totals, "widths": dict(sorted(widths.items())), "takes": takes,
+            "steps": steps}
 
 
 def main() -> int:
@@ -161,6 +186,8 @@ def main() -> int:
     for i, t in enumerate(takes, 1):
         name = "all" if i == len(takes) else str(i)
         print(f"{name:>6} {t[0]:>7} {t[1]:>8} {t[2]:>6} {t[3]:>8} {t[4]:>6} {t[5]:>6}")
+    steps = counts["steps"]
+    print(f"second_modulus: {len(steps)} calls, steps {steps}, sum {sum(steps)}")
     return 0
 
 
