@@ -388,73 +388,99 @@ def _cmd_stat(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pqmkz",
-        description="Two-parameter Meyer-Konig-Zeller operator experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _eval_options(parser) -> None:
+    _add_common(parser)
+    parser.add_argument("--x", type=float, default=None)
+    parser.add_argument("--grid", default=None, help="COUNT or COUNT:LO:HI")
+    parser.add_argument("--sup-bound", dest="sup_bound", type=float, default=None)
+    parser.set_defaults(handler=_cmd_eval)
 
-    p_eval = sub.add_parser("eval", help="evaluate the operator")
-    _add_common(p_eval)
-    p_eval.add_argument("--x", type=float, default=None)
-    p_eval.add_argument("--grid", default=None, help="COUNT or COUNT:LO:HI")
-    p_eval.add_argument("--sup-bound", dest="sup_bound", type=float, default=None)
-    p_eval.set_defaults(handler=_cmd_eval)
 
-    p_mom = sub.add_parser("moments", help="moment diagnostics over a grid")
-    _add_common(p_mom, with_function=False)
-    p_mom.add_argument("--grid", default=None, help="COUNT or COUNT:LO:HI")
-    p_mom.set_defaults(handler=_cmd_moments)
+def _moments_options(parser) -> None:
+    _add_common(parser, with_function=False)
+    parser.add_argument("--grid", default=None, help="COUNT or COUNT:LO:HI")
+    parser.set_defaults(handler=_cmd_moments)
 
-    p_bounds = sub.add_parser("bounds", help="error bounds vs empirical error")
-    _add_common(p_bounds)
-    p_bounds.add_argument("--grid", default=DEFAULT_GRID, help="COUNT or COUNT:LO:HI")
-    p_bounds.add_argument(
+
+def _bounds_options(parser) -> None:
+    _add_common(parser)
+    parser.add_argument("--grid", default=DEFAULT_GRID, help="COUNT or COUNT:LO:HI")
+    parser.add_argument(
         "--resolution", type=int, default=1025,
         help="lattice points on [0, 1] for the moduli (default 1025); a finer "
         "lattice raises the moduli only when it contains the coarser one "
         "(R-1 divides R'-1)",
     )
-    p_bounds.add_argument(
+    parser.add_argument(
         "--alpha", type=float, default=None, help="Lipschitz exponent (default 1)"
     )
-    p_bounds.add_argument("--lip-M", dest="lip_M", type=float, default=None)
-    p_bounds.add_argument("--sup-bound", dest="sup_bound", type=float, default=None)
-    p_bounds.set_defaults(handler=_cmd_bounds, format="json")
+    parser.add_argument("--lip-M", dest="lip_M", type=float, default=None)
+    parser.add_argument("--sup-bound", dest="sup_bound", type=float, default=None)
+    parser.set_defaults(handler=_cmd_bounds, format="json")
 
-    p_id = sub.add_parser("identity", help="normalization defect over a grid")
-    _add_common(p_id, with_function=False)
-    p_id.add_argument("--grid", default=DEFAULT_GRID, help="COUNT or COUNT:LO:HI")
-    p_id.set_defaults(handler=_cmd_identity)
 
-    p_fig = sub.add_parser("figure", help="emit plot-ready data files")
-    p_fig.add_argument("--id", type=int, choices=[1, 2], required=True)
-    p_fig.add_argument("--n", type=int, default=None)
-    p_fig.add_argument("--p", type=float, default=None, help="figure 1 only")
-    p_fig.add_argument("--q", type=float, default=None, help="figure 1 only")
-    p_fig.add_argument("--fn", default=None, help="figure 2 only")
-    p_fig.add_argument("--tol", type=float, default=None, help="figure 2 only")
-    p_fig.add_argument("--kmax", type=int, default=None, help="figure 2 only")
-    p_fig.add_argument("--out", default=None, help="output directory")
-    p_fig.set_defaults(handler=_cmd_figure)
+def _identity_options(parser) -> None:
+    _add_common(parser, with_function=False)
+    parser.add_argument("--grid", default=DEFAULT_GRID, help="COUNT or COUNT:LO:HI")
+    parser.set_defaults(handler=_cmd_identity)
 
-    p_stat = sub.add_parser("stat", help="statistical convergence densities")
-    p_stat.add_argument("--scheme", default="paper")
-    p_stat.add_argument("--fn", default="paper_cubic")
-    p_stat.add_argument("--eps", type=float, default=0.2)
-    p_stat.add_argument("--Ns", default="50,100,200")
-    p_stat.add_argument("--tol", type=float, default=stat_mod.STAT_POLICY.tail_tol)
-    p_stat.add_argument("--kmax", type=int, default=stat_mod.STAT_POLICY.k_max)
-    p_stat.add_argument("--out", default=None)
-    p_stat.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_stat.set_defaults(handler=_cmd_stat)
 
+def _figure_options(parser) -> None:
+    parser.add_argument("--id", type=int, choices=[1, 2], required=True)
+    parser.add_argument("--n", type=int, default=None)
+    parser.add_argument("--p", type=float, default=None, help="figure 1 only")
+    parser.add_argument("--q", type=float, default=None, help="figure 1 only")
+    parser.add_argument("--fn", default=None, help="figure 2 only")
+    parser.add_argument("--tol", type=float, default=None, help="figure 2 only")
+    parser.add_argument("--kmax", type=int, default=None, help="figure 2 only")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.set_defaults(handler=_cmd_figure)
+
+
+def _stat_options(parser) -> None:
+    parser.add_argument("--scheme", default="paper")
+    parser.add_argument("--fn", default="paper_cubic")
+    parser.add_argument("--eps", type=float, default=0.2)
+    parser.add_argument("--Ns", default="50,100,200")
+    parser.add_argument("--tol", type=float, default=stat_mod.STAT_POLICY.tail_tol)
+    parser.add_argument("--kmax", type=int, default=stat_mod.STAT_POLICY.k_max)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.set_defaults(handler=_cmd_stat)
+
+
+# each command's help text, and the function that adds its options and
+# handler, in the order of the usage line
+_COMMANDS = {
+    "eval": ("evaluate the operator", _eval_options),
+    "moments": ("moment diagnostics over a grid", _moments_options),
+    "bounds": ("error bounds vs empirical error", _bounds_options),
+    "identity": ("normalization defect over a grid", _identity_options),
+    "figure": ("emit plot-ready data files", _figure_options),
+    "stat": ("statistical convergence densities", _stat_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The pqmkz parser.  Every command is registered, so the top-level
+    usage, help and errors are the same whichever is built; when command
+    names one, only its options are added, else every command's."""
+    parser = argparse.ArgumentParser(
+        prog="pqmkz",
+        description="Two-parameter Meyer-Konig-Zeller operator experiments",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_options) in _COMMANDS.items():
+        sub_parser = sub.add_parser(name, help=text)
+        if command not in _COMMANDS or command == name:
+            add_options(sub_parser)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    # a parse needs the options of the command it names only (argv[0])
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -543,7 +543,14 @@ class _Sweep:
                 np.vecdot(fvals[:, None, o: o + k], head[a:b, :k], out=values[a:b].T)
             else:
                 w = head[a, :k] if k <= cap else longs[a]
-                np.vecdot(fvals[:, o: o + k], w, out=values[a])
+                fv = fvals[:, o: o + k]
+                # a row of more than 8192 terms dots in blocks of 8192, each
+                # one BLAS call below OpenBLAS's threading threshold (about
+                # 10 000 terms), and adds the block sums in order: the same
+                # doubles at any thread count
+                np.vecdot(fv[:, :8192], w[:8192], out=values[a])
+                for j in range(8192, k, 8192):
+                    values[a] += np.vecdot(fv[:, j: j + 8192], w[j: j + 8192])
         tail = np.maximum(0.0, 1.0 - total)
         flag = tail <= self.policy.tail_tol
         code = np.where(flag, _ST_OK, _ST_K_MAX)
@@ -655,11 +662,11 @@ def evaluate_grid_values(
     return res
 
 
-def _weight_rows(
+def _row_chunks(
     params: PQParams, grid: Sequence[float], tail_tol: float, max_terms: int
-) -> list[np.ndarray]:
-    """The kernel's weights of every x of a grid, in grid order; the first
-    failing x raises."""
+):
+    """The kernel's chunks (see _weight_chunks) of every x of a grid, in grid
+    order; the first failing x raises, before any row runs."""
     xs = np.array([float(x) for x in grid], dtype=float)
     inside = (xs >= 0.0) & (xs < 1.0)
     w0 = np.full(len(xs), math.nan)
@@ -667,9 +674,16 @@ def _weight_rows(
     bad = np.flatnonzero(np.isnan(w0))
     if bad.size:
         raise ValueError(_UNDERFLOW if inside[bad[0]] else "x must lie in [0, 1)")
+    return _weight_chunks([(params, xs, w0)], tail_tol, max_terms)
+
+
+def _weight_rows(
+    params: PQParams, grid: Sequence[float], tail_tol: float, max_terms: int
+) -> list[np.ndarray]:
+    """The kernel's weights of every x of a grid, in grid order; the first
+    failing x raises."""
     out = []
-    for _, _, (head, lens, longs), _ in _weight_chunks(
-            [(params, xs, w0)], tail_tol, max_terms):
+    for _, _, (head, lens, longs), _ in _row_chunks(params, grid, tail_tol, max_terms):
         cap = head.shape[1]
         out += [head[r, :k] if k <= cap else longs[r]
                 for r, k in enumerate(lens.tolist())]
@@ -696,8 +710,10 @@ def normalization_defects(
     grid: Sequence[float],
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> list[float]:
-    """|prefix weight sum - 1| at every x of a grid, in grid order, under the
-    policy's truncation; the first failing x raises."""
-    return [abs(1.0 - float(np.sum(w)))
-            for w in _weight_rows(params, grid, policy.tail_tol, policy.k_max)]
+    """|1 - S_K| at every x of a grid, in grid order, S_K the running sum
+    that the kernel stops on under the policy's truncation (the sum whose
+    tail evaluate reports); the first failing x raises."""
+    return [abs(1.0 - s)
+            for *_, total in _row_chunks(params, grid, policy.tail_tol, policy.k_max)
+            for s in total.tolist()]
 

@@ -1,8 +1,11 @@
+import argparse
 import csv
 import gc
+import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import weakref
@@ -14,11 +17,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqmkz import cli
-from pqmkz.cli import main, resolve_function
+from pqmkz import cli, engine
+from pqmkz.cli import DEFAULT_POLICY, build_parser, main, resolve_function
 from pqmkz.engine import PQParams
 from pqmkz.moments import MOMENT_CSV_COLUMNS, default_moment_grid, lemma_bounds_report
 from pqmkz.pqcore import PQPair
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _cli_bytes():
+    spec = importlib.util.spec_from_file_location(
+        "cli_bytes", ROOT / "tools" / "cli_bytes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# README's pqmkz lines and the byte judge's edge argvs, help and usage
+# errors included
+_CLI_BYTES = _cli_bytes()
+PARSER_ARGVS = _CLI_BYTES.readme_argvs() + _CLI_BYTES.EDGE
+COMMANDS = ["eval", "moments", "bounds", "identity", "figure", "stat"]
 
 
 def run(capsys, *argv):
@@ -508,6 +529,46 @@ class TestMomentsIdentityBounds:
         assert len(out_b.splitlines()) == 10
 
 
+    def test_identity_judges_the_sum_the_kernel_stopped_on(self, capsys):
+        # this row's weights, summed pairwise, fall 1.0006e-12 short of 1;
+        # the running sum that the kernel stopped on falls 9.9964e-13 short
+        code, out, _ = run(
+            capsys, "identity", "--n", "11", "--p", "0.917741966803958",
+            "--q", "0.6788234803832475",
+            "--grid", "1:0.9410078059022056:0.9410078059022056", "--tol", "1e-12",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "0.94100780590220556,9.9964481137249095e-13,true"
+
+    def test_identity_flags_are_eval_one_flags(self, capsys):
+        # where the kernel's sum S_K is at most 1, identity's defect is eval
+        # --fn one's tail mass, so its flag is eval's
+        rng = np.random.default_rng(29)
+        rows = 0
+        for _ in range(30):
+            n = int(rng.integers(1, 30))
+            p = float(rng.uniform(0.9, 1.0))
+            q = p * float(rng.uniform(0.5, 0.999))
+            tol = 10.0 ** -int(rng.integers(6, 13))
+            lo = float(rng.uniform(0.0, 0.9))
+            hi = float(rng.uniform(lo, 0.99))
+            argv = ["--n", str(n), "--p", repr(p), "--q", repr(q), "--tol", repr(tol),
+                    "--grid", f"25:{lo!r}:{hi!r}", "--format", "json"]
+            _, out, _ = run(capsys, "identity", *argv)
+            ident = json.loads(out)["rows"]
+            _, out, _ = run(capsys, "eval", *argv, "--fn", "one")
+            evals = json.loads(out)["results"]
+            chunks = engine._row_chunks(PQParams(n, PQPair(p, q)),
+                                        np.linspace(lo, hi, 25), tol, DEFAULT_POLICY.k_max)
+            totals = np.concatenate([total for *_, total in chunks])
+            for a, b, total in zip(ident, evals, totals.tolist()):
+                if total <= 1.0:
+                    rows += 1
+                    assert (a["defect"], a["converged"]) == (b["tail_mass"],
+                                                             b["converged"])
+        assert rows > 600
+
+
 class TestFigures:
     def test_figure1_outputs(self, capsys, tmp_path):
         code, _, _ = run(capsys, "figure", "--id", "1", "--out", str(tmp_path))
@@ -719,6 +780,69 @@ class TestDeterminism:
             assert main(argv + ["--out", str(b)]) == 0
             capsys.readouterr()
             assert a.read_bytes() == b.read_bytes()
+
+
+    def test_long_rows_print_the_same_bytes_at_any_blas_thread_count(self):
+        # rows of 14k-29k terms, past OpenBLAS's threading threshold of about
+        # 10 000 terms for one dot
+        argv = ["eval", "--n", "5", "--p", "1", "--q", "0.999", "--fn", "sin(40*x)",
+                "--grid", "9:0.99:0.999"]
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "pqmkz.cli", *argv], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
+
+def _parse(capsys, parser, argv):
+    """What parser.parse_args(argv) gives (the repr of the namespace, whose
+    nan equals nan, or the exit code) and prints."""
+    try:
+        result = repr(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=shlex.join)
+    def test_the_named_command_parses_as_the_full_build(self, capsys, argv):
+        # namespaces, help texts and usage errors alike
+        named = build_parser(argv[0] if argv else None)
+        assert _parse(capsys, named, argv) == _parse(capsys, build_parser(), argv)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_texts_are_the_full_builds(self, capsys, command):
+        # the top level's, and the command's own
+        assert build_parser(command).format_help() == build_parser().format_help()
+        argv = [command, "--help"]
+        result, out, err = _parse(capsys, build_parser(command), argv)
+        assert (result, out, err) == _parse(capsys, build_parser(), argv)
+        assert result == 0 and out.startswith(f"usage: pqmkz {command}") and err == ""
+
+    def test_main_adds_the_options_of_the_named_command_only(self, capsys,
+                                                             monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def record(parser, *args, **kwargs):
+            added.append((parser.prog, args))
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+        code, _, _ = run(capsys, "eval", "--n", "3", "--p", "0.95", "--q", "0.9",
+                         "--fn", "one", "--x", "0.5")
+        assert code == 0
+        options = [prog for prog, args in added if args != ("-h", "--help")]
+        assert set(options) == {"pqmkz eval"}
+        assert len(options) == 11
+        # every command still registered, each with its own -h
+        assert len(added) - len(options) == 1 + len(COMMANDS)
 
 
 class TestClosedStdout:

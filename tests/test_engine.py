@@ -869,7 +869,9 @@ def expected_grid(params, fs, grid, policy):
     return out
 
 
-def expected_sums(params, grid, tail_tol, max_terms):
+def expected_sums(params, grid, tail_tol, max_terms, running=False):
+    """numpy's sum of each row's weights, or with running its S_K = w_0 +
+    (w_1 + ... + w_K), each sum taken in order: the sum the row stopped on."""
     out = []
     for x in grid:
         if not 0.0 <= x < 1.0:
@@ -878,7 +880,10 @@ def expected_sums(params, grid, tail_tol, max_terms):
             w = ref_weights_nodes(params, x, tail_tol, max_terms)[0]
         except ValueError:
             raise ValueError(_UNDERFLOW) from None
-        out.append(float(np.sum(w)))
+        if running:
+            out.append(float(w[0] + (np.cumsum(w[1:])[-1] if len(w) > 1 else 0.0)))
+        else:
+            out.append(float(np.sum(w)))
     return out
 
 
@@ -932,7 +937,8 @@ class TestFailureRule:
                 late += first >= 64
             want = _outcome(lambda: [
                 abs(1.0 - s)
-                for s in expected_sums(params, grid, policy.tail_tol, policy.k_max)
+                for s in expected_sums(params, grid, policy.tail_tol, policy.k_max,
+                                       running=True)
             ])
             assert _outcome(lambda: normalization_defects(params, grid, policy)) == want
             k = policy.k_max
@@ -1206,6 +1212,22 @@ class TestDotsByRuns:
         assert j == 3 and str(exc) == "past the edge"
         # runs 0:3, 4:6 and 8:11, lone rows 6, 7 and 13, long rows 11 and 12
         assert len(calls) == 8
+
+    def test_a_long_row_dots_in_blocks_of_8192_terms(self):
+        # each block one BLAS call, below OpenBLAS's threading threshold,
+        # and the block sums added in order; a row of 8192 terms is one dot
+        rng = np.random.default_rng(15)
+        fs = [Function(np.cos, "cos", 1.0), Function(lambda ts: ts, "x", 1.0)]
+        lens = np.array([8192, 20000])
+        longs = {r: rng.random(k) for r, k in enumerate(lens.tolist())}
+        sweep = engine._Sweep(fs, np.array([0.2, 0.4]), TruncationPolicy())
+        [res] = sweep.take([(PARAMS, None, None)], [0, 2],
+                           (rng.random((2, 12)), lens, longs), np.ones(2))
+        fv = np.array([f.values(_nodes([PARAMS], [20000])) for f in fs])
+        assert np.array_equal(res.values[:, 0], np.vecdot(fv[:, :8192], longs[0]))
+        blocks = [np.vecdot(fv[:, j: j + 8192], longs[1][j: j + 8192])
+                  for j in (0, 8192, 16384)]
+        assert np.array_equal(res.values[:, 1], blocks[0] + blocks[1] + blocks[2])
 
 
 class TestQMKZReduction:

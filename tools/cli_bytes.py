@@ -194,6 +194,32 @@ EDGE = [
     # 20 001 factors each
     ["eval", "--n", "20000", "--p", "1", "--q", "0.5", "--fn", "x^2",
      "--grid", "1001:0:0.9"],
+    # identity judges the running sum the kernel stopped on, as eval --fn
+    # one does: this row's pairwise sum of weights is 1e-12 short
+    ["identity", "--n", "11", "--p", "0.917741966803958", "--q", "0.6788234803832475",
+     "--grid", "1:0.9410078059022056:0.9410078059022056", "--tol", "1e-12"],
+    # rows of 9.8k-29k terms, each dotted in 8192-term blocks
+    ["eval", "--n", "5", "--p", "1", "--q", "0.999", "--fn", "sin(40*x)",
+     "--grid", "9:0.99:0.999"],
+    # the parser: help, with every command or one, and usage errors (an
+    # unknown or abbreviated command, a bad choice, a bad or missing value,
+    # an unknown or extra argument), and abbreviated options
+    [],
+    ["--help"],
+    ["-h", "eval"],
+    *[[command, "--help"]
+      for command in ("eval", "moments", "bounds", "identity", "figure", "stat")],
+    ["nosuch"],
+    ["ev", *_SMALL, "--x", "0.5"],
+    ["stat", "--format", "xml"],
+    ["figure", "--id", "3"],
+    ["eval"],
+    ["eval", "--n", "x", "--p", "0.95", "--q", "0.9", "--x", "0.5"],
+    ["eval", *_SMALL, "--x", "0.5", "--bogus"],
+    ["eval", *_SMALL, "--x", "0.5", "extra"],
+    ["eval", *_SMALL, "--x", "0.5", "--fn"],
+    ["eval", *_SMALL, "--fn", "x^2", "--grid", "3", "--form", "json"],
+    ["bounds", *_SMALL, "--grid", "5:0:0.9", "--resolution", "257", "--lip", "2"],
 ]
 
 
@@ -211,11 +237,15 @@ def _workload_argvs() -> list[list[str]]:
     return out
 
 
+def readme_argvs() -> list[list[str]]:
+    """The argvs of README.md's lines that start with ``pqmkz``."""
+    return [shlex.split(line)[1:]
+            for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("pqmkz ")]
+
+
 def corpus() -> list[list[str]]:
-    readme = [shlex.split(line)[1:]
-              for line in (ROOT / "README.md").read_text().splitlines()
-              if line.startswith("pqmkz ")]
-    return readme + EDGE + _workload_argvs()
+    return readme_argvs() + EDGE + _workload_argvs()
 
 
 def _files(top: Path) -> dict[str, str]:
