@@ -464,15 +464,25 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The pqmkz parser.  Every command is registered, so the top-level
     usage, help and errors are the same whichever is built; when command
-    names one, only its options are added, else every command's."""
+    names one, only its parser is built, else every command's."""
     parser = argparse.ArgumentParser(
         prog="pqmkz",
         description="Two-parameter Meyer-Konig-Zeller operator experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+
+    def subparser(**kwargs):
+        # a command that is not built keeps its name and help text, all
+        # that the usage line, the choices and the errors read; the None in
+        # place of its parser is never parsed, as main builds the command
+        # that argv[0] names
+        return argparse.ArgumentParser(**kwargs) if built else None
+
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=subparser)
     for name, (text, add_options) in _COMMANDS.items():
+        built = command not in _COMMANDS or command == name
         sub_parser = sub.add_parser(name, help=text)
-        if command not in _COMMANDS or command == name:
+        if built:
             add_options(sub_parser)
     return parser
 

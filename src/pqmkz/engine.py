@@ -541,16 +541,19 @@ class _Sweep:
                               row_off[starts].tolist(), lens[starts].tolist()):
             if b - a > 1:
                 np.vecdot(fvals[:, None, o: o + k], head[a:b, :k], out=values[a:b].T)
-            else:
-                w = head[a, :k] if k <= cap else longs[a]
-                fv = fvals[:, o: o + k]
-                # a row of more than 8192 terms dots in blocks of 8192, each
-                # one BLAS call below OpenBLAS's threading threshold (about
-                # 10 000 terms), and adds the block sums in order: the same
-                # doubles at any thread count
-                np.vecdot(fv[:, :8192], w[:8192], out=values[a])
-                for j in range(8192, k, 8192):
-                    values[a] += np.vecdot(fv[:, j: j + 8192], w[j: j + 8192])
+                continue
+            w = head[a, :k] if k <= cap else longs[a]
+            fv = fvals[:, o: o + k]
+            if k <= 8192:
+                np.vecdot(fv, w, out=values[a])
+                continue
+            # a row of more than 8192 terms dots in blocks of 8192, each one
+            # BLAS call below OpenBLAS's threading threshold (about 10 000
+            # terms), and adds the block sums in order: the same doubles at
+            # any thread count
+            np.vecdot(fv[:, :8192], w[:8192], out=values[a])
+            for j in range(8192, k, 8192):
+                values[a] += np.vecdot(fv[:, j: j + 8192], w[j: j + 8192])
         tail = np.maximum(0.0, 1.0 - total)
         flag = tail <= self.policy.tail_tol
         code = np.where(flag, _ST_OK, _ST_K_MAX)

@@ -841,8 +841,13 @@ class TestParser:
         options = [prog for prog, args in added if args != ("-h", "--help")]
         assert set(options) == {"pqmkz eval"}
         assert len(options) == 11
-        # every command still registered, each with its own -h
-        assert len(added) - len(options) == 1 + len(COMMANDS)
+        # two parsers built, each with its own -h: the top level and eval
+        helps = [prog for prog, args in added if args == ("-h", "--help")]
+        assert helps == ["pqmkz", "pqmkz eval"]
+        # and every command still registered by name: the usage line's
+        # choices list all six
+        usage = build_parser("eval").format_usage()
+        assert "{" + ",".join(COMMANDS) + "}" in usage
 
 
 class TestClosedStdout:

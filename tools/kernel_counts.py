@@ -28,10 +28,11 @@ It also counts the dots of ``_Sweep.take``, which turns every chunk into
 values, by wrapping ``numpy.vecdot`` while a ``take`` call runs, and prints
 for each call the rows dotted and the calls made.  A call whose output has
 two axes dots a run of rows (one piece, one weight count in the chunk's
-head), its rows being the output's second axis; any other call dots one
-row, long when its weights are longer than the head.  The rule reads only
-the calls, so it reads the same on any tree whose ``take`` dots through
-``numpy.vecdot``.
+head), its rows being the output's second axis; a call with no output
+dots a later block of a row already counted, so it is a call and no row;
+any other call dots one row, long when its weights are longer than the
+head.  The rule reads only the calls, so it reads the same on any tree
+whose ``take`` dots through ``numpy.vecdot``.
 
 It counts the lattice steps that ``pqmkz.bounds.second_modulus`` forms, by
 wrapping it and, while it runs, counting the ``numpy.subtract`` calls that
@@ -101,14 +102,14 @@ def count(src: Path, argvs: list[list[str]]) -> dict:
     take, vecdot = engine._Sweep.take, np.vecdot
     cap = 0
 
-    def counted_vecdot(fvals, weights, *args, out, **kwargs):
+    def counted_vecdot(fvals, weights, *args, out=None, **kwargs):
         entry = takes[-1]
         entry[1] += 1
-        if out.ndim == 2:
+        if out is not None and out.ndim == 2:
             entry[0] += out.shape[1]
             entry[2] += 1
             entry[3] += out.shape[1]
-        else:
+        elif out is not None:
             entry[0] += 1
             entry[5 if weights.shape[-1] > cap else 4] += 1
         return vecdot(fvals, weights, *args, out=out, **kwargs)
