@@ -6,19 +6,15 @@ reference oracle.
 """
 
 from .engine import (
-    EvalOutcome,
     Function,
     GridValues,
     PQParams,
     SupBoundError,
     TruncationPolicy,
-    evaluate,
     evaluate_grid_values,
-    evaluate_many,
     evaluate_sweep_values,
     node,
     normalization_defects,
-    normalization_partial_sum,
     normalization_partial_sums,
     weight,
 )
@@ -30,19 +26,15 @@ __all__ = [
     "PQPair",
     "PQParams",
     "TruncationPolicy",
-    "EvalOutcome",
     "Function",
     "GridValues",
     "SupBoundError",
     "pq_int",
     "node",
     "weight",
-    "evaluate",
-    "evaluate_many",
     "evaluate_grid_values",
     "evaluate_sweep_values",
     "normalization_defects",
-    "normalization_partial_sum",
     "normalization_partial_sums",
     "__version__",
 ]

@@ -7,6 +7,18 @@ here is 1 - sum of the computed weights: it carries their rounding, so
 tail_mass * sup|f| estimates that error and does not certify it.  All weight
 arithmetic stays in tau = q/p form; the factors p^(-kn) and p^(n(n+1)/2)
 never appear on their own.
+
+They cancel exactly: [n+k choose k]_(p,q) = p^(nk) [n+k choose k]_tau,
+prod_{s=0..n} (p^s - q^s x) = p^(n(n+1)/2) prod_{s=0..n} (1 - tau^s x) and
+p^n [k] / [n+k] = (1 - tau^k) / (1 - tau^(n+k)), so M_(n,p,q) is the q-MKZ
+operator M_(n,tau) (T. Trif, Rev. Anal. Numer. Theor. Approx. 29, 2000).
+Hence M e_0 = 1 and M e_1 = x for every (p, q), up to truncation, and every
+value, tail, term count and node is a function of (n, tau, x).  p reaches
+pqmkz's outputs only through the (p - 1) x^2 term of the moment bound
+(delta_n_sq, l2_bound, lipschitz_bound), through pq_int and inverse_pq_int,
+and through the schemes' rules.  figure --id 2's first two pairs, (0.9,
+0.85) and (0.95, 0.9), have tau = 0.9444 and 0.9474, so their curves nearly
+coincide.
 """
 
 from __future__ import annotations
@@ -24,18 +36,14 @@ from .pqcore import PQPair
 __all__ = [
     "PQParams",
     "TruncationPolicy",
-    "EvalOutcome",
     "Function",
     "node",
     "weight",
-    "evaluate",
-    "evaluate_many",
     "evaluate_grid_values",
     "evaluate_sweep_values",
     "GridValues",
     "SupBoundError",
     "normalization_defects",
-    "normalization_partial_sum",
     "normalization_partial_sums",
 ]
 
@@ -91,20 +99,6 @@ class TruncationPolicy:
             raise ValueError("tail_tol must be finite")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-
-
-@dataclass(frozen=True)
-class EvalOutcome:
-    """One f at one x: the column of that x in a GridValues.
-    heuristic_bound is true only below x = 1, where f's bound is used and
-    was not given as a hint."""
-
-    value: float
-    tail_mass: float
-    terms_used: int
-    error_bound: float
-    converged: bool
-    heuristic_bound: bool = False
 
 
 @dataclass(frozen=True)
@@ -405,40 +399,6 @@ def weight(params: PQParams, k: int, x: float) -> float:
     return float(w[k])
 
 
-def evaluate(
-    params: PQParams,
-    f: Function,
-    x: float,
-    policy: TruncationPolicy = TruncationPolicy(),
-) -> EvalOutcome:
-    """Truncated operator value at x with its tail mass and error estimate.
-
-    x = 1 is the hard interpolation branch: the operator returns f(1).
-    Non-convergence within k_max is reported, never silently truncated.
-    """
-    return evaluate_many(params, [f], x, policy)[0]
-
-
-def evaluate_many(
-    params: PQParams,
-    fs: Sequence[Function],
-    x: float,
-    policy: TruncationPolicy = TruncationPolicy(),
-) -> list[EvalOutcome]:
-    """Evaluate several functions sharing one weight pass: the one column of
-    evaluate_grid_values at x, one outcome per function in the order of fs.
-
-    Guarantees identical truncation (same weights, same tail) across all
-    functions, which keeps derived quantities like central moments coherent.
-    """
-    g = evaluate_grid_values(params, fs, [x], policy)
-    (tail,), (k,), (ok,) = (g.tail_mass.tolist(), g.terms_used.tolist(),
-                            g.converged.tolist())
-    return [EvalOutcome(v, tail, k, e, ok, h)
-            for v, e, h in zip(g.values[:, 0].tolist(), g.error_bound[:, 0].tolist(),
-                               g.heuristic_bound.tolist())]
-
-
 # the row statuses of GridValues, indexed by the codes a sweep keeps
 _STATUSES = np.array(["ok", "k_max", "underflow", "f_error", "range"])
 _ST_OK, _ST_K_MAX, _ST_UNDERFLOW, _ST_F_ERROR, _ST_RANGE = range(len(_STATUSES))
@@ -703,11 +663,6 @@ def normalization_partial_sums(
     return [float(np.sum(w)) for w in _weight_rows(params, grid, -math.inf, k_terms)]
 
 
-def normalization_partial_sum(params: PQParams, x: float, k_terms: int) -> float:
-    """Sum of the first k_terms weights (indices 0 .. k_terms-1)."""
-    return normalization_partial_sums(params, [x], k_terms)[0]
-
-
 def normalization_defects(
     params: PQParams,
     grid: Sequence[float],
@@ -715,7 +670,7 @@ def normalization_defects(
 ) -> list[float]:
     """|1 - S_K| at every x of a grid, in grid order, S_K the running sum
     that the kernel stops on under the policy's truncation (the sum whose
-    tail evaluate reports); the first failing x raises."""
+    tail evaluate_grid_values reports); the first failing x raises."""
     return [abs(1.0 - s)
             for *_, total in _row_chunks(params, grid, policy.tail_tol, policy.k_max)
             for s in total.tolist()]

@@ -13,14 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import (
-    EvalOutcome,
-    Function,
-    PQParams,
-    TruncationPolicy,
-    evaluate,
-    evaluate_grid_values,
-)
+from .engine import PQParams, TruncationPolicy, evaluate_grid_values
 from .pqcore import one_minus_tau_pow
 from .presets import IDENTITY, ONE, SQUARE
 
@@ -28,7 +21,6 @@ __all__ = [
     "MomentTable",
     "MOMENT_CSV_COLUMNS",
     "moment_scale",
-    "raw_moment",
     "delta_n_sq",
     "lemma_bounds_report",
     "default_moment_grid",
@@ -88,22 +80,6 @@ def moment_scale(params: PQParams) -> float:
     )
 
 
-def raw_moment(
-    params: PQParams,
-    j: int,
-    x: float,
-    policy: TruncationPolicy = TruncationPolicy(),
-) -> EvalOutcome:
-    """Operator applied to t^j; monomials on [0,1] carry sup bound 1."""
-    if j < 0:
-        raise ValueError("moment order must be nonnegative")
-    if j < len(_MONOMIALS):
-        f = _MONOMIALS[j]
-    else:
-        f = Function(lambda ts: ts ** j, f"t^{j}", 1.0)
-    return evaluate(params, f, x, policy)
-
-
 def delta_n_sq(params: PQParams, x: float) -> float:
     """Closed-form bound x^2 (p - 1) + (p^n / [n+1]) x; may be negative for p < 1."""
     if not (0.0 <= x <= 1.0):
@@ -125,7 +101,7 @@ def lemma_bounds_report(
 
     Each column is computed elementwise in the operation order of the
     one-point formulas, so every entry is the double those formulas give on
-    evaluate_many at that x.
+    the column of evaluate_grid_values at that x alone.
     """
     g = evaluate_grid_values(params, _MONOMIALS, grid, policy)
     m0, m1, m2 = g.values

@@ -19,11 +19,10 @@ from pqmkz.engine import (
     Function,
     PQParams,
     TruncationPolicy,
-    evaluate,
     evaluate_grid_values,
-    normalization_partial_sum,
+    normalization_partial_sums,
 )
-from pqmkz.moments import lemma_bounds_report, moment_scale, raw_moment
+from pqmkz.moments import lemma_bounds_report, moment_scale
 from pqmkz.oracle import exact_pascal_residuals, exact_polynomial_bracket
 from pqmkz.pqcore import PQPair, pq_int
 from pqmkz.presets import ABS_HALF, IDENTITY, ONE, PAPER_CUBIC
@@ -75,10 +74,10 @@ def test_acceptance_02_floating_values_inside_exact_brackets():
 
             f = Function(poly, "poly", float(sum(abs(c) for c in coeffs)) or 1.0)
             params = PQParams(n, PQPair(float(p), float(q)))
-            out = evaluate(params, f, float(x))
+            g = evaluate_grid_values(params, [f], [float(x)])
             br = exact_polynomial_bracket(n, p, q, x, coeffs, 48)
-            slack = F(out.error_bound) + F(1, 10 ** 10)
-            assert br.lower - slack <= F(out.value) <= br.upper + slack
+            slack = F(float(g.error_bound[0, 0])) + F(1, 10 ** 10)
+            assert br.lower - slack <= F(float(g.values[0, 0])) <= br.upper + slack
         assert time.perf_counter() - start < 60.0
 
 
@@ -105,26 +104,27 @@ def test_acceptance_04_reduces_to_single_parameter_form():
             for n in range(1, 11):
                 params = PQParams(n, PQPair(1.0, q))
                 for x in grid:
-                    mine = evaluate(params, PAPER_CUBIC, x, policy).value
+                    mine = evaluate_grid_values(params, [PAPER_CUBIC], [x], policy).values[0, 0]
                     ref = q_mkz(PAPER_CUBIC, n, q, x)
                     assert mine == pytest.approx(ref, abs=1e-12)
 
 
 def test_acceptance_05_first_moment_fixed_point_at_p_one():
-    with report("first moment reproduces x at p = 1; p < 1 defect reported"):
+    with report("first moment reproduces x at p = 1 and p < 1, up to truncation"):
         grid = [float(x) for x in np.linspace(0.0, 0.99, 21)]
         for q in (0.9, 0.99):
             for n in range(1, 11):
-                params = PQParams(n, PQPair(1.0, q))
-                for x in grid:
-                    out = raw_moment(params, 1, x)
-                    assert abs(out.value - x) <= out.error_bound + 1e-12
+                table = lemma_bounds_report(PQParams(n, PQPair(1.0, q)), grid)
+                # m1's error bound is its tail mass: sup |t| = 1
+                assert (np.abs(table.m1 - grid) <= table.tail_mass_max + 1e-12).all()
+        # M e_1 = x for every (p, q), since M_(n,p,q) is the q-MKZ operator
+        # at tau = q/p, so what remains at p < 1 is truncation
         worst = 0.0
         for n in range(1, 11):
-            params = PQParams(n, PQPair(0.9, 0.8))
-            for x in grid:
-                worst = max(worst, abs(raw_moment(params, 1, x).value - x))
-        print(f"  measured first-moment defect at (p,q)=(0.9,0.8): {worst:.6f}")
+            table = lemma_bounds_report(PQParams(n, PQPair(0.9, 0.8)), grid)
+            assert (np.abs(table.m1 - grid) <= table.tail_mass_max + 1e-12).all()
+            worst = max(worst, float(np.max(np.abs(table.m1 - grid))))
+        print(f"  measured first-moment truncation at (p,q)=(0.9,0.8): {worst:.3e}")
 
 
 def test_acceptance_06_second_moment_envelope_at_p_one():
@@ -134,11 +134,12 @@ def test_acceptance_06_second_moment_envelope_at_p_one():
             for n in range(1, 11):
                 params = PQParams(n, PQPair(1.0, q))
                 scale = moment_scale(params)
-                for x in grid:
-                    out = raw_moment(params, 2, x)
-                    budget = out.error_bound + 1e-13
-                    assert out.value >= x * x - budget
-                    assert out.value <= scale * x + x * x + budget
+                table = lemma_bounds_report(params, grid)
+                # m2's error bound is its tail mass: sup |t^2| = 1
+                budget = table.tail_mass_max + 1e-13
+                x = np.array(grid)
+                assert (table.m2 >= x * x - budget).all()
+                assert (table.m2 <= scale * x + x * x + budget).all()
         diag = lemma_bounds_report(PQParams(5, PQPair(0.9, 0.8)), [0.9])
         sign = "negative" if diag.l2_bound[0] < 0.0 else "nonnegative"
         print(f"  pointwise width bound at (0.9,0.8,n=5,x=0.9) is {sign}")
@@ -162,13 +163,15 @@ def test_acceptance_08_partial_sums_tighten_with_more_terms():
     with report("longer partial sums tighten the normalization defect"):
         start = time.perf_counter()
         params = PQParams(3, PQPair(0.95, 0.9))
-        for x in np.linspace(0.0, 0.99, 201):
-            x = float(x)
-            d100 = abs(1.0 - normalization_partial_sum(params, x, 101))
-            d500 = abs(1.0 - normalization_partial_sum(params, x, 501))
+        grid = [float(x) for x in np.linspace(0.0, 0.99, 201)]
+        s100 = normalization_partial_sums(params, grid, 101)
+        s500 = normalization_partial_sums(params, grid, 501)
+        for x, a, b in zip(grid, s100, s500):
+            d100, d500 = abs(1.0 - a), abs(1.0 - b)
             if x <= 0.9:
                 assert d500 <= d100 + 1e-15
-        assert abs(normalization_partial_sum(params, 0.5, 501) - 1.0) <= 1e-9
+        [half] = normalization_partial_sums(params, [0.5], 501)
+        assert abs(half - 1.0) <= 1e-9
         assert time.perf_counter() - start < 5.0
 
 

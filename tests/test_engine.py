@@ -21,13 +21,10 @@ from pqmkz.engine import (
     _leading_weights,
     _nodes,
     _weight_chunks,
-    evaluate,
     evaluate_grid_values,
     evaluate_sweep_values,
-    evaluate_many,
     node,
     normalization_defects,
-    normalization_partial_sum,
     normalization_partial_sums,
     weight,
 )
@@ -199,44 +196,46 @@ class TestWeightStream:
 
 
 class TestEvaluate:
+    """Properties of the operator at one x: the column of a one-x grid."""
+
     def test_constant_one(self):
-        out = evaluate(PARAMS, ONE, 0.5)
-        assert out.converged
-        assert out.value == pytest.approx(1.0, abs=1e-12)
+        g = evaluate_grid_values(PARAMS, [ONE], [0.5])
+        assert g.converged[0]
+        assert g.values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_x0_is_single_exact_term(self):
-        out = evaluate(PARAMS, PAPER_CUBIC, 0.0)
-        assert out.value == PAPER_CUBIC(0.0)
-        assert out.terms_used == 1
-        assert out.tail_mass == 0.0
+        g = evaluate_grid_values(PARAMS, [PAPER_CUBIC], [0.0])
+        assert g.values[0, 0] == PAPER_CUBIC(0.0)
+        assert g.terms_used[0] == 1
+        assert g.tail_mass[0] == 0.0
 
     def test_x1_interpolates(self):
-        out = evaluate(PARAMS, PAPER_CUBIC, 1.0)
-        assert out.value == PAPER_CUBIC(1.0)
-        assert out.error_bound == 0.0
+        g = evaluate_grid_values(PARAMS, [PAPER_CUBIC], [1.0])
+        assert g.values[0, 0] == PAPER_CUBIC(1.0)
+        assert g.error_bound[0, 0] == 0.0
 
     def test_rejects_x_outside(self):
         with pytest.raises(ValueError):
-            evaluate(PARAMS, ONE, 1.5)
+            evaluate_grid_values(PARAMS, [ONE], [1.5])
 
     def test_nonconvergence_is_flagged(self):
-        out = evaluate(PARAMS, ONE, 0.9, TruncationPolicy(1e-12, 10))
-        assert not out.converged
-        assert out.tail_mass > 1e-12
+        g = evaluate_grid_values(PARAMS, [ONE], [0.9], TruncationPolicy(1e-12, 10))
+        assert not g.converged[0]
+        assert g.tail_mass[0] > 1e-12
 
     def test_positivity(self):
         f = Function(lambda t: t * (1 - t), "bump", 0.25)
         for x in (0.1, 0.5, 0.9):
-            assert evaluate(PARAMS, f, x).value >= 0.0
+            assert evaluate_grid_values(PARAMS, [f], [x]).values[0, 0] >= 0.0
 
     def test_monotonicity(self):
         # f <= g pointwise implies Mf <= Mg up to truncation budgets
         f, g = SQUARE, IDENTITY
         for x in (0.2, 0.5, 0.8):
-            of = evaluate(PARAMS, f, x)
-            og = evaluate(PARAMS, g, x)
-            slack = 2 * max(of.error_bound, og.error_bound)
-            assert of.value <= og.value + slack
+            of = evaluate_grid_values(PARAMS, [f], [x])
+            og = evaluate_grid_values(PARAMS, [g], [x])
+            slack = 2 * max(of.error_bound[0, 0], og.error_bound[0, 0])
+            assert of.values[0, 0] <= og.values[0, 0] + slack
 
     def test_linearity(self):
         alpha, beta = -3.0, 7.5
@@ -246,28 +245,29 @@ class TestEvaluate:
             10.0,
         )
         for x in (0.1, 0.4, 0.8):
-            oc = evaluate(PARAMS, combo, x)
-            os_ = evaluate(PARAMS, SQUARE, x)
-            op = evaluate(PARAMS, PAPER_CUBIC, x)
-            lhs = abs(oc.value - alpha * os_.value - beta * op.value)
+            oc, os_, op = (evaluate_grid_values(PARAMS, [f], [x])
+                           for f in (combo, SQUARE, PAPER_CUBIC))
+            lhs = abs(oc.values[0, 0] - alpha * os_.values[0, 0]
+                      - beta * op.values[0, 0])
             budget = (abs(alpha) + abs(beta) + 1) * max(
-                oc.error_bound, os_.error_bound, op.error_bound
+                oc.error_bound[0, 0], os_.error_bound[0, 0], op.error_bound[0, 0]
             )
             assert lhs <= budget + 1e-13
 
     def test_heuristic_bound_flagged(self):
         unhinted = Function(lambda ts: np.sin(3 * ts), "sin3")
-        out = evaluate(PARAMS, unhinted, 0.5)
-        assert out.heuristic_bound
-        hinted = evaluate(PARAMS, ONE, 0.5)
-        assert not hinted.heuristic_bound
+        g = evaluate_grid_values(PARAMS, [unhinted], [0.5])
+        assert g.heuristic_bound[0]
+        hinted = evaluate_grid_values(PARAMS, [ONE], [0.5])
+        assert not hinted.heuristic_bound[0]
 
     def test_shared_pass_matches_individual(self):
-        outs = evaluate_many(PARAMS, [ONE, IDENTITY, SQUARE], 0.6)
-        for f, shared in zip([ONE, IDENTITY, SQUARE], outs):
-            alone = evaluate(PARAMS, f, 0.6)
-            assert shared.value == pytest.approx(alone.value, abs=1e-15)
-            assert shared.tail_mass == alone.tail_mass
+        fs = [ONE, IDENTITY, SQUARE]
+        shared = evaluate_grid_values(PARAMS, fs, [0.6])
+        for i, f in enumerate(fs):
+            alone = evaluate_grid_values(PARAMS, [f], [0.6])
+            assert shared.values[i, 0] == pytest.approx(alone.values[0, 0], abs=1e-15)
+            assert shared.tail_mass[0] == alone.tail_mass[0]
 
 
 class TestEvaluateGrid:
@@ -388,15 +388,17 @@ def ref_cases(degree):
 
 
 def assert_outcomes_are_columns(params, fs, grid, policy, cols):
-    """evaluate_many at each x of grid is, bit for bit, the column of x in
+    """The one-x grid of each x of grid is, bit for bit, the column of x in
     cols, the grid's GridValues; its heuristic flags hold only below x = 1."""
     for j, x in enumerate(grid):
-        outs = evaluate_many(params, fs, x, policy)
-        got = [(o.value, o.error_bound, o.tail_mass) for o in outs]
+        one = evaluate_grid_values(params, fs, [x], policy)
+        got = [(v, e, one.tail_mass[0]) for v, e in zip(
+            one.values[:, 0], one.error_bound[:, 0])]
         want = [(v, e, cols.tail_mass[j]) for v, e in zip(
             cols.values[:, j], cols.error_bound[:, j])]
         assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert [(o.terms_used, o.converged, o.heuristic_bound) for o in outs] == [
+        assert [(one.terms_used[0], one.converged[0], h)
+                for h in one.heuristic_bound.tolist()] == [
             (cols.terms_used[j], cols.converged[j], h and x < 1.0)
             for h in cols.heuristic_bound.tolist()]
 
@@ -796,7 +798,7 @@ class TestPartialSums:
                     float(np.sum(ref_weights_nodes(params, float(x), -math.inf, k)[0]))
                     for x in grid
                 ]
-                assert normalization_partial_sum(params, float(grid[-1]), k) == sums[-1]
+                assert normalization_partial_sums(params, grid[-1:], k) == sums[-1:]
 
     def test_figure1_csv_holds_the_sums(self, tmp_path):
         assert main(["figure", "--id", "1", "--out", str(tmp_path)]) == 0
@@ -816,7 +818,7 @@ class TestPartialSums:
         x, k = float(np.linspace(0.0, 0.99, 201)[4]), 101
         w = np.array([weight(PARAMS, j, x) for j in range(k)])
         assert np.cumsum(w)[11] >= 1.0
-        assert normalization_partial_sum(PARAMS, x, k) == float(np.sum(w))
+        assert normalization_partial_sums(PARAMS, [x], k) == [float(np.sum(w))]
 
     def test_rejects(self):
         with pytest.raises(ValueError, match="k_terms"):
@@ -1236,9 +1238,83 @@ class TestQMKZReduction:
     def test_matches_reference_at_p_one(self, n, q):
         params = PQParams(n, PQPair(1.0, q))
         for x in [i / 10 for i in range(11)]:
-            mine = evaluate(params, PAPER_CUBIC, x, TruncationPolicy(1e-14)).value
+            g = evaluate_grid_values(params, [PAPER_CUBIC], [x], TruncationPolicy(1e-14))
+            mine = g.values[0, 0]
             ref = q_mkz(PAPER_CUBIC, n, q, x)
             assert mine == pytest.approx(ref, abs=1e-12)
+
+
+class TestTauForm:
+    """M_(n,p,q) is M_(n,1,tau), tau = q/p: the engine at (n, p, q) against
+    (n, 1, fl(q/p)).
+
+    The kernel reads only n, x and log_tau, so equal log_taus give equal
+    bytes.  Else log_tau moves by rho = |delta| / |log tau| relative, since
+    log q - log p is not log fl(q/p), and two values may differ by at most
+    the sum of three terms, each to first order in rho and u = 2^-53:
+    - the move of the exact truncated sum: each e(j) = expm1(j log tau)
+      moves by at most rho relative (its log-derivative in log |log tau| is
+      y / (e^y - 1) <= 1, y = -j log tau), so each ratio r_j and node t_k
+      move by at most rho and w_k by (A + k) rho, A = |log tau| sum_{s=1..n}
+      s tau^s x / (1 - tau^s x) from w_0;
+    - twice the rounding of one evaluation: w_0 within e_0 = (n + 3) u |log
+      w_0| + u sum_{s=1..n} (s |log tau| + 4) tau^s x / (1 - tau^s x) + 2u
+      (n + 1 log1p terms, their sum and one exp), each ratio within 8u and
+      so w_k within e_0 + (9k + 1) u, each node within 7u, each f within 4u
+      absolute, and the dot of K terms within K u sum w_k |f(t_k)|;
+    - the weights that one sum holds and the other does not, when the two
+      running sums stop at different terms.
+    """
+
+    CASES = [(1, 0.9, 0.8), (3, 0.95, 0.9), (5, 0.5, 0.45), (10, 0.999, 0.998),
+             (50, 0.999, 0.995)]
+    # sup |f'| on [0, 1] of each f (the cubic's is 0.79 at x = 0)
+    FS = [(ONE, 0.0), (IDENTITY, 1.0), (PAPER_CUBIC, 1.0)]
+
+    @classmethod
+    def bounds(cls, params, x, rho, terms):
+        """The bound on |M f(x)| at log_tau minus M f(x) at the other
+        log_tau, for each f of FS (see the class), from the weights and
+        nodes of params; terms holds the two term counts."""
+        u = 2.0 ** -53
+        n, lt = params.n, params.pq.log_tau
+        k_all = max(terms)
+        [w] = engine._weight_rows(params, [x], -math.inf, k_all)
+        t = _nodes([params], [k_all])
+        k = np.arange(k_all)
+        s = np.arange(1, n + 1)
+        tau_s = np.exp(s * lt)
+        z = tau_s * x / (1.0 - tau_s * x)
+        a = abs(lt) * np.sum(s * z)
+        e0 = (n + 3) * u * abs(math.log(w[0])) + u * np.sum((s * abs(lt) + 4) * z) + 2 * u
+        out = []
+        for f, lip in cls.FS:
+            fv = np.abs(f.values(t))
+            move = np.sum(w * ((a + k) * fv + lip * t))
+            rounding = (np.sum(w * ((e0 + (9 * k + 1) * u) * fv + 7 * u * lip * t + 4 * u))
+                        + k_all * u * np.sum(w * fv))
+            out.append(rho * move + 2.0 * rounding + np.sum((w * fv)[min(terms):]))
+        return out
+
+    def test_values_depend_on_tau_only(self):
+        grid = np.linspace(0.0, 0.99, 33).tolist() + [1.0]
+        fs = [f for f, _ in self.FS]
+        for n, p, q in self.CASES:
+            pq_params, tau_params = PQParams(n, PQPair(p, q)), PQParams(n, PQPair(1.0, q / p))
+            got = evaluate_grid_values(pq_params, fs, grid)
+            want = evaluate_grid_values(tau_params, fs, grid)
+            lt = pq_params.pq.log_tau
+            rho = abs(lt - tau_params.pq.log_tau) / abs(lt)
+            if rho == 0.0:
+                # (3, 0.95, 0.9) here: log 0.9 - log 0.95 == log fl(0.9 / 0.95)
+                assert got.values.tobytes() == want.values.tobytes()
+            for j, x in enumerate(grid):
+                if x == 1.0:
+                    assert (got.values[:, j] == want.values[:, j]).all()
+                    continue
+                terms = (int(got.terms_used[j]), int(want.terms_used[j]))
+                diff = np.abs(got.values[:, j] - want.values[:, j])
+                assert (diff <= self.bounds(pq_params, x, rho, terms)).all()
 
 
 class TestOracleAgreement:
@@ -1253,10 +1329,10 @@ class TestOracleAgreement:
             (1, F(1), F(1, 2), F(3, 4)),
         ]:
             params = PQParams(n, PQPair(float(p), float(q)))
-            out = evaluate(params, f, float(x))
+            g = evaluate_grid_values(params, [f], [float(x)])
             br = exact_polynomial_bracket(n, p, q, x, coeffs, 60)
-            eb = F(out.error_bound) + F(1, 10 ** 10)
-            assert br.lower - eb <= F(out.value) <= br.upper + eb
+            eb = F(float(g.error_bound[0, 0])) + F(1, 10 ** 10)
+            assert br.lower - eb <= F(float(g.values[0, 0])) <= br.upper + eb
 
 
 class TestNormalization:
@@ -1275,10 +1351,10 @@ class TestNormalization:
             math.comb(n + k, k) * x ** k * (1 - x) ** (n + 1)
             for k in range(K + 1)
         )
-        mine = normalization_partial_sum(CLASSICAL3, x, K + 1)
+        [mine] = normalization_partial_sums(CLASSICAL3, [x], K + 1)
         assert mine == pytest.approx(brute, abs=1e-12)
 
     def test_partial_sums_increase_with_terms(self):
-        s100 = normalization_partial_sum(PARAMS, 0.8, 101)
-        s500 = normalization_partial_sum(PARAMS, 0.8, 501)
+        [s100] = normalization_partial_sums(PARAMS, [0.8], 101)
+        [s500] = normalization_partial_sums(PARAMS, [0.8], 501)
         assert s100 <= s500 <= 1.0 + 1e-12

@@ -79,6 +79,25 @@ class TestNodes:
             prev = t
 
 
+class TestTauForm:
+    """M_(n,p,q) is the q-MKZ operator at tau = q/p: the p-powers of the
+    defining weight, p^(-kn) and p^(n(n+1)/2), cancel exactly."""
+
+    PAIRS = [(F(9, 10), F(4, 5)), (F(97, 100), F(1, 3)), (F(1, 2), F(1, 7))]
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_weights_depend_on_tau_only(self, n):
+        for p, q in self.PAIRS:
+            for x in (F(0), F(1, 3), F(9, 10)):
+                assert exact_weights(n, 20, p, q, x) == exact_weights(n, 20, F(1), q / p, x)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_nodes_depend_on_tau_only(self, n):
+        for p, q in self.PAIRS:
+            for k in range(21):
+                assert exact_node(n, k, p, q) == exact_node(n, k, F(1), q / p)
+
+
 class TestPolynomialBracket:
     def test_constant_brackets_one(self):
         br = exact_polynomial_bracket(2, F(9, 10), F(4, 5), F(1, 2), [F(1)], 30)
